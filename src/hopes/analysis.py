@@ -434,20 +434,6 @@ def ext_relation(
     return checker.relation(rho)
 
 
-def _declared_argument_types(tp: TypedProgram) -> list[TypeExpr]:
-    found: set[TypeExpr] = {IOTA, O}
-    stack = [t for _, t in sorted(tp.predicate_decls.items())]
-    while stack:
-        t = stack.pop()
-        if t in found:
-            continue
-        found.add(t)
-        if t.kind == "arrow":
-            stack.append(t.left)
-            stack.append(t.right)
-    return sorted((t for t in found if is_predicate(t) or t == IOTA), key=str)
-
-
 def check_extensional(
     tp: TypedProgram, g: GroundProgram, values: list[TruthValue], k: int
 ) -> ExtReport:
@@ -461,7 +447,8 @@ def check_extensional(
     checked: list[str] = []
     skipped: list[str] = []
 
-    for typ in _declared_argument_types(tp):
+    argument_types = (t for t in checker.enum.closure if is_predicate(t) or t == IOTA)
+    for typ in sorted(argument_types, key=str):
         if not checker.slice_of(typ):
             skipped.append(str(typ))
             continue

@@ -78,19 +78,69 @@ class Eq(Expression):
     typ: Optional[TypeExpr] = None
 
 
+_LEAF_TYPES = frozenset((Name, IndConst, PredConst, Var))
+
+
+def _children(e: Expression) -> tuple[Expression, ...]:
+    if isinstance(e, FunApp):
+        return e.args
+    if isinstance(e, App):
+        return (e.fun, e.arg)
+    if isinstance(e, Neg):
+        return (e.inner,)
+    if isinstance(e, Eq):
+        return (e.lhs, e.rhs)
+    return ()
+
+
+# The walks below keep an explicit stack, so that arbitrarily deep terms
+# never exhaust the interpreter's recursion limit.
+
+
 def expr_to_str(e: Expression) -> str:
     """Canonical rendering: applications as h(x)(y), negation as ~E."""
-    if isinstance(e, (Name, IndConst, PredConst, Var)):
+    if type(e) in _LEAF_TYPES:
         return e.name
-    if isinstance(e, FunApp):
-        return f"{e.symbol}({', '.join(expr_to_str(a) for a in e.args)})"
-    if isinstance(e, App):
-        return f"{expr_to_str(e.fun)}({expr_to_str(e.arg)})"
-    if isinstance(e, Neg):
-        return f"~{expr_to_str(e.inner)}"
-    if isinstance(e, Eq):
-        return f"{expr_to_str(e.lhs)} = {expr_to_str(e.rhs)}"
-    raise TypeError(f"not an expression: {e!r}")
+    out: list[str] = []
+    stack: list[Expression | str] = [e]  # strings are emitted verbatim
+    push, emit = stack.append, out.append
+    while stack:
+        x = stack.pop()
+        kind = type(x)
+        if kind is str:
+            emit(x)
+        elif kind in _LEAF_TYPES:
+            emit(x.name)
+        elif kind is App:
+            # the whole spine at once: queue the arguments last to first,
+            # then the head, which is emitted next
+            while type(x) is App:
+                arg = x.arg
+                if type(arg) in _LEAF_TYPES:
+                    push("(" + arg.name + ")")
+                else:
+                    push(")")
+                    push(arg)
+                    push("(")
+                x = x.fun
+            push(x)
+        elif kind is FunApp:
+            emit(x.symbol + "(")
+            push(")")
+            for i in range(len(x.args) - 1, -1, -1):
+                push(x.args[i])
+                if i:
+                    push(", ")
+        elif kind is Neg:
+            emit("~")
+            push(x.inner)
+        elif kind is Eq:
+            push(x.rhs)
+            push(" = ")
+            push(x.lhs)
+        else:
+            raise TypeError(f"not an expression: {x!r}")
+    return "".join(out)
 
 
 def spine(e: Expression) -> tuple[Expression, list[Expression]]:
@@ -106,39 +156,48 @@ def spine(e: Expression) -> tuple[Expression, list[Expression]]:
 def expr_vars(e: Expression) -> list[Var]:
     """Variables of an expression, in first-occurrence order."""
     seen: dict[str, Var] = {}
-
-    def walk(x: Expression) -> None:
-        if isinstance(x, Var):
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        kind = type(x)
+        if kind is Var:
             seen.setdefault(x.name, x)
-        elif isinstance(x, FunApp):
-            for a in x.args:
-                walk(a)
-        elif isinstance(x, App):
-            walk(x.fun)
-            walk(x.arg)
-        elif isinstance(x, Neg):
-            walk(x.inner)
-        elif isinstance(x, Eq):
-            walk(x.lhs)
-            walk(x.rhs)
-
-    walk(e)
+        elif kind is App:
+            stack += (x.arg, x.fun)
+        elif kind not in _LEAF_TYPES:
+            stack.extend(reversed(_children(x)))
     return list(seen.values())
 
 
 def substitute(e: Expression, binding: dict[str, Expression]) -> Expression:
-    """Replace variables by name; untouched subtrees are shared."""
-    if isinstance(e, Var):
-        return binding.get(e.name, e)
-    if isinstance(e, FunApp):
-        return FunApp(e.symbol, tuple(substitute(a, binding) for a in e.args), e.typ)
-    if isinstance(e, App):
-        return App(substitute(e.fun, binding), substitute(e.arg, binding), e.typ)
-    if isinstance(e, Neg):
-        return Neg(substitute(e.inner, binding), e.typ)
-    if isinstance(e, Eq):
-        return Eq(substitute(e.lhs, binding), substitute(e.rhs, binding), e.typ)
-    return e
+    """Replace variables by name; leaves without a binding are shared."""
+    # post-order: a node is rebuilt once the results of its children,
+    # pushed onto `done` left to right, are all there
+    done: list[Expression] = []
+    stack: list[tuple[Expression, bool]] = [(e, False)]
+    while stack:
+        x, ready = stack.pop()
+        if isinstance(x, Var):
+            done.append(binding.get(x.name, x))
+            continue
+        kids = _children(x)
+        if not kids:
+            done.append(x)
+        elif not ready:
+            stack.append((x, True))
+            stack.extend((c, False) for c in reversed(kids))
+        else:
+            parts = done[len(done) - len(kids):]
+            del done[len(done) - len(kids):]
+            if isinstance(x, FunApp):
+                done.append(FunApp(x.symbol, tuple(parts), x.typ))
+            elif isinstance(x, App):
+                done.append(App(parts[0], parts[1], x.typ))
+            elif isinstance(x, Neg):
+                done.append(Neg(parts[0], x.typ))
+            else:
+                done.append(Eq(parts[0], parts[1], x.typ))
+    return done[0]
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,24 @@ integers; the atom table starts with the full type-o slice so that the
 model assigns a value even to atoms no clause derives.  A clause killed
 by a false equality still registers its head atom.
 
-The projected number of substitutions per clause is checked against a
-budget before any instance is built; exceeding it raises
-``BudgetExceeded`` rather than looping for hours.
+Ground terms are hash-consed: each distinct term gets an integer id,
+keyed on its symbol and the ids of its children, and is printed once,
+when it is first built.  Equality of ground terms is equality of ids.
+A leading body equality ``V = t`` (the shape the type checker gives
+facts and non-variable head arguments) is solved rather than
+enumerated: V takes the id of t's instance, which is live only when
+that term lies in V's slice.
+
+The work per clause (substitutions enumerated after solving, and head
+tuples registered) is checked against a budget before any instance is
+built; exceeding it raises ``BudgetExceeded`` rather than looping for
+hours.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -36,8 +46,9 @@ from .ast import (
     Neg,
     PredConst,
     TypedProgram,
+    Var,
     expr_to_str,
-    substitute,
+    expr_vars,
 )
 from .types import IOTA, O, TypeExpr, arity
 
@@ -57,7 +68,7 @@ class BudgetExceeded(Exception):
         self.count = count
         self.budget = budget
         super().__init__(
-            f"clause '{clause}' has {count} ground instances, over the budget of {budget}"
+            f"clause '{clause}' needs {count} substitutions, over the budget of {budget}"
         )
 
 
@@ -73,13 +84,20 @@ class UniverseSlice:
 
 def term_size(e: Expression) -> int:
     """Symbol occurrences; application nodes are not symbols."""
-    if isinstance(e, (IndConst, PredConst)):
-        return 1
-    if isinstance(e, FunApp):
-        return 1 + sum(term_size(a) for a in e.args)
-    if isinstance(e, App):
-        return term_size(e.fun) + term_size(e.arg)
-    raise TypeError(f"not a ground term: {e!r}")
+    size = 0
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (IndConst, PredConst)):
+            size += 1
+        elif isinstance(x, FunApp):
+            size += 1
+            stack.extend(x.args)
+        elif isinstance(x, App):
+            stack += (x.fun, x.arg)
+        else:
+            raise TypeError(f"not a ground term: {x!r}")
+    return size
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -102,6 +120,7 @@ class TermEnumerator:
         self.constants = tuple(sorted(tp.individual_constants))
         self.functions = tuple(sorted(tp.function_decls.items()))
 
+        # every type reachable from the declarations, plus i and o
         closure: set[TypeExpr] = {IOTA, O}
         stack = list(tp.predicate_decls.values())
         while stack:
@@ -112,6 +131,7 @@ class TermEnumerator:
             if t.kind == "arrow":
                 stack.append(t.left)
                 stack.append(t.right)
+        self.closure = frozenset(closure)
         self.arrows_into: dict[TypeExpr, list[TypeExpr]] = {}
         for t in closure:
             if t.kind == "arrow":
@@ -230,6 +250,23 @@ class GroundProgram:
         return cls(tuple(atom_names), tuple(clauses), depth_bound)
 
 
+def _clause_variables(clause: Clause) -> dict[str, TypeExpr]:
+    """Every variable of a clause with its type: the head formals first,
+    then the body variables in first-occurrence order."""
+    types = {v.name: v.typ for v in clause.formals}
+    for lit in clause.body:
+        for v in expr_vars(lit):
+            types.setdefault(v.name, v.typ)
+    return types
+
+
+def _skip_note(idx: int, name: str, exc: EmptyUniverse) -> str:
+    return (
+        f"clause {idx + 1} has no instances at depth {exc.depth_bound}: "
+        f"variable {name} ranges over an empty universe ({exc})"
+    )
+
+
 def iter_ground_instances(
     tp: TypedProgram, k: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[int, dict[str, Expression], list[str]]]:
@@ -238,23 +275,15 @@ def iter_ground_instances(
     variable's universe slice is empty at this depth."""
     enum = TermEnumerator(tp)
     for idx, clause in enumerate(tp.clauses):
-        names: list[str] = [v.name for v in clause.formals]
-        types: dict[str, TypeExpr] = {v.name: v.typ for v in clause.formals}
-        for lit in clause.body:
-            for v in _literal_vars(lit):
-                if v.name not in types:
-                    names.append(v.name)
-                    types[v.name] = v.typ
+        types = _clause_variables(clause)
+        names = list(types)
         slices: list[tuple[Expression, ...]] = []
         skip_note = None
         for name in names:
             try:
                 slices.append(enum.universe(types[name], k))
             except EmptyUniverse as exc:
-                skip_note = (
-                    f"clause {idx + 1} has no instances at depth {k}: "
-                    f"variable {name} ranges over an empty universe ({exc})"
-                )
+                skip_note = _skip_note(idx, name, exc)
                 break
         if skip_note is not None:
             yield idx, None, [skip_note]
@@ -268,63 +297,353 @@ def iter_ground_instances(
             yield idx, dict(zip(names, combo)), []
 
 
-def _literal_vars(e: Expression):
-    from .ast import expr_vars
+def _subterms(e: Expression) -> tuple[Expression, ...]:
+    if isinstance(e, FunApp):
+        return e.args
+    if isinstance(e, App):
+        return (e.fun, e.arg)
+    raise TypeError(f"not a ground term: {e!r}")
 
-    return expr_vars(e)
+
+class _Terms:
+    """Hash-consed ground terms.
+
+    A term's key is its name (a constant or a predicate name), the pair
+    (function symbol, argument ids), or the pair (function id, argument
+    id) of a curried application.  Equal terms get equal ids, and each
+    term is printed once, when it is first built.
+    """
+
+    def __init__(self) -> None:
+        self.ids: dict[object, int] = {}
+        self.text: list[str] = []
+        # id() of an AST node -> (node, term id); keeping the node alive
+        # keeps its id() from being reused while the table is in use
+        self.nodes: dict[int, tuple[Expression, int]] = {}
+
+    def node(self, key) -> int:
+        t = self.ids.get(key)
+        if t is None:
+            t = self.ids[key] = len(self.text)
+            text = self.text
+            if isinstance(key, str):
+                text.append(key)
+            elif isinstance(key[0], str):
+                text.append(f"{key[0]}({', '.join([text[a] for a in key[1]])})")
+            else:
+                text.append(f"{text[key[0]]}({text[key[1]]})")
+        return t
+
+    def intern(self, e: Expression) -> int:
+        """The id of a ground term given as an AST; each node is visited once."""
+        if isinstance(e, (IndConst, PredConst)):
+            return self.node(e.name)
+        nodes = self.nodes
+        hit = nodes.get(id(e))
+        if hit is not None:
+            return hit[1]
+        stack = [e]
+        while stack:
+            x = stack[-1]
+            if id(x) in nodes:
+                stack.pop()
+                continue
+            if isinstance(x, (IndConst, PredConst)):
+                key = x.name
+            else:
+                kids = _subterms(x)
+                missing = [c for c in kids if id(c) not in nodes]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                ids = tuple([nodes[id(c)][1] for c in kids])
+                key = (x.symbol, ids) if isinstance(x, FunApp) else ids
+            stack.pop()
+            nodes[id(x)] = (x, self.node(key))
+        return nodes[id(e)][1]
+
+    def compile(self, e: Expression, slots: dict[str, int], regs: list[int], code: list) -> int:
+        """Compile a term with variables into `code`; return the register
+        that holds the term's id once the code has run over an
+        environment whose variable slots are bound.
+
+        Variable-free subterms are built now and become constants, so the
+        code only builds the nodes above a variable.  An instruction is
+        (target, function symbol or None for an application, operands).
+        """
+        out: list[tuple[int, bool]] = []  # (term id or register, is a term id)
+        stack: list[tuple[Expression, bool]] = [(e, False)]
+        while stack:
+            x, ready = stack.pop()
+            kind = type(x)
+            if kind is Var:
+                out.append((slots[x.name], False))
+            elif kind is IndConst or kind is PredConst:
+                out.append((self.node(x.name), True))
+            elif not ready:
+                stack.append((x, True))
+                for c in reversed(_subterms(x)):
+                    stack.append((c, False))
+            else:
+                symbol = x.symbol if kind is FunApp else None
+                n = len(x.args) if symbol is not None else 2
+                parts = out[len(out) - n:]
+                del out[len(out) - n:]
+                ids = tuple([v for v, known in parts if known])
+                if len(ids) == n:
+                    out.append((self.node(ids if symbol is None else (symbol, ids)), True))
+                else:
+                    operands = tuple([_constant(regs, v) if known else v for v, known in parts])
+                    code.append((_constant(regs, -1), symbol, operands))
+                    out.append((code[-1][0], False))
+        v, known = out[0]
+        return _constant(regs, v) if known else v
+
+    def run(self, code: list, env: list[int]) -> None:
+        ids = self.ids
+        for target, symbol, operands in code:
+            if symbol is None:
+                key = (env[operands[0]], env[operands[1]])
+            else:
+                key = (symbol, tuple([env[r] for r in operands]))
+            t = ids.get(key)
+            env[target] = self.node(key) if t is None else t
+
+
+def _constant(regs: list[int], value: int) -> int:
+    regs.append(value)
+    return len(regs) - 1
+
+
+class _Slice:
+    """A universe slice as ASTs and as term ids, with each id's index."""
+
+    __slots__ = ("exprs", "ids", "pos")
+
+    def __init__(self, exprs: tuple[Expression, ...], ids: tuple[int, ...]):
+        self.exprs = exprs
+        self.ids = ids
+        self.pos = {t: i for i, t in enumerate(ids)}
+
+
+def _solve_leading(clause: Clause) -> tuple[int, dict[str, Expression], list[Eq]]:
+    """Split the leading equalities of a clause body into solved ones and
+    tests.  Returns the length of the leading block, the solved variables
+    with their terms in solving order, and the equalities left to test.
+
+    ``V = t`` is solved when the variable V is not solved already and
+    occurs neither in t nor in the term of an earlier solved equality,
+    so t mentions only enumerated variables and ones solved before V.
+    """
+    lead = 0
+    while lead < len(clause.body) and isinstance(clause.body[lead], Eq):
+        lead += 1
+    solved: dict[str, Expression] = {}
+    tests: list[Eq] = []
+    in_terms: set[str] = set()
+    for eq in clause.body[:lead]:
+        v = eq.lhs
+        t_vars = {x.name for x in expr_vars(eq.rhs)}
+        if (
+            isinstance(v, Var)
+            and v.name not in solved
+            and v.name not in in_terms
+            and v.name not in t_vars
+        ):
+            solved[v.name] = eq.rhs
+            in_terms |= t_vars
+        else:
+            tests.append(eq)
+    return lead, solved, tests
+
+
+class _Grounder:
+    """The state of one ground_instantiate call."""
+
+    def __init__(self, tp: TypedProgram, k: int, budget: int):
+        self.tp = tp
+        self.k = k
+        self.budget = budget
+        self.enum = TermEnumerator(tp)
+        self.terms = _Terms()
+        self.atom_of: dict[int, int] = {}  # term id -> atom id
+        self.atom_terms: list[int] = []  # atom id -> term id
+        self.clauses: list[GroundClause] = []
+        self.seen: set[tuple[int, tuple[tuple[bool, int], ...]]] = set()
+        self.notes: list[str] = list(tp.notes)
+        self.slices: dict[TypeExpr, _Slice | None] = {}
+        # predicates whose heads are registered over their whole formal
+        # product: every clause of one predicate has the same formal slices
+        self.registered: set[str] = set()
+
+    def atom(self, t: int) -> int:
+        a = self.atom_of.get(t)
+        if a is None:
+            a = self.atom_of[t] = len(self.atom_terms)
+            self.atom_terms.append(t)
+        return a
+
+    def slice(self, typ: TypeExpr) -> _Slice | None:
+        if typ not in self.slices:
+            try:
+                exprs = self.enum.universe(typ, self.k)
+            except EmptyUniverse:
+                self.slices[typ] = None
+            else:
+                ids = tuple([self.terms.intern(e) for e in exprs])
+                self.slices[typ] = _Slice(exprs, ids)
+        return self.slices[typ]
+
+    def add(self, idx: int, head: int, literals: list[tuple[bool, int]], binding) -> None:
+        lits = tuple(literals)
+        if (head, lits) in self.seen:
+            return
+        self.seen.add((head, lits))
+        self.clauses.append(GroundClause(head, lits, origin=(idx, binding)))
+
+    def ground(self) -> GroundProgram:
+        try:
+            for atom in self.enum.universe(O, self.k):
+                self.atom(self.terms.intern(atom))
+        except EmptyUniverse:
+            self.notes.append(f"no ground atoms exist at depth {self.k}")
+        for idx, clause in enumerate(self.tp.clauses):
+            self.clause(idx, clause)
+        text = self.terms.text
+        return GroundProgram(
+            tuple([text[t] for t in self.atom_terms]), tuple(self.clauses), self.k, tuple(self.notes)
+        )
+
+    def variable_free(self, idx: int, clause: Clause) -> None:
+        """The single instance of a clause without variables."""
+        if 1 > self.budget:
+            raise BudgetExceeded(str(clause), 1, self.budget)
+        intern = self.terms.intern
+        head = self.atom(self.terms.node(clause.head_pred))
+        literals: list[tuple[bool, int]] = []
+        for lit in clause.body:
+            if isinstance(lit, Eq):
+                if intern(lit.lhs) != intern(lit.rhs):
+                    return
+            elif isinstance(lit, Neg):
+                literals.append((True, self.atom(intern(lit.inner))))
+            else:
+                literals.append((False, self.atom(intern(lit))))
+        self.add(idx, head, literals, ())
+
+    def clause(self, idx: int, clause: Clause) -> None:
+        types = _clause_variables(clause)
+        if not types:
+            return self.variable_free(idx, clause)
+        names = list(types)
+        slices: dict[str, _Slice] = {}
+        for name in names:
+            sl = self.slice(types[name])
+            if sl is None:
+                note = _skip_note(idx, name, EmptyUniverse(types[name], self.k))
+                if note not in self.notes:
+                    self.notes.append(note)
+                return
+            slices[name] = sl
+
+        nf = len(clause.formals)
+        lead, solved, tests = _solve_leading(clause)
+        enumerated = [n for n in names if n not in solved]
+        count = math.prod(len(slices[n].ids) for n in enumerated)
+        walk = clause.head_pred not in self.registered
+        if walk:
+            count = max(count, math.prod(len(slices[n].ids) for n in names[:nf]))
+        if count > self.budget:
+            raise BudgetExceeded(str(clause), count, self.budget)
+        self.registered.add(clause.head_pred)
+
+        # Registers: the enumerated variables, then constants and the
+        # nodes the code builds.  A solved variable lives in the register
+        # of its term, so the leading code binds it.
+        terms = self.terms
+        slot = {n: i for i, n in enumerate(enumerated)}
+        regs = [-1] * len(slot)
+        lead_code: list = []
+        solve = []
+        for v, t in solved.items():
+            slot[v] = terms.compile(t, slot, regs, lead_code)
+            solve.append((slot[v], slices[v].pos))
+        checks = [
+            (terms.compile(eq.lhs, slot, regs, lead_code), terms.compile(eq.rhs, slot, regs, lead_code))
+            for eq in tests
+        ]
+        body_code: list = []
+        body: list[tuple[bool | None, int, int]] = []  # (negated, register, register); None: equality
+        for lit in clause.body[lead:]:
+            if isinstance(lit, Eq):
+                body.append(
+                    (None, terms.compile(lit.lhs, slot, regs, body_code), terms.compile(lit.rhs, slot, regs, body_code))
+                )
+            elif isinstance(lit, Neg):
+                body.append((True, terms.compile(lit.inner, slot, regs, body_code), 0))
+            else:
+                body.append((False, terms.compile(lit, slot, regs, body_code), 0))
+        formal_slots = [slot[n] for n in names[:nf]]
+        binding = [(n, slot[n], slices[n]) for n in names]
+        pred = terms.node(clause.head_pred)
+        ids, node, run, atom = terms.ids, terms.node, terms.run, self.atom
+
+        def head(formals) -> int:
+            t = pred
+            for f in formals:
+                key = (t, f)
+                h = ids.get(key)
+                t = node(key) if h is None else h
+            return atom(t)
+
+        def emit(h: int, env: list[int]) -> None:
+            run(body_code, env)
+            literals: list[tuple[bool, int]] = []
+            for negated, a, b in body:
+                if negated is None:
+                    if env[a] != env[b]:
+                        return  # the literals before it stay interned
+                else:
+                    literals.append((negated, atom(env[a])))
+            self.add(
+                idx, h, literals, tuple([(n, sl.exprs[sl.pos[env[s]]]) for n, s, sl in binding])
+            )
+
+        # Live instances, keyed by their index in the product over all
+        # variables: the order in which generate-and-test visits them.
+        # Without solved variables the enumeration is that order.
+        strides: list[tuple[int, dict[int, int], int]] = []
+        stride = 1
+        for n in reversed(names if solved else ()):
+            strides.append((slot[n], slices[n].pos, stride))
+            stride *= len(slices[n].ids)
+        tail = regs[len(enumerated):]
+        live: list[tuple[int, list[int]]] = []
+        for i, combo in enumerate(itertools.product(*[slices[n].ids for n in enumerated])):
+            env = [*combo, *tail]
+            if lead_code:
+                run(lead_code, env)
+            if all(env[r] in pos for r, pos in solve) and all(env[a] == env[b] for a, b in checks):
+                live.append((sum(pos[env[s]] * st for s, pos, st in strides) if solved else i, env))
+        if solved:
+            live.sort(key=lambda entry: entry[0])
+        if not walk:
+            for _, env in live:
+                emit(head([env[s] for s in formal_slots]), env)
+            return
+        # Register every head in product order, a killed instance's too,
+        # each followed by the live instances that share it.
+        body_stride = math.prod(len(slices[n].ids) for n in names[nf:])
+        j = 0
+        for fi, formals in enumerate(itertools.product(*[slices[n].ids for n in names[:nf]])):
+            h = head(formals)
+            while j < len(live) and live[j][0] // body_stride == fi:
+                emit(h, live[j][1])
+                j += 1
 
 
 def ground_instantiate(
     tp: TypedProgram, k: int, budget: int = DEFAULT_BUDGET
 ) -> GroundProgram:
     """The ground program at depth k, with interned atoms."""
-    atoms: dict[str, int] = {}
-    atom_order: list[str] = []
-
-    def intern(e: Expression) -> int:
-        s = expr_to_str(e)
-        if s not in atoms:
-            atoms[s] = len(atom_order)
-            atom_order.append(s)
-        return atoms[s]
-
-    notes: list[str] = list(tp.notes)
-    try:
-        for atom in TermEnumerator(tp).universe(O, k):
-            intern(atom)
-    except EmptyUniverse:
-        notes.append(f"no ground atoms exist at depth {k}")
-
-    clauses: list[GroundClause] = []
-    seen: set[tuple[int, tuple[tuple[bool, int], ...]]] = set()
-    head_exprs = {i: c.head_expr() for i, c in enumerate(tp.clauses)}
-
-    for idx, binding, inst_notes in iter_ground_instances(tp, k, budget):
-        notes.extend(n for n in inst_notes if n not in notes)
-        if binding is None:
-            continue
-        clause = tp.clauses[idx]
-        head_id = intern(substitute(head_exprs[idx], binding))
-        literals: list[tuple[bool, int]] = []
-        dead = False
-        for lit in clause.body:
-            if isinstance(lit, Eq):
-                if not normalize_equality(substitute(lit.lhs, binding), substitute(lit.rhs, binding)):
-                    dead = True
-                    break
-                continue  # a true equality contributes nothing
-            if isinstance(lit, Neg):
-                literals.append((True, intern(substitute(lit.inner, binding))))
-            else:
-                literals.append((False, intern(substitute(lit, binding))))
-        if dead:
-            continue
-        key = (head_id, tuple(literals))
-        if key in seen:
-            continue
-        seen.add(key)
-        clauses.append(
-            GroundClause(head_id, tuple(literals), origin=(idx, tuple(binding.items())))
-        )
-
-    return GroundProgram(tuple(atom_order), tuple(clauses), k, tuple(notes))
+    return _Grounder(tp, k, budget).ground()

@@ -26,6 +26,11 @@ from dataclasses import dataclass
 from .ast import App, Eq, Expression, Name, Neg, Program, RawClause, Var
 from .types import IOTA, O, TypeExpr, arrow
 
+# Terms parse in constant stack, but later stages (type inference, the
+# dataclass equality and hashing of expressions) walk them recursively,
+# so a clause whose terms nest deeper than this is refused up front.
+MAX_NESTING = 500
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
@@ -173,39 +178,67 @@ class _Parser:
         return self.peek().kind in ("IDENT", "VARIDENT", "LP")
 
     def parse_term(self) -> Expression:
-        e = self.parse_aterm()
-        while self.at_term_start():
-            e = App(e, self.parse_aterm())
-        return e
+        return self._term(single=False)
 
     def parse_aterm(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.advance()
-            e: Expression = Name(tok.value)
-        elif tok.kind == "VARIDENT":
-            self.advance()
-            e = Var(tok.value)
-        elif tok.kind == "LP":
-            self.advance()
-            e = self.parse_term()
-            self.expect("RP", "')'")
-        else:
-            raise ParseError(
-                f"found {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input",
-                tok.line,
-                tok.col,
-                expected=("identifier", "variable", "'('"),
-            )
-        # call suffixes: p(a, b) sugars to p(a)(b)
-        while self.peek().kind == "LP":
-            self.advance()
-            e = App(e, self.parse_term())
-            while self.peek().kind == "COMMA":
+        return self._term(single=True)
+
+    def _term(self, single: bool) -> Expression:
+        """term := aterm aterm*, or one aterm when `single`.
+
+        Parentheses nest without recursion: each open '(' pushes the
+        enclosing term built so far, together with the function it
+        applies (a call suffix) or None (a parenthesized primary), so
+        arbitrarily deep terms parse in constant stack.
+        """
+        stack: list[tuple[Expression | None, Expression | None]] = []
+        term: Expression | None = None  # the juxtaposition being built
+        while True:
+            tok = self.peek()
+            if tok.kind == "LP":
                 self.advance()
-                e = App(e, self.parse_term())
-            self.expect("RP", "',' or ')'")
-        return e
+                stack.append((term, None))
+                term = None
+                continue
+            if tok.kind == "IDENT":
+                self.advance()
+                e: Expression = Name(tok.value)
+            elif tok.kind == "VARIDENT":
+                self.advance()
+                e = Var(tok.value)
+            else:
+                raise ParseError(
+                    f"found {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input",
+                    tok.line,
+                    tok.col,
+                    expected=("identifier", "variable", "'('"),
+                )
+            # e is a complete primary: take its call suffixes, then close
+            # every term that ends here
+            while True:
+                if self.peek().kind == "LP":  # p(a, b) sugars to p(a)(b)
+                    self.advance()
+                    stack.append((term, e))
+                    term = None
+                    break
+                term = e if term is None else App(term, e)
+                if self.at_term_start() and not (single and not stack):
+                    break
+                if not stack:
+                    return term
+                outer, fun = stack.pop()
+                if fun is None:
+                    self.expect("RP", "')'")
+                    e, term = term, outer
+                    continue
+                fun = App(fun, term)
+                if self.peek().kind == "COMMA":
+                    self.advance()
+                    stack.append((outer, fun))
+                    term = None
+                    break
+                self.expect("RP", "',' or ')'")
+                e, term = fun, outer
 
     # clauses ------------------------------------------------------------
 
@@ -220,7 +253,7 @@ class _Parser:
         return lhs
 
     def parse_clause(self) -> RawClause:
-        start = self.peek()
+        start, first = self.peek(), self.pos
         head = self.parse_term()
         body: list[Expression] = []
         if self.peek().kind == "COLONDASH":
@@ -230,6 +263,14 @@ class _Parser:
                 self.advance()
                 body.append(self.parse_literal())
         self.expect("DOT", "'.'")
+        # every level of a tree takes at least one token
+        deepest = 0 if self.pos - first <= MAX_NESTING else max(_nesting(e) for e in (head, *body))
+        if deepest > MAX_NESTING:
+            raise ParseError(
+                f"clause nests {deepest} levels deep, over the limit of {MAX_NESTING}",
+                start.line,
+                start.col,
+            )
         return RawClause(head, tuple(body), start.line, start.col)
 
     def parse_program(self) -> Program:
@@ -249,6 +290,22 @@ class _Parser:
             else:
                 prog.clauses.append(self.parse_clause())
         return prog
+
+
+def _nesting(e: Expression) -> int:
+    """Depth of a parsed expression tree, measured without recursion."""
+    deepest = 0
+    stack = [(e, 1)]
+    while stack:
+        x, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(x, App):
+            stack += ((x.fun, depth + 1), (x.arg, depth + 1))
+        elif isinstance(x, Neg):
+            stack.append((x.inner, depth + 1))
+        elif isinstance(x, Eq):
+            stack += ((x.lhs, depth + 1), (x.rhs, depth + 1))
+    return deepest
 
 
 def parse_program(text: str) -> Program:

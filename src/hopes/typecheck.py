@@ -178,10 +178,13 @@ class _ClauseChecker:
                     raise self.fail(
                         f"function symbol {head.name} takes {want} argument(s), got {len(args)}"
                     )
-                typed_args = tuple(self.infer(a, IOTA) for a in args)
+                # a loop, not a generator: one stack frame per nesting level
+                typed_args = []
+                for a in args:
+                    typed_args.append(self.infer(a, IOTA))
                 if not self.uni.unify(IOTA, typ):
                     raise self.fail(f"application of {head.name} is an individual, which does not fit here")
-                return FunApp(head.name, typed_args, IOTA)
+                return FunApp(head.name, tuple(typed_args), IOTA)
             arg_t = self.uni.fresh()
             fun = self.infer(e.fun, _arrow_meta(arg_t, typ))
             arg = self.infer(e.arg, arg_t)
@@ -255,7 +258,10 @@ class _ClauseChecker:
         if isinstance(e, (IndConst, PredConst)):
             return e
         if isinstance(e, FunApp):
-            return FunApp(e.symbol, tuple(self.attach(a, var_types) for a in e.args), IOTA)
+            args = []
+            for a in e.args:
+                args.append(self.attach(a, var_types))
+            return FunApp(e.symbol, tuple(args), IOTA)
         if isinstance(e, App):
             fun = self.attach(e.fun, var_types)
             arg = self.attach(e.arg, var_types)

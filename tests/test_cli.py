@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from hopes import parse_program, typecheck
 from hopes.cli import main
 
 from conftest import program_path
+from reference_grounder import reference_count
 
 
 def run(capsys, *argv):
@@ -279,3 +283,46 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "p = T0\nq = F0\ns = T1\nr = F1\nt = ZERO\ndepth = 2\n"
+
+
+def _nested_fact(depth: int) -> str:
+    return "#func s : i -> i.\n#pred nat : i -> o.\nnat(" + "s(" * depth + "z" + ")" * depth + ").\n"
+
+
+@pytest.mark.parametrize("depth", [400, 3000])
+@pytest.mark.parametrize("command", ["check", "ground"])
+def test_deep_terms_end_without_traceback(tmp_path, command, depth):
+    deep = tmp_path / "deep.hop"
+    deep.write_text(_nested_fact(depth))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopes", command, str(deep)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+
+
+def test_nesting_limit_is_reachable_in_process(capsys, tmp_path):
+    # nat(s^498(z)) nests exactly MAX_NESTING = 500 levels deep
+    deep = tmp_path / "deep.hop"
+    deep.write_text(_nested_fact(498))
+    for command in ("check", "ground", "model", "ext"):
+        assert run(capsys, command, deep)[0] == 0
+    deep.write_text(_nested_fact(499))
+    code, _, err = run(capsys, "check", deep)
+    assert code == 2
+    assert "over the limit of 500" in err
+
+
+def test_budget_bounds_enumerated_work(capsys, tmp_path):
+    # r(c0) :- q(X), X = Y has a full product of 101^3 > 1M substitutions
+    # over V, X and Y, but V is solved, so only 101^2 are enumerated
+    solved = tmp_path / "solved.hop"
+    facts = "\n".join(f"q(c{i})." for i in range(101))
+    solved.write_text(f"#pred q : i -> o.\n#pred r : i -> o.\n{facts}\nr(c0) :- q(X), X = Y.\n")
+    assert reference_count(typecheck(parse_program(solved.read_text())), 1) > 1_000_000
+    code, out, err = run(capsys, "ground", solved, "--depth", "1")
+    assert code == 0
+    assert "budget" not in err
+    assert out.count("r(c0) :- q(") == 101

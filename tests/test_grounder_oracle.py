@@ -1,0 +1,190 @@
+"""The equality-solving grounder against the generate-and-test reference.
+
+Both must produce the same atoms in the same intern order, the same
+clauses with the same origins, and the same notes, on the corpus and on
+seeded random typed programs.  Wherever the reference stays within its
+budget, so must the grounder under test.
+"""
+
+import random
+
+import pytest
+
+from hopes import ground_instantiate, parse_program, typecheck
+from hopes.herbrand import BudgetExceeded
+from hopes.typecheck import TypeCheckError
+
+from conftest import CORPUS, load
+from reference_grounder import reference_count, reference_ground_instantiate
+
+# argument types of the predicates a random program may declare
+PRED_TYPES = {
+    "o": [],
+    "i -> o": ["i"],
+    "i -> i -> o": ["i", "i"],
+    "(i -> o) -> o": ["i -> o"],
+    "(i -> o) -> i -> o": ["i -> o", "i"],
+    "((i -> o) -> o) -> o": ["(i -> o) -> o"],
+}
+# variables are typed by name, so every clause is consistent
+VARS = {"i": ["X", "Y", "Z"], "i -> o": ["P", "Q"], "(i -> o) -> o": ["R"]}
+
+
+def random_typed_program(rng: random.Random) -> str:
+    """A random well-typed program: function symbols, facts and
+    non-variable head arguments, user equalities in any body position,
+    higher-order variables applied and passed, and argument types whose
+    universes may be empty."""
+    consts = rng.sample(["a", "b", "c"], rng.randint(0, 3))
+    arities = {"f": 1, "g": 2}
+    funcs = [f for f in arities if rng.random() < 0.5]
+    preds = {f"p{i}": rng.choice(list(PRED_TYPES)) for i in range(rng.randint(2, 5))}
+
+    def ind(depth: int = 0) -> str:
+        choices = ["var", "var"] + (["const"] if consts else []) + (funcs if depth < 2 else [])
+        pick = rng.choice(choices)
+        if pick == "var":
+            return rng.choice(VARS["i"])
+        if pick == "const":
+            return rng.choice(consts)
+        return f"{pick}({', '.join(ind(depth + 1) for _ in range(arities[pick]))})"
+
+    def nonvar() -> str:
+        pick = rng.choice(([rng.choice(consts)] if consts else []) + funcs)
+        if pick in arities:
+            return f"{pick}({', '.join(ind(1) for _ in range(arities[pick]))})"
+        return pick
+
+    def arg(typ: str) -> str:
+        if typ == "i":
+            return ind()
+        options = list(VARS[typ]) + [p for p, t in preds.items() if t == typ]
+        return rng.choice(options)
+
+    def atom() -> str:
+        if rng.random() < 0.2:
+            if rng.random() < 0.5:
+                return f"{rng.choice(VARS['i -> o'])}({ind()})"
+            return f"{VARS['(i -> o) -> o'][0]}({arg('i -> o')})"
+        p = rng.choice(list(preds))
+        args = PRED_TYPES[preds[p]]
+        return f"{p}({', '.join(arg(t) for t in args)})" if args else p
+
+    lines = [f"#pred {p} : {t}." for p, t in preds.items()]
+    lines += [f"#func {f} : {' -> '.join(['i'] * (arities[f] + 1))}." for f in funcs]
+    for _ in range(rng.randint(1, 6)):
+        p = rng.choice(list(preds))
+        used: set[str] = set()
+        head_args = []
+        for t in PRED_TYPES[preds[p]]:
+            free = [v for v in VARS[t] if v not in used]
+            if t == "i" and (consts or funcs) and rng.random() < 0.5:
+                head_args.append(nonvar())  # normalized into a leading equality
+            else:
+                used.add(free[0])
+                head_args.append(free[0])
+        head = f"{p}({', '.join(head_args)})" if head_args else p
+        body = []
+        for _ in range(rng.randint(0, 3)):
+            roll = rng.random()
+            if roll < 0.25:
+                body.append(f"{ind()} = {ind()}")
+            elif roll < 0.45:
+                body.append(f"~{atom()}")
+            else:
+                body.append(atom())
+        lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
+    return "\n".join(lines) + "\n"
+
+
+def random_checked_program(rng: random.Random):
+    """Draw until a program type-checks; a variable seen only in an
+    application such as P(X) has an ambiguous type."""
+    while True:
+        text = random_typed_program(rng)
+        try:
+            return text, typecheck(parse_program(text))
+        except TypeCheckError:
+            continue
+
+
+def assert_same_grounding(tp, k, budget=1_000_000):
+    expected = reference_ground_instantiate(tp, k, budget)
+    got = ground_instantiate(tp, k, budget)
+    assert got.atoms == expected.atoms
+    assert got.clauses == expected.clauses
+    assert [c.origin for c in got.clauses] == [c.origin for c in expected.clauses]
+    assert got.notes == expected.notes
+    assert got.to_text() == expected.to_text()
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_matches_reference(name):
+    tp = load(name)
+    for k in range(1, 7):
+        assert_same_grounding(tp, k)
+
+
+SHAPES = [
+    # the solved formal comes first, so live instances leave the
+    # enumeration out of product order
+    "#func f : i -> i.\n#pred p : i -> i -> o.\n#pred q : i -> i -> o.\n"
+    "q(a, b). q(b, a). q(a, a). q(b, f(a)).\np(f(X), Y) :- q(Y, X).\n",
+    "#func g : i -> i -> i.\n#pred p : i -> o.\n#pred q : i -> o.\n"
+    "q(a). q(b). q(g(a, a)).\np(g(X, Y)) :- q(X), q(Y).\n",
+    # a body variable solved from a head formal
+    "#func f : i -> i.\n#pred p : i -> o.\n#pred q : i -> o.\n"
+    "q(f(a)). q(a).\np(X) :- Y = f(X), q(Y).\n",
+    # chains: a solved variable in the term of another equality
+    "#func f : i -> i.\n#pred p : i -> i -> o.\np(X, Y) :- X = a, Y = f(X).\n",
+    "#func f : i -> i.\n#pred p : i -> i -> o.\np(X, Y) :- Y = f(X), X = a.\n",
+    "#func f : i -> i.\n#pred p : i -> i -> o.\np(f(Y), Y) :- Y = a.\n",
+    # the same formal twice, a formal in its own term, a reversed equality
+    "#pred p : i -> o.\np(X) :- X = a, X = b.\np(X) :- X = a, X = a.\nq(b).\n#pred q : i -> o.\n",
+    "#func f : i -> i.\n#pred p : i -> o.\np(X) :- X = f(X).\np(X) :- X = X.\np(X) :- a = X.\n",
+    # equalities after other literals stay generate-and-test
+    "#pred p : i -> o.\n#pred q : i -> o.\nq(a). q(b).\np(X) :- q(X), X = a, ~q(X).\n",
+]
+
+
+@pytest.mark.parametrize("text", SHAPES)
+def test_equality_shapes_match_reference(text):
+    tp = typecheck(parse_program(text))
+    for k in (1, 2, 3, 4):
+        assert_same_grounding(tp, k)
+
+
+def test_random_programs_match_reference():
+    rng = random.Random(20170131)
+    compared = 0
+    for _ in range(200):
+        _, tp = random_checked_program(rng)
+        for k in (1, 2, 3):
+            # the smallest budget the reference accepts, which the
+            # grounder under test must accept as well
+            budget = reference_count(tp, k)
+            if budget <= 1500:
+                assert_same_grounding(tp, k, budget)
+                compared += 1
+    assert compared > 400
+
+
+def test_budget_refuses_only_what_the_reference_refuses():
+    # each fact's full product is 2 x 2 = 4, over its two formals
+    tp = typecheck(parse_program("#pred e : i -> i -> o.\ne(a, b).\ne(b, a).\n"))
+    assert reference_count(tp, 1) == 4
+    assert_same_grounding(tp, 1, budget=4)
+    with pytest.raises(BudgetExceeded):
+        ground_instantiate(tp, 1, budget=3)
+
+
+def test_random_programs_cover_the_interesting_shapes():
+    rng = random.Random(20170131)
+    texts, tps = zip(*(random_checked_program(rng) for _ in range(200)))
+    assert any("#func" in t for t in texts)
+    assert any(":- X = " in t or ":- Y = " in t for t in texts)  # a user equality first
+    assert any(", X = " in t or ", Z = " in t for t in texts)  # ... and after other literals
+    assert any("P(" in t or "R(" in t for t in texts)  # higher-order variables applied
+    assert any(
+        "empty universe" in n for tp in tps for n in reference_ground_instantiate(tp, 2).notes
+    )

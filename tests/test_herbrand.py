@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,7 +13,8 @@ from hopes.herbrand import (
     normalize_equality,
     term_size,
 )
-from hopes.parser import parse_term
+from hopes.parser import parse_program, parse_term
+from hopes.typecheck import typecheck
 from hopes.types import IOTA, O, arrow
 
 from conftest import CORPUS, load, load_ground
@@ -178,3 +180,26 @@ def test_build_helper_round_trip():
     assert g.clauses[0].neg == (1,)
     assert g.clauses[1].pos == (0,)
     assert g.clause_str(g.clauses[0]) == "x :- ~y."
+
+
+# Rows of the baseline that generate-and-test grounding made cubic.  The
+# limits are generous because the speed of shared hosts drifts by up to
+# a factor of two.
+
+
+def test_naturals_at_depth_200_grounds_quickly():
+    tp = load("naturals")
+    start = time.perf_counter()
+    g = ground_instantiate(tp, 200)
+    assert time.perf_counter() - start < 2.0
+    assert len(g.clauses) == 400
+
+
+def test_binary_fact_table_grounds_quickly():
+    text = "#pred e : i -> i -> o.\n" + "".join(f"e(c{i}, c{i + 1}).\n" for i in range(100))
+    tp = typecheck(parse_program(text))
+    start = time.perf_counter()
+    g = ground_instantiate(tp, 1)
+    assert time.perf_counter() - start < 2.0
+    assert len(g.clauses) == 100
+    assert len(g.atoms) == 101 * 101  # every head tuple is registered
