@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ast import App, Eq, Expression, Neg, PredConst, TypedProgram, Var, expr_to_str
+from .ast import Eq, Expression, Neg, PredConst, TypedProgram, Var, expr_to_str, spine
 from .herbrand import EmptyUniverse, GroundProgram, TermEnumerator
 from .truth import TruthValue
 from .types import IOTA, O, TypeExpr, is_predicate
@@ -133,8 +133,9 @@ def _stratify_graph(
     ``edges`` maps (source, target) to True when some strict edge joins
     the pair.  Result is (strata dict, stratum count) on success.
     """
+    ordered = sorted(edges.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
     succ: dict = {}
-    for (u, v), _strict in sorted(edges.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
+    for (u, v), _strict in ordered:
         succ.setdefault(u, []).append(v)
     comps = _sccs(nodes, succ)
     comp_of = {}
@@ -142,7 +143,7 @@ def _stratify_graph(
         for v in comp:
             comp_of[v] = i
 
-    for (u, v), strict in sorted(edges.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
+    for (u, v), strict in ordered:
         if strict and comp_of[u] == comp_of[v]:
             members = set(comps[comp_of[u]])
             back = _find_cycle(u, v, succ, members)  # path v ->* u
@@ -151,13 +152,15 @@ def _stratify_graph(
                 cycle.append((a, "<" if edges.get((a, b)) else "<=", b))
             return cycle
 
-    # components come out in reverse topological order: sources last
+    # components come out in reverse topological order: walking them
+    # from the last one settles every level before it is pushed on
     levels = [1] * len(comps)
     for ci in range(len(comps) - 1, -1, -1):
-        for v in comps[ci]:
-            for (u, w), strict in edges.items():
-                if w == v and comp_of[u] != ci:
-                    levels[ci] = max(levels[ci], levels[comp_of[u]] + (1 if strict else 0))
+        for u in comps[ci]:
+            for v in succ.get(u, ()):
+                cv = comp_of[v]
+                if cv != ci:
+                    levels[cv] = max(levels[cv], levels[ci] + edges[(u, v)])
     strata = {v: levels[comp_of[v]] for v in comp_of}
     return strata, max(levels, default=1)
 
@@ -182,12 +185,6 @@ class StratViolation:
         return f"cycle through negation: {steps}"
 
 
-def _literal_head(e: Expression) -> Expression:
-    while isinstance(e, App):
-        e = e.fun
-    return e
-
-
 def check_stratified(tp: TypedProgram) -> StrataAssignment | StratViolation:
     """Decide stratification over the declared predicate constants."""
     nodes = sorted(tp.predicate_decls)
@@ -197,7 +194,7 @@ def check_stratified(tp: TypedProgram) -> StrataAssignment | StratViolation:
         edges[(src, dst)] = edges.get((src, dst), False) or strict
 
     def sources_of(atom: Expression) -> list[str]:
-        head = _literal_head(atom)
+        head = spine(atom)[0]
         if isinstance(head, PredConst):
             return [head.name]
         if isinstance(head, Var):

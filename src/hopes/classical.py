@@ -120,9 +120,7 @@ def stable_models(
     n = len(g.atoms)
     if n > cap:
         raise TooManyAtoms(n, cap)
-    by_head: list[list[GroundClause]] = [[] for _ in range(n)]
-    for c in g.clauses:
-        by_head[c.head].append(c)
+    by_head = g.by_head
 
     models: list[TwoValuedInterp] = []
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import analysis, classical, engine, truth
@@ -59,11 +58,15 @@ def _load(path: str) -> TypedProgram:
         raise _Failure(EXIT_FRONTEND, f"{path}: type error: {exc}")
 
 
-def _ground(tp: TypedProgram, depth: int) -> GroundProgram:
+def _load_ground(args) -> tuple[TypedProgram, GroundProgram]:
+    """Load, type-check and ground the program; print the grounding notes."""
+    tp = _load(args.file)
     try:
-        return ground_instantiate(tp, depth, DEFAULT_BUDGET)
+        g = ground_instantiate(tp, args.depth, DEFAULT_BUDGET)
     except BudgetExceeded as exc:
         raise _Failure(EXIT_BUDGET, f"grounding budget exceeded: {exc}")
+    _warn(g.notes)
+    return tp, g
 
 
 def _emit(args, text_render, json_obj) -> None:
@@ -113,9 +116,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    tp = _load(args.file)
-    g = _ground(tp, args.depth)
-    _warn(g.notes)
+    _, g = _load_ground(args)
     _emit(
         args,
         g.to_text(),
@@ -139,9 +140,8 @@ def cmd_ground(args) -> int:
 def _model_sort_key(g: GroundProgram, values):
     def key(a: int):
         v = values[a]
-        o = truth.order(v)
         return (
-            o if o != math.inf else float("inf"),
+            truth.order(v),
             0 if v.is_true else 1 if v.is_false else 2,
             g.atoms[a],
         )
@@ -150,9 +150,7 @@ def _model_sort_key(g: GroundProgram, values):
 
 
 def cmd_model(args) -> int:
-    tp = _load(args.file)
-    g = _ground(tp, args.depth)
-    _warn(g.notes)
+    _, g = _load_ground(args)
     m = engine.minimum_model(g)
     lines = []
     if args.trace:
@@ -189,9 +187,7 @@ def cmd_model(args) -> int:
 
 
 def cmd_wf(args) -> int:
-    tp = _load(args.file)
-    g = _ground(tp, args.depth)
-    _warn(g.notes)
+    _, g = _load_ground(args)
     wf = classical.wf_oracle(g)
     order = sorted(range(len(g.atoms)), key=lambda a: g.atoms[a])
     text = "\n".join(f"{g.atoms[a]} = {wf[a]}" for a in order) + "\n"
@@ -207,9 +203,7 @@ def cmd_wf(args) -> int:
 
 
 def cmd_stable(args) -> int:
-    tp = _load(args.file)
-    g = _ground(tp, args.depth)
-    _warn(g.notes)
+    tp, g = _load_ground(args)
     try:
         models = classical.stable_models(g, args.max_atoms)
     except classical.TooManyAtoms as exc:
@@ -267,9 +261,7 @@ def cmd_stratify(args) -> int:
 
 
 def cmd_locstrat(args) -> int:
-    tp = _load(args.file)
-    g = _ground(tp, args.depth)
-    _warn(g.notes)
+    _, g = _load_ground(args)
     result = analysis.check_locally_stratified_bounded(g)
     if result.stratified:
         text = f"locally stratified up to depth {args.depth}: yes\n"
@@ -295,9 +287,7 @@ def cmd_locstrat(args) -> int:
 
 
 def cmd_ext(args) -> int:
-    tp = _load(args.file)
-    g = _ground(tp, args.depth)
-    _warn(g.notes)
+    tp, g = _load_ground(args)
     m = engine.minimum_model(g)
     report = analysis.check_extensional(tp, g, list(m.values), args.depth)
     lines = [f"extensional at depth {args.depth}: {'yes' if report.extensional else 'no'}"]

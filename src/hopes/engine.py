@@ -82,13 +82,6 @@ class InfModel:
         return self.values[self.ground.atom_index[atom]]
 
 
-def clauses_by_head(g: GroundProgram) -> list[list[int]]:
-    by_head: list[list[int]] = [[] for _ in g.atoms]
-    for ci, c in enumerate(g.clauses):
-        by_head[c.head].append(ci)
-    return by_head
-
-
 def body_value(g: GroundProgram, c, interp: Interpretation) -> TruthValue:
     """Conjunction of the body under an interpretation; facts give T0."""
     if not c.literals:
@@ -100,11 +93,7 @@ def body_value(g: GroundProgram, c, interp: Interpretation) -> TruthValue:
 
 def tp_step(g: GroundProgram, interp: Interpretation) -> Interpretation:
     """One application of the consequence operator."""
-    by_head = clauses_by_head(g)
-    return [
-        truth.lub(body_value(g, g.clauses[ci], interp) for ci in by_head[a])
-        for a in range(len(g.atoms))
-    ]
+    return [truth.lub(body_value(g, c, interp) for c in clauses) for clauses in g.by_head]
 
 
 def stage_fixpoint(
@@ -117,7 +106,7 @@ def stage_fixpoint(
     """
     f_alpha = truth.false_at(alpha)
     undecided = {a for a in range(len(g.atoms)) if frozen[a] == f_alpha}
-    by_head = clauses_by_head(g)
+    by_head = g.by_head
 
     # least fixpoint: newly true atoms
     true_set: set[int] = set()
@@ -125,9 +114,9 @@ def stage_fixpoint(
     while changed:
         changed = False
         for a in undecided - true_set:
-            for ci in by_head[a]:
+            for c in by_head[a]:
                 ok = True
-                for negated, b in g.clauses[ci].literals:
+                for negated, b in c.literals:
                     v = frozen[b]
                     if negated:
                         if not (v.is_false and v.index < alpha):
@@ -149,9 +138,9 @@ def stage_fixpoint(
         changed = False
         for a in list(false_set):
             all_blocked = True
-            for ci in by_head[a]:
+            for c in by_head[a]:
                 clause_blocked = False
-                for negated, b in g.clauses[ci].literals:
+                for negated, b in c.literals:
                     v = frozen[b]
                     if negated:
                         if v.is_true and v.index + 1 <= alpha:

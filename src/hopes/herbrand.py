@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .ast import (
@@ -216,10 +217,18 @@ class GroundProgram:
     clauses: tuple[GroundClause, ...]
     depth_bound: int | None = None
     notes: tuple[str, ...] = field(default=(), compare=False)
-    atom_index: dict[str, int] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.atom_index = {name: i for i, name in enumerate(self.atoms)}
+    @cached_property
+    def atom_index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.atoms)}
+
+    @cached_property
+    def by_head(self) -> tuple[tuple[GroundClause, ...], ...]:
+        """For each atom id, its clauses in program order."""
+        by_head: list[list[GroundClause]] = [[] for _ in self.atoms]
+        for c in self.clauses:
+            by_head[c.head].append(c)
+        return tuple(map(tuple, by_head))
 
     def clause_str(self, c: GroundClause) -> str:
         head = self.atoms[c.head]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast import App, Eq, Expression, Name, Neg, Program, RawClause, Var
-from .types import IOTA, O, TypeExpr, arrow
+from .types import IOTA, MAX_TYPE_NESTING, O, TypeExpr, arrow_chain, type_depth
 
 # Terms parse in constant stack, but later stages (type inference, the
 # dataclass equality and hashing of expressions) walk them recursively,
@@ -146,31 +146,48 @@ class _Parser:
     # types -----------------------------------------------------------
 
     def parse_type(self) -> TypeExpr:
-        left = self.parse_atomic_type()
-        if self.peek().kind == "ARROW":
-            self.advance()
-            return arrow(left, self.parse_type())
-        return left
+        """type := atype ('->' atype)*, folded to the right.
 
-    def parse_atomic_type(self) -> TypeExpr:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.value == "i":
-            self.advance()
-            return IOTA
-        if tok.kind == "IDENT" and tok.value == "o":
-            self.advance()
-            return O
-        if tok.kind == "LP":
-            self.advance()
-            t = self.parse_type()
-            self.expect("RP", "')'")
-            return t
-        raise ParseError(
-            f"found {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input",
-            tok.line,
-            tok.col,
-            expected=("'i'", "'o'", "'('"),
-        )
+        Parentheses nest without recursion: each open '(' pushes the
+        chain read so far, so redundant parentheses cost no stack, and a
+        type tree deeper than MAX_TYPE_NESTING is refused.
+        """
+        start = self.peek()
+        stack: list[list[TypeExpr]] = []
+        parts: list[TypeExpr] = []  # the arrow chain being read
+        while True:
+            tok = self.advance()
+            if tok.kind == "LP":
+                stack.append(parts)
+                parts = []
+                continue
+            if tok.kind == "IDENT" and tok.value in ("i", "o"):
+                t = IOTA if tok.value == "i" else O
+            else:
+                raise ParseError(
+                    f"found {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input",
+                    tok.line,
+                    tok.col,
+                    expected=("'i'", "'o'", "'('"),
+                )
+            # t is a complete atype: close every chain that ends here
+            while True:
+                parts.append(t)
+                if self.peek().kind == "ARROW":
+                    self.advance()
+                    break
+                t = arrow_chain(parts[:-1], parts[-1])
+                if not stack:
+                    deepest = type_depth(t)
+                    if deepest > MAX_TYPE_NESTING:
+                        raise ParseError(
+                            f"type nests {deepest} levels deep, over the limit of {MAX_TYPE_NESTING}",
+                            start.line,
+                            start.col,
+                        )
+                    return t
+                self.expect("RP", "')'")
+                parts = stack.pop()
 
     # terms ------------------------------------------------------------
 

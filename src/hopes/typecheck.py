@@ -37,9 +37,11 @@ from .ast import (
     TypedProgram,
     Var,
     expr_to_str,
+    spine,
 )
 from .types import (
     IOTA,
+    MAX_TYPE_NESTING,
     O,
     TypeExpr,
     argument_types,
@@ -47,6 +49,7 @@ from .types import (
     is_argument,
     is_functional,
     is_predicate,
+    type_depth,
 )
 
 RESERVED_CONSTANT = "a0"
@@ -82,47 +85,61 @@ class _Unifier:
             t = self.bindings[t.ident]
         return t
 
+    # occurs, unify and resolve walk types with explicit stacks: an
+    # inferred type grows with the body of its clause and may be far
+    # deeper than any declared one before resolve_types refuses it
+
     def occurs(self, m: _Meta, t: object) -> bool:
-        t = self.walk(t)
-        if isinstance(t, _Meta):
-            return t == m
-        if isinstance(t, TypeExpr) and t.kind == "arrow":
-            return self.occurs(m, t.left) or self.occurs(m, t.right)
+        stack = [t]
+        while stack:
+            t = self.walk(stack.pop())
+            if isinstance(t, _Meta):
+                if t == m:
+                    return True
+            elif isinstance(t, TypeExpr) and t.kind == "arrow":
+                stack += (t.right, t.left)
         return False
 
     def unify(self, a: object, b: object) -> bool:
-        a, b = self.walk(a), self.walk(b)
-        if a is b or a == b:
-            return True
-        if isinstance(a, _Meta):
-            if self.occurs(a, b):
+        pairs = [(a, b)]  # depth first, left operands before right ones
+        while pairs:
+            a, b = pairs.pop()
+            a, b = self.walk(a), self.walk(b)
+            if a is b:
+                continue
+            if isinstance(b, _Meta) and not isinstance(a, _Meta):
+                a, b = b, a
+            if isinstance(a, _Meta):
+                if a == b:
+                    continue
+                if self.occurs(a, b):
+                    return False
+                self.bindings[a.ident] = b
+                continue
+            if a.kind != b.kind:
                 return False
-            self.bindings[a.ident] = b
-            return True
-        if isinstance(b, _Meta):
-            return self.unify(b, a)
-        if (
-            isinstance(a, TypeExpr)
-            and isinstance(b, TypeExpr)
-            and a.kind == "arrow"
-            and b.kind == "arrow"
-        ):
-            return self.unify(a.left, b.left) and self.unify(a.right, b.right)
-        return False
+            if a.kind == "arrow":
+                pairs += ((a.right, b.right), (a.left, b.left))
+        return True
 
     def resolve(self, t: object) -> TypeExpr | None:
         """Fully resolve a type; None if a metavariable is left over."""
-        t = self.walk(t)
-        if isinstance(t, _Meta):
-            return None
-        assert isinstance(t, TypeExpr)
-        if t.kind == "arrow":
-            left = self.resolve(t.left)
-            right = self.resolve(t.right)
-            if left is None or right is None:
+        done: list[TypeExpr] = []
+        stack: list[object] = [t]  # None marks an arrow whose sides are done
+        while stack:
+            x = stack.pop()
+            if x is None:
+                right = done.pop()
+                done.append(TypeExpr("arrow", done.pop(), right))
+                continue
+            x = self.walk(x)
+            if isinstance(x, _Meta):
                 return None
-            return TypeExpr("arrow", left, right)
-        return t
+            if x.kind == "arrow":
+                stack += (None, x.right, x.left)
+            else:
+                done.append(x)
+        return done[0]
 
 
 class _ClauseChecker:
@@ -170,7 +187,7 @@ class _ClauseChecker:
             return IndConst(e.name, IOTA)
         if isinstance(e, App):
             # a spine headed by a declared function symbol becomes a FunApp
-            head, args = _spine(e)
+            head, args = spine(e)
             if isinstance(head, Name) and head.name in self.program.function_decls:
                 ftype = self.program.function_decls[head.name]
                 want = arity(ftype)
@@ -201,7 +218,7 @@ class _ClauseChecker:
         return self.infer(e, O)
 
     def check(self) -> Clause:
-        head, args = _spine(self.raw.head)
+        head, args = spine(self.raw.head)
         if not isinstance(head, Name) or head.name not in self.program.predicate_decls:
             what = head.name if isinstance(head, (Name, Var)) else expr_to_str(head)
             raise self.fail(f"clause head must start with a declared predicate constant, got {what!r}")
@@ -246,6 +263,12 @@ class _ClauseChecker:
             resolved = self.uni.resolve(t)
             if resolved is None:
                 raise self.fail(f"type of variable {name} is ambiguous; add a constraining use")
+            deepest = type_depth(resolved)
+            if deepest > MAX_TYPE_NESTING:
+                raise self.fail(
+                    f"type of variable {name} nests {deepest} levels deep, "
+                    f"over the limit of {MAX_TYPE_NESTING}"
+                )
             if not is_argument(resolved):
                 raise self.fail(f"variable {name} has type {resolved}, which is not an argument type")
             out[name] = resolved
@@ -276,15 +299,6 @@ class _ClauseChecker:
         if isinstance(e, Eq):
             return Eq(self.attach(e.lhs, var_types), self.attach(e.rhs, var_types), O)
         raise self.fail(f"unexpected expression {e!r}")
-
-
-def _spine(e: Expression) -> tuple[Expression, list[Expression]]:
-    args: list[Expression] = []
-    while isinstance(e, App):
-        args.append(e.arg)
-        e = e.fun
-    args.reverse()
-    return e, args
 
 
 def _arrow_meta(left: object, right: object) -> TypeExpr:

@@ -34,6 +34,11 @@ class TypeExpr:
 IOTA = TypeExpr("iota")
 O = TypeExpr("o")
 
+# Printing, equality, hashing and the extensionality relations walk
+# types recursively, so a declared or inferred type whose tree is deeper
+# than this is refused up front.
+MAX_TYPE_NESTING = 100
+
 
 def arrow(left: TypeExpr, right: TypeExpr) -> TypeExpr:
     return TypeExpr("arrow", left, right)
@@ -44,6 +49,18 @@ def arrow_chain(args: list[TypeExpr], result: TypeExpr) -> TypeExpr:
     for a in reversed(args):
         t = arrow(a, t)
     return t
+
+
+def type_depth(t: TypeExpr) -> int:
+    """Depth of a type tree, measured without recursion."""
+    deepest = 0
+    stack = [(t, 1)]
+    while stack:
+        x, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if x.kind == "arrow":
+            stack += ((x.left, depth + 1), (x.right, depth + 1))
+    return deepest
 
 
 def type_to_str(t: TypeExpr) -> str:

@@ -1,0 +1,44 @@
+"""The level loop that ``hopes.analysis._stratify_graph`` used to run,
+kept as the reference that the one-pass stratifier is checked against.
+
+It finds the same components and the same witness cycles, but gives
+each component its stratum by scanning every edge once per node of the
+component, which is quadratic.
+"""
+
+from __future__ import annotations
+
+from hopes.analysis import Edge, _find_cycle, _sccs
+
+
+def reference_stratify_graph(
+    nodes: list, edges: dict[tuple, bool]
+) -> tuple[dict, int] | list[Edge]:
+    """Assign strata, or return a witness cycle through a strict edge."""
+    succ: dict = {}
+    for (u, v), _strict in sorted(edges.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
+        succ.setdefault(u, []).append(v)
+    comps = _sccs(nodes, succ)
+    comp_of = {}
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+
+    for (u, v), strict in sorted(edges.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
+        if strict and comp_of[u] == comp_of[v]:
+            members = set(comps[comp_of[u]])
+            back = _find_cycle(u, v, succ, members)  # path v ->* u
+            cycle: list[Edge] = [(u, "<", v)]
+            for a, b in zip(back, back[1:]):
+                cycle.append((a, "<" if edges.get((a, b)) else "<=", b))
+            return cycle
+
+    # components come out in reverse topological order: sources last
+    levels = [1] * len(comps)
+    for ci in range(len(comps) - 1, -1, -1):
+        for v in comps[ci]:
+            for (u, w), strict in edges.items():
+                if w == v and comp_of[u] != ci:
+                    levels[ci] = max(levels[ci], levels[comp_of[u]] + (1 if strict else 0))
+    strata = {v: levels[comp_of[v]] for v in comp_of}
+    return strata, max(levels, default=1)

@@ -8,6 +8,7 @@ import pytest
 
 from hopes import parse_program, typecheck
 from hopes.cli import main
+from hopes.types import MAX_TYPE_NESTING
 
 from conftest import program_path
 from reference_grounder import reference_count
@@ -326,3 +327,51 @@ def test_budget_bounds_enumerated_work(capsys, tmp_path):
     assert code == 0
     assert "budget" not in err
     assert out.count("r(c0) :- q(") == 101
+
+
+def _deep_types(n: int) -> dict[str, str]:
+    """Programs whose deepest type is a tree n levels deep: declared as
+    an arrow chain or nested to the left, or inferred from an
+    application or from a chain of higher-order literals."""
+    chain = " -> ".join(["i"] * (n - 1) + ["o"])
+    left = "i -> o"
+    for _ in range(n - 2):
+        left = f"({left}) -> o"
+    return {
+        "chain": f"#pred p : {chain}.\np({', '.join(['a'] * (n - 1))}).\n",
+        "left": f"#pred q : {left}.\n#pred r : o.\nq(P) :- r.\nr.\n",
+        "applied": f"#pred r : o.\nr :- P({', '.join(['a'] * (n - 1))}).\n",
+        "literals": "#pred r : o.\nr :- "
+        + ", ".join(f"P{j}(P{j + 1})" for j in range(n - 2))
+        + f", P{n - 2}(a).\n",
+    }
+
+
+COMMANDS = ("check", "ground", "model", "wf", "stable", "stratify", "locstrat", "ext")
+
+
+def test_type_nesting_limit(capsys, tmp_path):
+    limit = MAX_TYPE_NESTING
+    for shape, text in _deep_types(limit).items():
+        deep = tmp_path / f"{shape}.hop"
+        deep.write_text(text)
+        for command in COMMANDS:
+            code, _, err = run(capsys, command, deep)
+            assert (shape, command, code) == (shape, command, 0), err
+    for shape, text in _deep_types(limit + 1).items():
+        deep = tmp_path / f"{shape}_over.hop"
+        deep.write_text(text)
+        for command in COMMANDS:
+            code, _, err = run(capsys, command, deep)
+            assert (shape, command, code) == (shape, command, 2)
+            assert f"nests {limit + 1} levels deep, over the limit of {limit}" in err
+
+
+@pytest.mark.parametrize("command", ["check", "stratify"])
+def test_deep_types_end_without_traceback(capsys, tmp_path, command):
+    chain, parens = tmp_path / "chain.hop", tmp_path / "parens.hop"
+    chain.write_text(_deep_types(3001)["chain"])
+    assert run(capsys, command, chain)[0] == 2
+    # redundant parentheses add no depth to the type
+    parens.write_text("#pred p : " + "(" * 600 + "i -> o" + ")" * 600 + ".\np(a).\n")
+    assert run(capsys, command, parens)[0] == 0

@@ -1,0 +1,64 @@
+"""Seeded random inputs through ``cli.main``, in process.
+
+Whatever the input, every command must end with one of the documented
+exit codes and let no exception escape; exit 1, the negative verdict,
+may come only from ``stratify`` and ``ext``.  The inputs are random
+token streams, random well-typed programs, and programs whose terms or
+types nest around their limits.
+"""
+
+import random
+
+from hopes.cli import main
+from hopes.parser import MAX_NESTING
+from hopes.types import MAX_TYPE_NESTING
+
+from test_cli import COMMANDS, _deep_types, _nested_fact
+from test_grounder_oracle import random_typed_program
+
+TOKENS = (
+    ["#pred", "#func", "#bad", ":-", "->", "(", ")", ",", ".", ":", "~", "=", "%c\n", "\n", "$"]
+    + ["p", "q", "r", "s", "i", "o", "a", "b", "X", "Y", "P", "_z"]
+)
+
+
+def token_stream(rng: random.Random) -> str:
+    """A random token soup, or a random typed program with one word
+    replaced by a token, so that parsing also fails deep in valid text."""
+    if rng.random() < 0.5:
+        return " ".join(rng.choice(TOKENS) for _ in range(rng.randint(0, 30)))
+    words = random_typed_program(rng).split()
+    if words:
+        words[rng.randrange(len(words))] = rng.choice(TOKENS)
+    return " ".join(words)
+
+
+def deep_program(rng: random.Random) -> str:
+    """A term or a type at its nesting limit, just past it, or far past."""
+    if rng.random() < 0.3:
+        return _nested_fact(rng.choice([MAX_NESTING - 2, MAX_NESTING - 1, 3000]))
+    n = rng.choice([MAX_TYPE_NESTING, MAX_TYPE_NESTING + 1, MAX_NESTING - 1, 3000])
+    if rng.random() < 0.2:
+        return "#pred p : " + "(" * n + "i -> o" + ")" * n + ".\np(a).\n"
+    shapes = _deep_types(n)
+    return shapes[rng.choice(sorted(shapes))]
+
+
+def test_cli_fuzz(capsys, tmp_path):
+    rng = random.Random(31337)
+    makers = [token_stream] * 3 + [random_typed_program] * 3 + [deep_program]
+    seen = set()
+    for i in range(1000):
+        text = rng.choice(makers)(rng)
+        path = tmp_path / f"fuzz{i}.hop"
+        path.write_text(text)
+        command = rng.choice(COMMANDS)
+        argv = [command, str(path), "--format", rng.choice(["text", "json"])]
+        if command not in ("check", "stratify"):
+            argv += ["--depth", str(rng.randint(1, 2))]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, text, err)
+        assert code != 1 or command in ("stratify", "ext"), (argv, text, err)
+        seen.add(code)
+    assert seen == {0, 1, 2, 3}
