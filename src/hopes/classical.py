@@ -14,10 +14,17 @@ so the two constructions can be tested against each other.
   atoms.
 * ``stable_models`` enumerates the two-valued stable models: total
   assignments that reproduce themselves as the least model of their
-  own reduct.  The search branches over atoms with unit propagation
-  (an atom with all clauses blocked must be false, an atom with a
-  satisfied clause must be true) and is capped, since it is meant for
-  desk-sized programs.
+  own reduct.  Every stable model extends the well-founded model, so
+  the search fixes the atoms that model makes true or false and
+  branches only on its Undef atoms, over the residual program: each
+  clause of an Undef atom with no literal false under the well-founded
+  model, keeping only its Undef literals.  Per-clause counters of
+  pending and false literals, and per-atom counts of live clauses,
+  propagate each assignment through the clauses the atom occurs in (a
+  clause with every literal true makes its head true, an atom with
+  every clause dead is false).  Each total candidate is checked against
+  the full program.  The count of Undef atoms is capped, since the
+  search is meant for desk-sized programs.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ class TooManyAtoms(Exception):
         self.count = count
         self.cap = cap
         super().__init__(
-            f"{count} atoms exceed the stable-model enumeration cap of {cap}"
+            f"{count} atoms left undefined by the well-founded model exceed"
+            f" the stable-model enumeration cap of {cap}"
         )
 
 
@@ -74,23 +82,47 @@ def reduct(g: GroundProgram, i: TwoValuedInterp) -> GroundProgram:
     return GroundProgram(g.atoms, clauses, g.depth_bound)
 
 
+def _gl(g: GroundProgram, i: TwoValuedInterp) -> TwoValuedInterp:
+    """Least model of the reduct of ``g`` against the guess ``i``, in time
+    linear in the program (Dowling & Gallier 1984).  A clause that
+    survives the reduct counts its positive literals still pending; an
+    atom that becomes true decrements the clauses waiting on it, and a
+    clause whose count reaches zero makes its head true."""
+    waiting: list[list[int]] = [[] for _ in g.atoms]
+    heads: list[int] = []
+    pending: list[int] = []
+    true = [False] * len(g.atoms)
+    stack: list[int] = []
+    for c in g.clauses:
+        body = []
+        for negated, a in c.literals:
+            if not negated:
+                body.append(a)
+            elif a in i:
+                break
+        else:
+            if body:
+                for a in body:
+                    waiting[a].append(len(heads))
+                heads.append(c.head)
+                pending.append(len(body))
+            elif not true[c.head]:
+                true[c.head] = True
+                stack.append(c.head)
+    while stack:
+        for k in waiting[stack.pop()]:
+            pending[k] -= 1
+            if not pending[k] and not true[heads[k]]:
+                true[heads[k]] = True
+                stack.append(heads[k])
+    return frozenset(a for a, t in enumerate(true) if t)
+
+
 def least_model_positive(g: GroundProgram) -> TwoValuedInterp:
-    """Least model of a negation-free program by forward chaining."""
+    """Least model of a negation-free program."""
     if any(negated for c in g.clauses for negated, _ in c.literals):
         raise HasNegation("least_model_positive expects a negation-free program")
-    true: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for c in g.clauses:
-            if c.head not in true and all(a in true for _, a in c.literals):
-                true.add(c.head)
-                changed = True
-    return frozenset(true)
-
-
-def _gl(g: GroundProgram, i: TwoValuedInterp) -> TwoValuedInterp:
-    return least_model_positive(reduct(g, i))
+    return _gl(g, frozenset())
 
 
 def wf_oracle(g: GroundProgram) -> list[Tv3]:
@@ -116,65 +148,103 @@ def is_stable(g: GroundProgram, i: TwoValuedInterp) -> bool:
 def stable_models(
     g: GroundProgram, cap: int = DEFAULT_STABLE_CAP
 ) -> list[TwoValuedInterp]:
-    """All stable models, ordered by their sorted atom-name tuples."""
-    n = len(g.atoms)
-    if n > cap:
-        raise TooManyAtoms(n, cap)
-    by_head = g.by_head
+    """All stable models, ordered by their sorted atom-name tuples.
+    ``TooManyAtoms`` when the well-founded model leaves more than
+    ``cap`` atoms Undef."""
+    wf = wf_oracle(g)
+    undef = [a for a, v in enumerate(wf) if v is Tv3.UNDEF]
+    if len(undef) > cap:
+        raise TooManyAtoms(len(undef), cap)
+    wf_true = [a for a, v in enumerate(wf) if v is Tv3.TRUE]
 
-    models: list[TwoValuedInterp] = []
+    # The residual program: for each clause, pending counts its literals
+    # not yet true and falsified those already false (it is dead while
+    # that is above zero); live counts the clauses of each atom that are
+    # not dead.
+    heads: list[int] = []
+    pending: list[int] = []
+    falsified: list[int] = []
+    live = [0] * len(g.atoms)
+    occurs: list[list[tuple[int, bool]]] = [[] for _ in g.atoms]
+    for c in g.clauses:
+        if wf[c.head] is not Tv3.UNDEF:
+            continue
+        rest = []
+        for negated, a in c.literals:
+            if wf[a] is Tv3.UNDEF:
+                rest.append((negated, a))
+            elif (wf[a] is Tv3.TRUE) == negated:
+                break
+        else:
+            for negated, a in rest:
+                occurs[a].append((len(heads), negated))
+            heads.append(c.head)
+            pending.append(len(rest))
+            falsified.append(0)
+            live[c.head] += 1
 
-    def propagate(assign: list[bool | None]) -> bool:
-        """Unit propagation; False on contradiction."""
-        changed = True
-        while changed:
-            changed = False
-            for a in range(n):
-                dead_count = 0
-                satisfied = False
-                for c in by_head[a]:
-                    dead = any(
-                        (not negated and assign[b] is False)
-                        or (negated and assign[b] is True)
-                        for negated, b in c.literals
-                    )
-                    if dead:
-                        dead_count += 1
-                        continue
-                    if all(
-                        (not negated and assign[b] is True)
-                        or (negated and assign[b] is False)
-                        for negated, b in c.literals
-                    ):
-                        satisfied = True
-                if assign[a] is None:
-                    if dead_count == len(by_head[a]):
-                        assign[a] = False
-                        changed = True
-                    elif satisfied:
-                        assign[a] = True
-                        changed = True
-                elif assign[a] is True and dead_count == len(by_head[a]):
+    value: list[bool | None] = [None] * len(g.atoms)
+
+    def assign(atom: int, v: bool, trail: list[int]) -> bool:
+        """Set atom to v and every atom that forces: the head of a clause
+        whose literals are all true is true, an atom whose clauses are
+        all dead is false.  Record each atom set on trail; False on a
+        contradiction."""
+        todo = [(atom, v)]
+        while todo:
+            atom, v = todo.pop()
+            if value[atom] is not None:
+                if value[atom] != v:
                     return False
-                elif assign[a] is False and satisfied:
-                    return False
+                continue
+            value[atom] = v
+            trail.append(atom)
+            for k, negated in occurs[atom]:
+                if v != negated:
+                    pending[k] -= 1
+                    if not pending[k]:
+                        todo.append((heads[k], True))
+                else:
+                    falsified[k] += 1
+                    if falsified[k] == 1:
+                        live[heads[k]] -= 1
+                        if not live[heads[k]]:
+                            todo.append((heads[k], False))
         return True
 
-    def search(assign: list[bool | None]) -> None:
-        if not propagate(assign):
-            return
-        try:
-            pivot = assign.index(None)
-        except ValueError:
-            candidate = frozenset(a for a in range(n) if assign[a])
+    def undo(trail: list[int]) -> None:
+        for atom in trail:
+            for k, negated in occurs[atom]:
+                if value[atom] != negated:
+                    pending[k] += 1
+                else:
+                    falsified[k] -= 1
+                    if not falsified[k]:
+                        live[heads[k]] += 1
+            value[atom] = None
+
+    # Depth-first over the Undef atoms, False before True, with an
+    # explicit stack of decisions: (atom, branch, atoms it set).
+    models: list[TwoValuedInterp] = []
+    decisions: list[tuple[int, bool, list[int]]] = []
+    consistent = True
+    while True:
+        if consistent:
+            free = next((a for a in undef if value[a] is None), None)
+            if free is not None:
+                decisions.append((free, False, []))
+                consistent = assign(free, False, decisions[-1][2])
+                continue
+            candidate = frozenset(wf_true + [a for a in undef if value[a]])
             if is_stable(g, candidate):
                 models.append(candidate)
-            return
-        for choice in (False, True):
-            branch = list(assign)
-            branch[pivot] = choice
-            search(branch)
-
-    search([None] * n)
+        while decisions and decisions[-1][1]:
+            undo(decisions.pop()[2])
+        if not decisions:
+            break
+        atom, _, trail = decisions.pop()
+        undo(trail)
+        decisions.append((atom, True, []))
+        consistent = assign(atom, True, decisions[-1][2])
     models.sort(key=lambda m: tuple(sorted(g.atoms[a] for a in m)))
     return models

@@ -15,8 +15,8 @@ stdout.  JSON output is byte-stable across runs.
 
 Exit codes: 0 success; 1 analysis verdict negative (stratification or
 extensionality violation); 2 parse or type error; 3 resource budget
-exceeded (grounding too large, or too many atoms for stable-model
-enumeration).  Diagnostics go to stderr.
+exceeded (grounding too large, or too many atoms left Undef by the
+well-founded model for stable-model enumeration).  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -356,7 +356,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--max-atoms",
         type=int,
         default=classical.DEFAULT_STABLE_CAP,
-        help="refuse to enumerate beyond this many atoms (default 24)",
+        help="refuse to enumerate when the well-founded model leaves more"
+        " than this many atoms Undef (default 24)",
     )
     p_stable.add_argument(
         "--ext", action="store_true", help="flag each model's extensionality"

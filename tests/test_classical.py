@@ -176,11 +176,21 @@ def test_stable_negation_free_is_least_model():
 
 
 def test_stable_cap():
+    # the cap counts the atoms the well-founded model leaves Undef: 30
+    # facts have none, 13 even loops have 26
     atoms = [f"b{i}" for i in range(30)]
     g = GroundProgram.build(atoms, [(a, [], []) for a in atoms])
-    with pytest.raises(TooManyAtoms):
+    assert stable_models(g) == [frozenset(range(30))]
+
+    atoms = [f"{x}{i}" for i in range(13) for x in "pq"]
+    g = GroundProgram.build(
+        atoms,
+        [(f"p{i}", [], [f"q{i}"]) for i in range(13)] + [(f"q{i}", [], [f"p{i}"]) for i in range(13)],
+    )
+    with pytest.raises(TooManyAtoms) as exc:
         stable_models(g)
-    assert stable_models(g, cap=64) == [frozenset(range(30))]
+    assert exc.value.count == 26
+    assert len(stable_models(g, cap=26)) == 2**13
 
 
 @pytest.mark.parametrize("name", CORPUS)

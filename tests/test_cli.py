@@ -200,6 +200,34 @@ def test_stable_atom_cap(capsys):
     assert "stable-model enumeration aborted" in err
 
 
+def test_stable_total_wellfounded_model_is_not_capped(capsys, tmp_path):
+    # subset.hop over four nested sets: 48 ground atoms, every one
+    # decided by the well-founded model, so the cap (24) does not apply
+    consts = "abcd"
+    sets = [f"p{i}" for i in range(1, 5)]
+    lines = [
+        "#pred subset : (i -> o) -> (i -> o) -> o.",
+        "#pred nonsubset : (i -> o) -> (i -> o) -> o.",
+        *(f"#pred {p} : i -> o." for p in sets),
+        "subset(S1)(S2) :- ~(nonsubset S1 S2).",
+        "nonsubset(S1)(S2) :- S1(X), ~(S2 X).",
+        *(f"{p}({c})." for i, p in enumerate(sets) for c in consts[: i + 1]),
+    ]
+    program = tmp_path / "subsets.hop"
+    program.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "stable", program, "--format", "json")
+    assert code == 0, err
+    obj = json.loads(out)
+    atoms = obj["models"][0]["atoms"]
+    assert obj["count"] == 1
+    assert len(json.loads(run(capsys, "wf", program, "--format", "json")[1])["atoms"]) == 48
+    expected = {f"{p}({c})" for i, p in enumerate(sets) for c in consts[: i + 1]}
+    for i, p in enumerate(sets):
+        for j, q in enumerate(sets):
+            expected.add(f"subset({p})({q})" if i <= j else f"nonsubset({p})({q})")
+    assert set(atoms) == expected
+
+
 def test_grounding_budget_exit_code(capsys, tmp_path):
     wide = tmp_path / "wide.hop"
     arrow = " -> ".join(["i"] * 7)

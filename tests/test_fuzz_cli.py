@@ -3,12 +3,14 @@
 Whatever the input, every command must end with one of the documented
 exit codes and let no exception escape; exit 1, the negative verdict,
 may come only from ``stratify`` and ``ext``.  The inputs are random
-token streams, random well-typed programs, and programs whose terms or
-types nest around their limits.
+token streams, random well-typed programs, programs whose terms or
+types nest around their limits, and even loops around the stable-model
+cap.
 """
 
 import random
 
+from hopes.classical import DEFAULT_STABLE_CAP
 from hopes.cli import main
 from hopes.parser import MAX_NESTING
 from hopes.types import MAX_TYPE_NESTING
@@ -44,9 +46,23 @@ def deep_program(rng: random.Random) -> str:
     return shapes[rng.choice(sorted(shapes))]
 
 
+def loops_program(rng: random.Random) -> str:
+    """Even loops ``p :- ~q, q :- ~p``, which the well-founded model
+    leaves Undef, with fewer, as many or more atoms than the stable-model
+    cap, beside unfounded cycles ``u :- v, v :- u``, which it makes false
+    and the cap does not count."""
+    loops = rng.randint(DEFAULT_STABLE_CAP // 2 - 1, DEFAULT_STABLE_CAP // 2 + 2)
+    cycles = rng.randint(0, DEFAULT_STABLE_CAP)
+    lines = [f"#pred {x}{i} : o." for i in range(loops) for x in "pq"]
+    lines += [f"#pred {x}{i} : o." for i in range(cycles) for x in "uv"]
+    lines += [f"p{i} :- ~q{i}.\nq{i} :- ~p{i}." for i in range(loops)]
+    lines += [f"u{i} :- v{i}.\nv{i} :- u{i}." for i in range(cycles)]
+    return "\n".join(lines) + "\n"
+
+
 def test_cli_fuzz(capsys, tmp_path):
     rng = random.Random(31337)
-    makers = [token_stream] * 3 + [random_typed_program] * 3 + [deep_program]
+    makers = [token_stream] * 3 + [random_typed_program] * 3 + [deep_program, loops_program]
     seen = set()
     for i in range(1000):
         text = rng.choice(makers)(rng)
