@@ -468,10 +468,10 @@ def check_extensional(
             res = res.right
         if res != O:
             continue
+        chain_pairs = [checker.argument_pairs(at) for at in arg_chain]
         for d, d2 in sorted(rel.pairs):
             tuples: list[tuple[str, str]] = [(d, d2)]
-            for at in arg_chain:
-                pairs = checker.argument_pairs(at)
+            for pairs in chain_pairs:
                 tuples = [
                     (f"{l}({e})", f"{r}({e2})") for l, r in tuples for e, e2 in pairs
                 ]

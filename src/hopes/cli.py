@@ -14,8 +14,10 @@ text|json picks the output shape, --out writes to a file instead of
 stdout.  JSON output is byte-stable across runs.
 
 Exit codes: 0 success; 1 analysis verdict negative (stratification or
-extensionality violation); 2 parse or type error; 3 resource budget
-exceeded (grounding too large, or too many atoms left Undef by the
+extensionality violation); 2 unreadable file (missing, or not UTF-8),
+unwritable --out file, parse or type error, --depth below 1 or negative
+--max-atoms; 3 resource budget exceeded (grounding too large, a --depth
+above the grounding budget, or too many atoms left Undef by the
 well-founded model for stable-model enumeration).  Diagnostics go to stderr.
 """
 
@@ -48,7 +50,7 @@ def _load(path: str) -> TypedProgram:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Failure(EXIT_FRONTEND, f"cannot read {path}: {exc}")
     try:
         return typecheck(parse_program(text))
@@ -61,6 +63,12 @@ def _load(path: str) -> TypedProgram:
 def _load_ground(args) -> tuple[TypedProgram, GroundProgram]:
     """Load, type-check and ground the program; print the grounding notes."""
     tp = _load(args.file)
+    if args.depth > DEFAULT_BUDGET:
+        # enumerating the universe alone walks every term size up to the depth
+        raise _Failure(
+            EXIT_BUDGET,
+            f"grounding budget exceeded: depth {args.depth} is over the budget of {DEFAULT_BUDGET}",
+        )
     try:
         g = ground_instantiate(tp, args.depth, DEFAULT_BUDGET)
     except BudgetExceeded as exc:
@@ -75,8 +83,11 @@ def _emit(args, text_render, json_obj) -> None:
     else:
         out = text_render
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise _Failure(EXIT_FRONTEND, f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(out)
 
@@ -384,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     if getattr(args, "depth", None) is not None and args.depth < 1:
         print("error: --depth must be at least 1", file=sys.stderr)
+        return EXIT_FRONTEND
+    if getattr(args, "max_atoms", 0) < 0:
+        print("error: --max-atoms must be at least 0", file=sys.stderr)
         return EXIT_FRONTEND
     try:
         return _COMMANDS[args.command](args)

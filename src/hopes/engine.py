@@ -104,7 +104,8 @@ def stage_fixpoint(
     ``frozen`` holds final values (order < alpha) for decided atoms and
     F_alpha for the undecided ones.
     """
-    f_alpha = truth.false_at(alpha)
+    # v < F_alpha: v settled false below alpha; v > T_alpha: settled true
+    f_alpha, t_alpha = truth.false_at(alpha), truth.true_at(alpha)
     undecided = {a for a in range(len(g.atoms)) if frozen[a] == f_alpha}
     by_head = g.by_head
 
@@ -115,47 +116,30 @@ def stage_fixpoint(
         changed = False
         for a in undecided - true_set:
             for c in by_head[a]:
-                ok = True
                 for negated, b in c.literals:
                     v = frozen[b]
-                    if negated:
-                        if not (v.is_false and v.index < alpha):
-                            ok = False
-                            break
-                    else:
-                        if not ((v.is_true and v.index < alpha) or b in true_set):
-                            ok = False
-                            break
-                if ok:
+                    if not ((v < f_alpha) if negated else (v > t_alpha or b in true_set)):
+                        break
+                else:
                     true_set.add(a)
                     changed = True
                     break
 
     # greatest fixpoint: newly false atoms
-    false_set = set(undecided) - true_set
+    false_set = undecided - true_set
     changed = True
     while changed:
         changed = False
         for a in list(false_set):
-            all_blocked = True
             for c in by_head[a]:
-                clause_blocked = False
                 for negated, b in c.literals:
                     v = frozen[b]
-                    if negated:
-                        if v.is_true and v.index + 1 <= alpha:
-                            clause_blocked = True
-                            break
-                    else:
-                        if (v.is_false and v.index < alpha) or b in false_set:
-                            clause_blocked = True
-                            break
-                if not clause_blocked:
-                    all_blocked = False
+                    if (v > t_alpha) if negated else (v < f_alpha or b in false_set):
+                        break
+                else:
+                    false_set.discard(a)  # a clause with no blocking literal
+                    changed = True
                     break
-            if not all_blocked:
-                false_set.discard(a)
-                changed = True
 
     return frozenset(true_set), frozenset(false_set)
 
@@ -173,13 +157,12 @@ def minimum_model(g: GroundProgram) -> InfModel:
         nxt = list(current)
         t_val, f_val = truth.true_at(alpha), truth.false_at(alpha)
         parked = truth.false_at(alpha + 1)
-        undecided_marker = truth.false_at(alpha)
         for a in range(n):
             if a in newly_true:
                 nxt[a] = t_val
             elif a in newly_false:
                 nxt[a] = f_val
-            elif current[a] == undecided_marker:
+            elif current[a] == f_val:
                 nxt[a] = parked
         records.append(StageRecord(alpha, newly_true, newly_false, tuple(nxt)))
         current = nxt
@@ -215,8 +198,9 @@ class Comparison(Enum):
 
 
 def _level_sets(interp: Interpretation, beta: int) -> tuple[frozenset[int], frozenset[int]]:
-    ts = frozenset(a for a, v in enumerate(interp) if v.is_true and v.index == beta)
-    fs = frozenset(a for a, v in enumerate(interp) if v.is_false and v.index == beta)
+    t_beta, f_beta = truth.true_at(beta), truth.false_at(beta)
+    ts = frozenset(a for a, v in enumerate(interp) if v == t_beta)
+    fs = frozenset(a for a, v in enumerate(interp) if v == f_beta)
     return ts, fs
 
 

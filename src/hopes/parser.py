@@ -21,7 +21,8 @@ Comments run from ``%`` to end of line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .ast import App, Eq, Expression, Name, Neg, Program, RawClause, Var
 from .types import IOTA, MAX_TYPE_NESTING, O, TypeExpr, arrow_chain, type_depth
@@ -43,78 +44,57 @@ class ParseError(Exception):
         super().__init__(f"{where}: {message}{hint}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
     col: int
 
 
-_PUNCT = [
-    (":-", "COLONDASH"),
-    ("->", "ARROW"),
-    ("(", "LP"),
-    (")", "RP"),
-    (",", "COMMA"),
-    (".", "DOT"),
-    (":", "COLON"),
-    ("~", "TILDE"),
-    ("=", "EQUALS"),
-]
+# Tried in order at each position, so ':-' wins over ':'.  WORD is
+# \w+, that is isalnum() or '_' per character, and HASH is '#' then \w*:
+# the tokenizer narrows both where the grammar asks for isalpha().
+_TOKEN = re.compile(
+    r"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<COMMENT>%[^\n]*)|(?P<HASH>#\w*)"
+    r"|(?P<COLONDASH>:-)|(?P<ARROW>->)|(?P<LP>\()|(?P<RP>\))|(?P<COMMA>,)"
+    r"|(?P<DOT>\.)|(?P<COLON>:)|(?P<TILDE>~)|(?P<EQUALS>=)|(?P<WORD>\w+)"
+)
+_DIRECTIVES = {"#pred": "HASHPRED", "#func": "HASHFUNC"}
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, value = m.lastgroup, m.group()
+        if kind == "NL":
+            line, col, pos = line + 1, 1, pos + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "COMMENT":
+            # the column stays at the '%', which only an EOF token can show
+            pos = m.end()
             continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "#":
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word == "#pred":
-                tokens.append(Token("HASHPRED", word, line, col))
-            elif word == "#func":
-                tokens.append(Token("HASHFUNC", word, line, col))
-            else:
-                raise ParseError(f"unknown directive {word!r}", line, col)
-            col += j - i
-            i = j
-            continue
-        for text_p, kind in _PUNCT:
-            if text.startswith(text_p, i):
-                tokens.append(Token(kind, text_p, line, col))
-                i += len(text_p)
-                col += len(text_p)
-                break
-        else:
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                kind = "VARIDENT" if word[0].isupper() else "IDENT"
-                tokens.append(Token(kind, word, line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
+        if kind == "HASH":
+            # a directive name is the isalpha() letters after the '#'
+            end = 1
+            while end < len(value) and value[end].isalpha():
+                end += 1
+            value = value[:end]
+            if value not in _DIRECTIVES:
+                raise ParseError(f"unknown directive {value!r}", line, col)
+            tokens.append(Token(_DIRECTIVES[value], value, line, col))
+        elif kind == "WORD":
+            # an identifier starts with an isalpha() letter or '_'
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(f"unexpected character {value[0]!r}", line, col)
+            tokens.append(Token("VARIDENT" if value[0].isupper() else "IDENT", value, line, col))
+        elif kind != "WS":
+            tokens.append(Token(kind, value, line, col))
+        pos += len(value)
+        col += len(value)
     tokens.append(Token("EOF", "", line, col))
     return tokens
 

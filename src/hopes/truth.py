@@ -22,51 +22,43 @@ the least upper bound of the empty set is ``F0``.
 The *order* of a value is its subscript (``+inf`` for ``0``).  Orders are
 how the model construction decides which values are already settled at a
 given stage.
+
+A value is an ``int`` that sorts like the domain, so comparison, ``min``,
+``max`` and hashing are the integer ones: ``Fn = n + 1``, ``0 = M`` and
+``Tn = 2M - 1 - n`` with ``M = INDEX_BOUND + 1``.  An index must lie
+below ``INDEX_BOUND`` = 2**28; each stage decides an atom, so indices
+never exceed the atom count.  No value is the int 0: all are truthy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 OrdinalIndex = Union[int, float]  # a natural number, or math.inf for the middle value
 
+INDEX_BOUND = 1 << 28
+_MIDDLE = INDEX_BOUND + 1
 
-@dataclass(frozen=True)
-class TruthValue:
+
+class TruthValue(int):
     """One point of the domain: sign is +1 (true), -1 (false) or 0."""
 
-    sign: int
-    index: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"bad sign {self.sign!r}")
-        if self.index < 0:
-            raise ValueError(f"negative index {self.index!r}")
-        if self.sign == 0 and self.index != 0:
+    def __new__(cls, sign: int, index: int = 0) -> "TruthValue":
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"bad sign {sign!r}")
+        if index < 0:
+            raise ValueError(f"negative index {index!r}")
+        if sign == 0 and index != 0:
             raise ValueError("the middle value carries no index")
+        if index >= INDEX_BOUND:
+            raise ValueError(f"index {index!r} is not below the bound {INDEX_BOUND}")
+        return super().__new__(cls, _MIDDLE + sign * (_MIDDLE - 1 - index))
 
-    def _key(self) -> tuple[int, int]:
-        # F-values ascend with their index, T-values descend, 0 in between.
-        if self.sign < 0:
-            return (0, self.index)
-        if self.sign == 0:
-            return (1, 0)
-        return (2, -self.index)
-
-    def __lt__(self, other: "TruthValue") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "TruthValue") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "TruthValue") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "TruthValue") -> bool:
-        return self._key() >= other._key()
+    def __getnewargs__(self) -> tuple[int, int]:
+        return (self.sign, self.index)
 
     def __str__(self) -> str:
         if self.sign == 0:
@@ -76,16 +68,28 @@ class TruthValue:
     __repr__ = __str__
 
     @property
+    def sign(self) -> int:
+        return (self > _MIDDLE) - (self < _MIDDLE)
+
+    @property
+    def index(self) -> int:
+        if self < _MIDDLE:
+            return self - 1
+        if self > _MIDDLE:
+            return 2 * _MIDDLE - 1 - self
+        return 0
+
+    @property
     def is_true(self) -> bool:
-        return self.sign > 0
+        return self > _MIDDLE
 
     @property
     def is_false(self) -> bool:
-        return self.sign < 0
+        return self < _MIDDLE
 
     @property
     def is_zero(self) -> bool:
-        return self.sign == 0
+        return self == _MIDDLE
 
 
 def true_at(n: int) -> TruthValue:
@@ -105,8 +109,7 @@ F1 = false_at(1)
 
 def cmp(a: TruthValue, b: TruthValue) -> int:
     """Three-way comparison in the domain order: -1, 0 or +1."""
-    ka, kb = a._key(), b._key()
-    return (ka > kb) - (ka < kb)
+    return (a > b) - (a < b)
 
 
 def neg(v: TruthValue) -> TruthValue:

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from hopes import parse_program, typecheck
 from hopes.cli import main
+from hopes.herbrand import DEFAULT_BUDGET
 from hopes.types import MAX_TYPE_NESTING
 
 from conftest import program_path
@@ -72,6 +74,48 @@ def test_depth_must_be_positive(capsys):
     code, _, err = run(capsys, "model", program_path("defaults"), "--depth", "0")
     assert code == 2
     assert "--depth" in err
+
+
+def test_invalid_utf8_is_unreadable(capsys, tmp_path):
+    bad = tmp_path / "bad.hop"
+    bad.write_bytes(b"p(a).\n\xff\xfe\n")
+    for command in ("check", "model"):
+        code, out, err = run(capsys, command, bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: ") and "utf-8" in err
+
+
+def test_unwritable_out_file(capsys, tmp_path):
+    target = tmp_path / "no_such_dir" / "x.txt"
+    for command in ("check", "model", "stratify"):
+        code, out, err = run(capsys, command, program_path("defaults"), "--out", target)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"error: cannot write {target}: ")
+
+
+def test_max_atoms_must_not_be_negative(capsys):
+    code, out, err = run(capsys, "stable", program_path("even_loop"), "--max-atoms", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-atoms must be at least 0\n"
+    # zero is a cap like any other: even_loop leaves two atoms Undef
+    code, _, err = run(capsys, "stable", program_path("even_loop"), "--max-atoms", "0")
+    assert code == 3
+    assert "cap of 0" in err
+
+
+def test_depth_above_budget_is_refused_before_grounding(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "model", program_path("even_loop"), "--depth", 10**8)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: grounding budget exceeded: depth 100000000 is over the budget of "
+        f"{DEFAULT_BUDGET}\n"
+    )
 
 
 def test_ground_text(capsys):

@@ -99,3 +99,65 @@ def test_exhaustive_small_indices():
     assert len(set(values)) == len(values)
     for v in values:
         assert truth.lub([v, neg(neg(v))]) == max(v, neg(neg(v)))
+
+
+def _key(v: TruthValue) -> tuple[int, int]:
+    """The domain order as the tuple key the int encoding replaced:
+    F-values ascend with their index, T-values descend, 0 in between."""
+    if v.sign < 0:
+        return (0, v.index)
+    if v.sign == 0:
+        return (1, 0)
+    return (2, -v.index)
+
+
+def _grid() -> list[TruthValue]:
+    top = truth.INDEX_BOUND - 1
+    indices = [0, 1, 2, 3, 7, 100, top - 2, top - 1, top]
+    return [ZERO] + [TruthValue(s, i) for s in (-1, 1) for i in indices]
+
+
+def test_int_order_matches_tuple_key():
+    grid = _grid()
+    for a in grid:
+        for b in grid:
+            ka, kb = _key(a), _key(b)
+            assert (a < b) == (ka < kb), (a, b)
+            assert (a == b) == (ka == kb), (a, b)
+            assert cmp(a, b) == (ka > kb) - (ka < kb), (a, b)
+    assert sorted(grid) == sorted(grid, key=_key)
+
+
+def test_distinct_pairs_are_distinct_values():
+    grid = _grid()
+    assert len({(v.sign, v.index) for v in grid}) == len(grid)
+    assert len(set(grid)) == len(grid)
+    for v in grid:
+        assert TruthValue(v.sign, v.index) == v
+        assert parse_value(str(v)) == v
+
+
+def test_index_bound():
+    top = truth.INDEX_BOUND - 1
+    assert false_at(top).index == top and true_at(top).index == top
+    for sign in (-1, 1):
+        with pytest.raises(ValueError):
+            TruthValue(sign, truth.INDEX_BOUND)
+
+
+def test_values_are_truthy():
+    for v in _grid():
+        assert v
+        assert bool(v) is True
+
+
+def test_copy_and_pickle_round_trip():
+    import copy
+    import pickle
+
+    for v in _grid():
+        pickled = [pickle.loads(pickle.dumps(v, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for w in [copy.copy(v), copy.deepcopy(v), *pickled]:
+            assert type(w) is TruthValue
+            assert w == v and str(w) == str(v)
+            assert (w.sign, w.index) == (v.sign, v.index)
