@@ -11,7 +11,10 @@ type appearing in the program's declarations; a predicate failing
 reflexivity treats two indistinguishable arguments differently, which
 is the hallmark of intensional (non-extensional) behavior.  Pairs that
 end up related only because no comparable application was defined are
-reported with a vacuity flag rather than silently trusted.
+reported with a vacuity flag rather than silently trusted.  Everything
+that does not depend on the valuation (slices, applications) is
+compiled once per ground program, so checking many valuations, such as
+every stable model, only compares values.
 
 Stratification is checked on two levels:
 
@@ -33,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ast import Eq, Expression, Neg, PredConst, TypedProgram, Var, expr_to_str, spine
-from .herbrand import EmptyUniverse, GroundProgram, TermEnumerator
+from .ast import Eq, Expression, Neg, PredConst, TypedProgram, Var, spine
+from .herbrand import EmptyUniverse, GroundProgram
 from .truth import TruthValue
 from .types import IOTA, O, TypeExpr, is_predicate
 
@@ -292,125 +295,308 @@ class ExtReport:
     skipped_types: tuple[str, ...] = ()
 
 
-class _ExtChecker:
-    def __init__(self, tp: TypedProgram, g: GroundProgram, values: list[TruthValue], k: int):
-        self.tp = tp
-        self.g = g
-        self.values = values
+class _Type:
+    """A type of the closure in a compiled plan: its slice as term ids,
+    with each id's position, the terms' text and the positions in text
+    order; the applications of terms to the slice are filled in on
+    first use."""
+
+    __slots__ = ("name", "kind", "left", "right", "ids", "positions", "names", "by_text",
+                 "table", "rows", "atom_rows")
+
+    def __init__(self, typ: TypeExpr, ids: tuple[int, ...], text: list[str]):
+        self.name = str(typ)
+        self.kind = typ.kind
+        self.left: _Type | None = None  # an arrow type's argument and result types
+        self.right: _Type | None = None
+        self.ids = ids
+        self.positions = {t: i for i, t in enumerate(ids)}
+        self.names = tuple([text[t] for t in ids])
+        self.by_text = sorted(range(len(ids)), key=self.names.__getitem__)
+        self.table: list[list[int]] | None = None
+        self.rows: dict[int, list[int]] = {}
+        self.atom_rows: dict[int, list[int]] = {}
+
+
+class ExtPlan:
+    """The extensionality check of one ground program, compiled.
+
+    Slices and applications do not depend on the valuation, so they are
+    fixed once per ground program: the slice of every type in the
+    closure, as term ids from the grounder's store, and the
+    applications of a slice to the slice of its argument type, built on
+    first use.  An application counts as defined when its result lies
+    in its result slice or, at type o, in the atom table.  ``check`` and
+    ``relation`` then only compare values; text is rendered only for
+    what they report.
+    """
+
+    def __init__(self, g: GroundProgram, k: int):
+        store = g.terms
+        self.atoms = g.atoms
         self.k = k
-        self.enum = TermEnumerator(tp)
-        self.relations: dict[TypeExpr, ExtRelation] = {}
-        self.slices: dict[TypeExpr, tuple[str, ...]] = {}
+        self.ids = store.ids
+        self.atom_of = store.atom_of
+        self.types = {typ: _Type(typ, ids, store.text) for typ, ids in store.slices.items()}
+        for typ, t in self.types.items():
+            if t.kind == "arrow":
+                t.left, t.right = self.types[typ.left], self.types[typ.right]
+        argument_types = sorted(
+            (t for typ, t in self.types.items() if is_predicate(typ) or typ == IOTA),
+            key=lambda t: t.name,
+        )
+        self.checked = [t for t in argument_types if t.ids]
+        self.skipped_types = tuple(t.name for t in argument_types if not t.ids)
 
-    def slice_of(self, typ: TypeExpr) -> tuple[str, ...]:
-        # an empty slice is an empty domain, never an error: a relation
-        # over it is vacuous and applications into it are undefined
-        if typ not in self.slices:
-            try:
-                self.slices[typ] = tuple(
-                    expr_to_str(t) for t in self.enum.universe(typ, self.k)
-                )
-            except EmptyUniverse:
-                self.slices[typ] = ()
-        return self.slices[typ]
+    def row(self, term: int, arg: _Type, atoms: bool = False) -> list[int]:
+        """The applications of a term to the slice of `arg`: their term
+        ids, or their atom ids when `atoms` is set; -1 where the store
+        holds no such term (or atom)."""
+        rows = arg.atom_rows if atoms else arg.rows
+        row = rows.get(term)
+        if row is None:
+            ids = self.ids
+            row = [ids.get((term, e), -1) for e in arg.ids]
+            if atoms:
+                atom_of = self.atom_of
+                row = [atom_of.get(x, -1) for x in row]
+            rows[term] = row
+        return row
 
-    def value_of(self, atom: str) -> TruthValue | None:
-        i = self.g.atom_index.get(atom)
-        return None if i is None else self.values[i]
+    def table(self, t: _Type) -> list[list[int]]:
+        """For an arrow type, one row per slice position d and one entry
+        per position e of the argument slice: the result of applying d
+        to e, as an atom id when the result type is o and as a position
+        in the result slice otherwise, or -1 when it is undefined."""
+        if t.table is None:
+            if t.right.kind == "o":
+                t.table = [self.row(d, t.left, atoms=True) for d in t.ids]
+            else:
+                where = t.right.positions
+                t.table = [[where.get(x, -1) for x in self.row(d, t.left)] for d in t.ids]
+        return t.table
 
-    def defined(self, term: str, typ: TypeExpr) -> bool:
-        # type-o results are defined wherever the atom table has a value,
-        # which includes clause-head atoms beyond the k-symbol slice
-        if typ == O:
-            return term in self.g.atom_index
-        return term in self.slice_of(typ)
+    def check(self, values: list[TruthValue]) -> ExtReport:
+        return _Valuation(self, values).report()
 
-    def related(self, a: str, b: str, typ: TypeExpr) -> bool:
-        if typ == IOTA:
-            return a == b
-        if typ == O:
-            return self.value_of(a) == self.value_of(b)
-        return self.relation(typ).related(a, b)
+    def relation(self, values: list[TruthValue], typ: TypeExpr) -> ExtRelation:
+        """Raises EmptyUniverse when the slice of the type is empty."""
+        # no type outside the closure has a ground term
+        t = self.types.get(typ)
+        if t is None or not t.ids:
+            raise EmptyUniverse(typ, self.k)
+        return _Valuation(self, values).ext_relation(typ, t)
 
-    def relation(self, typ: TypeExpr) -> ExtRelation:
-        if typ in self.relations:
-            return self.relations[typ]
-        if typ == IOTA:
-            terms = self.slice_of(typ)
-            rel = ExtRelation(typ, self.k, terms, frozenset((t, t) for t in terms))
-        elif typ == O:
-            terms = self.slice_of(typ)
-            rel = ExtRelation(
-                typ,
-                self.k,
-                terms,
-                frozenset(
-                    (a, b)
-                    for a in terms
-                    for b in terms
-                    if self.value_of(a) == self.value_of(b)
-                ),
-            )
+
+def _agree(a: list, b: list, res: list[set[int]] | None) -> tuple[bool, bool]:
+    """Compare the results of two terms over the argument pairs: values
+    by equality when `res` is None, result positions by the relation
+    `res` otherwise; None is an undefined result and is skipped.
+    Returns (related, some pair was compared)."""
+    checked = False
+    for x, y in zip(a, b):
+        if x is None or y is None:
+            continue
+        checked = True
+        if not (x == y if res is None else y in res[x]):
+            return False, True
+    return True, checked
+
+
+class _Valuation:
+    """A compiled plan under one valuation: extensional equality at each
+    type, over slice positions, computed once."""
+
+    def __init__(self, plan: ExtPlan, values: list[TruthValue]):
+        self.plan = plan
+        self.values = values
+        self.padded = [*values, None]  # index -1 is an undefined application
+        self.relations: dict[_Type, list[set[int]]] = {}
+        self.vacuous: dict[_Type, set[tuple[int, int]]] = {}
+        self.pairs: dict[_Type, list[tuple[int, int]]] = {}
+
+    def relation(self, t: _Type) -> list[set[int]]:
+        """For each slice position, the positions related to it."""
+        if t in self.relations:
+            return self.relations[t]
+        n = len(t.ids)
+        vacuous: set[tuple[int, int]] = set()
+        if t.kind == "iota":
+            related = [{d} for d in range(n)]
+        elif t.kind == "o":
+            atom_of, padded = self.plan.atom_of, self.padded
+            v = [padded[atom_of.get(x, -1)] for x in t.ids]
+            related = [{d2 for d2 in range(n) if v[d2] == v[d]} for d in range(n)]
         else:
-            arg_t, res_t = typ.left, typ.right
-            terms = self.slice_of(typ)
-            arg_pairs = self.argument_pairs(arg_t)
-            pairs = set()
-            vacuous = set()
-            for d in terms:
-                for d2 in terms:
-                    checked = 0
-                    ok = True
-                    for e, e2 in arg_pairs:
-                        app1, app2 = f"{d}({e})", f"{d2}({e2})"
-                        if not (self.defined(app1, res_t) and self.defined(app2, res_t)):
-                            continue
-                        checked += 1
-                        if not self.related(app1, app2, res_t):
-                            ok = False
-                            break
+            pairs = self.argument_pairs(t.left)
+            lefts = [e for e, _ in pairs]
+            rights = [e2 for _, e2 in pairs]
+            # results as values (type o) or as result positions, None
+            # where undefined: -1 indexes the trailing None
+            if t.right.kind == "o":
+                res, lookup = None, self.padded
+            else:
+                res, lookup = self.relation(t.right), [*range(len(t.right.ids)), None]
+            results = [list(map(lookup.__getitem__, row)) for row in self.plan.table(t)]
+            left = [list(map(r.__getitem__, lefts)) for r in results]
+            right = [list(map(r.__getitem__, rights)) for r in results]
+            related = []
+            for d, a in enumerate(left):
+                defined = any(x is not None for x in a)
+                mates = set()
+                for d2, b in enumerate(right):
+                    if res is None and a == b:
+                        ok, checked = True, defined
+                    else:
+                        ok, checked = _agree(a, b, res)
                     if ok:
-                        pairs.add((d, d2))
-                        if checked == 0:
+                        mates.add(d2)
+                        if not checked:
                             vacuous.add((d, d2))
-            rel = ExtRelation(typ, self.k, terms, frozenset(pairs), frozenset(vacuous))
-        self.relations[typ] = rel
-        return rel
+                related.append(mates)
+        self.relations[t] = related
+        self.vacuous[t] = vacuous
+        return related
 
-    def argument_pairs(self, typ: TypeExpr) -> list[tuple[str, str]]:
-        if typ == IOTA:
-            return [(t, t) for t in self.slice_of(typ)]
-        if typ == O:
-            terms = self.slice_of(typ)
-            return [
-                (a, b) for a in terms for b in terms if self.value_of(a) == self.value_of(b)
-            ]
-        rel = self.relation(typ)
-        return sorted(rel.pairs)
+    def argument_pairs(self, t: _Type) -> list[tuple[int, int]]:
+        """The related pairs at an argument type: in slice order, or in
+        the order of their text at an arrow type."""
+        if t not in self.pairs:
+            if t.kind == "iota":
+                pairs = [(d, d) for d in range(len(t.ids))]
+            else:
+                related = self.relation(t)
+                order = t.by_text if t.kind == "arrow" else range(len(t.ids))
+                pairs = [(d, d2) for d in order for d2 in order if d2 in related[d]]
+            self.pairs[t] = pairs
+        return self.pairs[t]
 
-    def drill(self, d1: str, d2: str, typ: TypeExpr) -> tuple[str, str, tuple]:
+    def drill(self, d1: int, d2: int, t: _Type) -> tuple[str, str, tuple]:
         """Explain why d1 and d2 fail to be related at an arrow type:
         find the first related argument pair that separates them and the
         atoms where the values finally differ."""
-        arg_t, res_t = typ.left, typ.right
-        for e, e2 in self.argument_pairs(arg_t):
-            app1, app2 = f"{d1}({e})", f"{d2}({e2})"
-            if not (self.defined(app1, res_t) and self.defined(app2, res_t)):
+        table, values = self.plan.table(t), self.values
+        at_o = t.right.kind == "o"
+        for e, e2 in self.argument_pairs(t.left):
+            r1, r2 = table[d1][e], table[d2][e2]
+            if r1 < 0 or r2 < 0:
                 continue
-            if self.related(app1, app2, res_t):
-                continue
-            if res_t == O:
-                return (
-                    e,
-                    e2,
-                    (
-                        (app1, str(self.value_of(app1))),
-                        (app2, str(self.value_of(app2))),
-                    ),
-                )
-            _, _, atoms = self.drill(app1, app2, res_t)
-            return e, e2, atoms
+            if at_o:
+                if values[r1] == values[r2]:
+                    continue
+                atoms = self.plan.atoms
+                found = ((atoms[r1], str(values[r1])), (atoms[r2], str(values[r2])))
+            else:
+                if r2 in self.relation(t.right)[r1]:
+                    continue
+                found = self.drill(r1, r2, t.right)[2]
+            return t.left.names[e], t.left.names[e2], found
         return "?", "?", ()
+
+    def sweep(self, t: _Type) -> list[ExtViolation]:
+        """Interchangeability: related predicates applied to related
+        argument tuples must give equal atom values, wherever both
+        applications are in the atom table."""
+        chain: list[_Type] = []
+        res = t
+        while res.kind == "arrow":
+            chain.append(res.left)
+            res = res.right
+        if len(chain) < 2:
+            # with one argument the relation compared these very atoms
+            return []
+        plan, values = self.plan, self.values
+        chain_pairs = [(at, self.argument_pairs(at)) for at in chain]
+        related = self.relation(t)
+        out: list[ExtViolation] = []
+        for d in t.by_text:
+            for d2 in t.by_text:
+                if d2 not in related[d]:
+                    continue
+                # the pairs of applications that exist, then their atoms
+                level = [(t.ids[d], t.ids[d2])]
+                for i, (at, pairs) in enumerate(chain_pairs):
+                    last = i == len(chain) - 1
+                    nxt = []
+                    for t1, t2 in level:
+                        row1, row2 = plan.row(t1, at, last), plan.row(t2, at, last)
+                        for e, e2 in pairs:
+                            x, y = row1[e], row2[e2]
+                            if x >= 0 and y >= 0:
+                                nxt.append((x, y))
+                    level = nxt
+                for a1, a2 in level:
+                    if values[a1] != values[a2]:
+                        subject = t.names[d] if d == d2 else f"{t.names[d]} / {t.names[d2]}"
+                        app1, app2 = plan.atoms[a1], plan.atoms[a2]
+                        out.append(
+                            ExtViolation(
+                                t.name,
+                                subject,
+                                app1,
+                                app2,
+                                ((app1, str(values[a1])), (app2, str(values[a2]))),
+                            )
+                        )
+        return out
+
+    def report(self) -> ExtReport:
+        plan = self.plan
+        violations: list[ExtViolation] = []
+        vacuous: list[tuple[str, str, str]] = []
+        for t in plan.checked:
+            if t.kind != "arrow":
+                continue  # reflexive by definition: identity, equal values
+            related = self.relation(t)
+            if self.vacuous[t]:
+                vacuous += [
+                    (t.name, t.names[d], t.names[d2])
+                    for d in t.by_text
+                    for d2 in t.by_text
+                    if (d, d2) in self.vacuous[t]
+                ]
+            for d, mates in enumerate(related):
+                if d not in mates:
+                    e, e2, atoms = self.drill(d, d, t)
+                    violations.append(ExtViolation(t.name, t.names[d], e, e2, atoms))
+            violations += self.sweep(t)
+
+        # deduplicate violations that name the same differing atom pair
+        unique: list[ExtViolation] = []
+        seen: set[tuple] = set()
+        for v in violations:
+            key = (v.typ, v.subject, frozenset(a for a, _ in v.atoms))
+            if key not in seen:
+                seen.add(key)
+                unique.append(v)
+
+        return ExtReport(
+            extensional=not unique,
+            depth=plan.k,
+            checked_types=tuple(t.name for t in plan.checked),
+            violations=tuple(unique),
+            vacuous=tuple(vacuous),
+            skipped_types=plan.skipped_types,
+        )
+
+    def ext_relation(self, typ: TypeExpr, t: _Type) -> ExtRelation:
+        related, names = self.relation(t), t.names
+        return ExtRelation(
+            typ,
+            self.plan.k,
+            names,
+            frozenset((names[d], names[d2]) for d, mates in enumerate(related) for d2 in mates),
+            frozenset((names[d], names[d2]) for d, d2 in self.vacuous[t]),
+        )
+
+
+def compile_extensional(tp: TypedProgram, g: GroundProgram, k: int) -> ExtPlan:
+    """Compile the extensionality check of ``g``, the ground program of
+    ``tp`` at depth ``k`` as ``ground_instantiate`` built it: its term
+    store holds the slices of every type in the closure."""
+    if g.terms is None or g.depth_bound != k:
+        raise ValueError(f"no term store of a grounding at depth {k} on this ground program")
+    return ExtPlan(g, k)
 
 
 def ext_relation(
@@ -425,10 +611,7 @@ def ext_relation(
     Raises EmptyUniverse when no ground term of the type exists within
     the bound.
     """
-    checker = _ExtChecker(tp, g, values, k)
-    if not checker.slice_of(rho):
-        raise EmptyUniverse(rho, k)
-    return checker.relation(rho)
+    return compile_extensional(tp, g, k).relation(values, rho)
 
 
 def check_extensional(
@@ -438,72 +621,4 @@ def check_extensional(
     declarations, plus the derived interchangeability sweep: related
     predicates applied to related argument tuples must give equal atom
     values."""
-    checker = _ExtChecker(tp, g, values, k)
-    violations: list[ExtViolation] = []
-    vacuous: list[tuple[str, str, str]] = []
-    checked: list[str] = []
-    skipped: list[str] = []
-
-    argument_types = (t for t in checker.enum.closure if is_predicate(t) or t == IOTA)
-    for typ in sorted(argument_types, key=str):
-        if not checker.slice_of(typ):
-            skipped.append(str(typ))
-            continue
-        checked.append(str(typ))
-        if typ == IOTA or typ == O:
-            continue  # reflexive by definition: identity, equal values
-        rel = checker.relation(typ)
-        for t, t2 in sorted(rel.vacuous):
-            vacuous.append((str(typ), t, t2))
-        for term in rel.terms:
-            if not rel.related(term, term):
-                e, e2, atoms = checker.drill(term, term, typ)
-                violations.append(ExtViolation(str(typ), term, e, e2, atoms))
-
-        # interchangeability: walk full application chains of this type
-        arg_chain: list[TypeExpr] = []
-        res = typ
-        while res.kind == "arrow":
-            arg_chain.append(res.left)
-            res = res.right
-        if res != O:
-            continue
-        chain_pairs = [checker.argument_pairs(at) for at in arg_chain]
-        for d, d2 in sorted(rel.pairs):
-            tuples: list[tuple[str, str]] = [(d, d2)]
-            for pairs in chain_pairs:
-                tuples = [
-                    (f"{l}({e})", f"{r}({e2})") for l, r in tuples for e, e2 in pairs
-                ]
-            for app1, app2 in tuples:
-                v1, v2 = checker.value_of(app1), checker.value_of(app2)
-                if v1 is None or v2 is None:
-                    continue
-                if v1 != v2:
-                    violations.append(
-                        ExtViolation(
-                            str(typ),
-                            d if d == d2 else f"{d} / {d2}",
-                            app1,
-                            app2,
-                            ((app1, str(v1)), (app2, str(v2))),
-                        )
-                    )
-
-    # deduplicate violations that name the same differing atom pair
-    unique: list[ExtViolation] = []
-    seen: set[tuple] = set()
-    for v in violations:
-        key = (v.typ, v.subject, frozenset(a for a, _ in v.atoms))
-        if key not in seen:
-            seen.add(key)
-            unique.append(v)
-
-    return ExtReport(
-        extensional=not unique,
-        depth=k,
-        checked_types=tuple(checked),
-        violations=tuple(unique),
-        vacuous=tuple(vacuous),
-        skipped_types=tuple(skipped),
-    )
+    return compile_extensional(tp, g, k).check(values)

@@ -23,8 +23,9 @@ so the two constructions can be tested against each other.
   propagate each assignment through the clauses the atom occurs in (a
   clause with every literal true makes its head true, an atom with
   every clause dead is false).  Each total candidate is checked against
-  the full program.  The count of Undef atoms is capped, since the
-  search is meant for desk-sized programs.
+  the full program, over clause lists built once per search.  The
+  count of Undef atoms is capped, since the search is meant for
+  desk-sized programs.
 """
 
 from __future__ import annotations
@@ -82,40 +83,62 @@ def reduct(g: GroundProgram, i: TwoValuedInterp) -> GroundProgram:
     return GroundProgram(g.atoms, clauses, g.depth_bound)
 
 
-def _gl(g: GroundProgram, i: TwoValuedInterp) -> TwoValuedInterp:
-    """Least model of the reduct of ``g`` against the guess ``i``, in time
-    linear in the program (Dowling & Gallier 1984).  A clause that
-    survives the reduct counts its positive literals still pending; an
-    atom that becomes true decrements the clauses waiting on it, and a
-    clause whose count reaches zero makes its head true."""
-    waiting: list[list[int]] = [[] for _ in g.atoms]
-    heads: list[int] = []
-    pending: list[int] = []
-    true = [False] * len(g.atoms)
-    stack: list[int] = []
-    for c in g.clauses:
-        body = []
-        for negated, a in c.literals:
-            if not negated:
-                body.append(a)
-            elif a in i:
-                break
-        else:
-            if body:
-                for a in body:
-                    waiting[a].append(len(heads))
-                heads.append(c.head)
-                pending.append(len(body))
-            elif not true[c.head]:
-                true[c.head] = True
-                stack.append(c.head)
-    while stack:
-        for k in waiting[stack.pop()]:
-            pending[k] -= 1
+class _Reduct:
+    """The least model of the reduct of one program against any guess,
+    in time linear in the program (Dowling & Gallier 1984), without
+    building the reduct.  The clause lists are built once: per clause
+    its head and its count of positive literals, the negated atoms of
+    each clause that has one, and per atom the clauses waiting on it.
+    Each guess then only resets the counts: a clause with a negated
+    atom in the guess is dead, an atom that becomes true decrements the
+    clauses waiting on it, and a live clause whose count reaches zero
+    makes its head true."""
+
+    def __init__(self, g: GroundProgram):
+        self.size = len(g.atoms)
+        self.heads: list[int] = []
+        self.counts: list[int] = []
+        self.negated: list[tuple[int, list[int]]] = []
+        self.ready: list[int] = []  # clauses without a positive literal
+        self.waiting: list[list[int]] = [[] for _ in g.atoms]
+        for k, c in enumerate(g.clauses):
+            pos = [a for negated, a in c.literals if not negated]
+            neg = [a for negated, a in c.literals if negated]
+            self.heads.append(c.head)
+            self.counts.append(len(pos))
+            for a in pos:
+                self.waiting[a].append(k)
+            if neg:
+                self.negated.append((k, neg))
+            if not pos:
+                self.ready.append(k)
+
+    def least_model(self, i: TwoValuedInterp) -> TwoValuedInterp:
+        pending = self.counts.copy()
+        for k, neg in self.negated:
+            for a in neg:
+                if a in i:
+                    pending[k] = -1  # dead: never counts down to zero
+                    break
+        heads, waiting = self.heads, self.waiting
+        true = [False] * self.size
+        stack: list[int] = []
+        for k in self.ready:
             if not pending[k] and not true[heads[k]]:
                 true[heads[k]] = True
                 stack.append(heads[k])
-    return frozenset(a for a, t in enumerate(true) if t)
+        while stack:
+            for k in waiting[stack.pop()]:
+                pending[k] -= 1
+                if not pending[k] and not true[heads[k]]:
+                    true[heads[k]] = True
+                    stack.append(heads[k])
+        return frozenset(a for a, t in enumerate(true) if t)
+
+
+def _gl(g: GroundProgram, i: TwoValuedInterp) -> TwoValuedInterp:
+    """Least model of the reduct of ``g`` against the guess ``i``."""
+    return _Reduct(g).least_model(i)
 
 
 def least_model_positive(g: GroundProgram) -> TwoValuedInterp:
@@ -127,13 +150,14 @@ def least_model_positive(g: GroundProgram) -> TwoValuedInterp:
 
 def wf_oracle(g: GroundProgram) -> list[Tv3]:
     """The well-founded model via the alternating fixpoint."""
+    gl = _Reduct(g).least_model
     lower: TwoValuedInterp = frozenset()
     while True:
-        new_lower = _gl(g, _gl(g, lower))
+        new_lower = gl(gl(lower))
         if new_lower == lower:
             break
         lower = new_lower
-    non_false = _gl(g, lower)
+    non_false = gl(lower)
     return [
         Tv3.TRUE if a in lower else Tv3.UNDEF if a in non_false else Tv3.FALSE
         for a in range(len(g.atoms))
@@ -184,6 +208,7 @@ def stable_models(
             live[c.head] += 1
 
     value: list[bool | None] = [None] * len(g.atoms)
+    gl = _Reduct(g).least_model
 
     def assign(atom: int, v: bool, trail: list[int]) -> bool:
         """Set atom to v and every atom that forces: the head of a clause
@@ -236,7 +261,7 @@ def stable_models(
                 consistent = assign(free, False, decisions[-1][2])
                 continue
             candidate = frozenset(wf_true + [a for a in undef if value[a]])
-            if is_stable(g, candidate):
+            if gl(candidate) == candidate:  # is_stable, over clause lists built once
                 models.append(candidate)
         while decisions and decisions[-1][1]:
             undo(decisions.pop()[2])

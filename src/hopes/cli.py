@@ -89,12 +89,21 @@ def _emit(args, text_render, json_obj) -> None:
         except OSError as exc:
             raise _Failure(EXIT_FRONTEND, f"cannot write {args.out}: {exc}")
     else:
-        sys.stdout.write(out)
+        try:
+            sys.stdout.write(out)
+        except UnicodeEncodeError as exc:
+            raise _Failure(EXIT_FRONTEND, f"cannot write the output: {exc}")
+
+
+def _print_diagnostic(line: str) -> None:
+    """A diagnostic line on stderr, escaped where stderr cannot encode it."""
+    encoding = sys.stderr.encoding or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
 
 
 def _warn(notes) -> None:
     for note in notes:
-        print(f"note: {note}", file=sys.stderr)
+        _print_diagnostic(f"note: {note}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +228,7 @@ def cmd_stable(args) -> int:
         models = classical.stable_models(g, args.max_atoms)
     except classical.TooManyAtoms as exc:
         raise _Failure(EXIT_BUDGET, f"stable-model enumeration aborted: {exc}")
+    plan = analysis.compile_extensional(tp, g, args.depth) if args.ext else None
     lines = []
     out_models = []
     for m in models:
@@ -227,7 +237,7 @@ def cmd_stable(args) -> int:
         line = "{" + ", ".join(names) + "}"
         if args.ext:
             values = [truth.T0 if a in m else truth.F0 for a in range(len(g.atoms))]
-            report = analysis.check_extensional(tp, g, values, args.depth)
+            report = plan.check(values)
             entry["extensional"] = report.extensional
             entry["violations"] = [str(v) for v in report.violations]
             line += f"  extensional: {'yes' if report.extensional else 'no'}"
@@ -394,15 +404,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     if getattr(args, "depth", None) is not None and args.depth < 1:
-        print("error: --depth must be at least 1", file=sys.stderr)
+        _print_diagnostic("error: --depth must be at least 1")
         return EXIT_FRONTEND
     if getattr(args, "max_atoms", 0) < 0:
-        print("error: --max-atoms must be at least 0", file=sys.stderr)
+        _print_diagnostic("error: --max-atoms must be at least 0")
         return EXIT_FRONTEND
     try:
         return _COMMANDS[args.command](args)
     except _Failure as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
+        _print_diagnostic(f"error: {exc.message}")
         return exc.code
 
 

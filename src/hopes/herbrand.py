@@ -21,7 +21,10 @@ when it is first built.  Equality of ground terms is equality of ids.
 A leading body equality ``V = t`` (the shape the type checker gives
 facts and non-variable head arguments) is solved rather than
 enumerated: V takes the id of t's instance, which is live only when
-that term lies in V's slice.
+that term lies in V's slice.  The store of terms stays on the ground
+program, with the slice of every type in the closure, so that the
+extensionality check applies terms to terms by id without enumerating
+anything again.
 
 The work per clause (substitutions enumerated after solving, and head
 tuples registered) is checked against a budget before any instance is
@@ -217,6 +220,8 @@ class GroundProgram:
     clauses: tuple[GroundClause, ...]
     depth_bound: int | None = None
     notes: tuple[str, ...] = field(default=(), compare=False)
+    # the grounder's term store; None for a program assembled from names
+    terms: _Terms | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def atom_index(self) -> dict[str, int]:
@@ -327,8 +332,13 @@ class _Terms:
         self.ids: dict[object, int] = {}
         self.text: list[str] = []
         # id() of an AST node -> (node, term id); keeping the node alive
-        # keeps its id() from being reused while the table is in use
+        # keeps its id() from being reused while the table is in use.
+        # Emptied when grounding ends.
         self.nodes: dict[int, tuple[Expression, int]] = {}
+        self.atom_of: dict[int, int] = {}  # term id -> atom id
+        # every type of the closure -> its slice at the bound, as term
+        # ids in enumeration order (empty for an empty slice)
+        self.slices: dict[TypeExpr, tuple[int, ...]] = {}
 
     def node(self, key) -> int:
         t = self.ids.get(key)
@@ -475,7 +485,7 @@ class _Grounder:
         self.budget = budget
         self.enum = TermEnumerator(tp)
         self.terms = _Terms()
-        self.atom_of: dict[int, int] = {}  # term id -> atom id
+        self.atom_of = self.terms.atom_of
         self.atom_terms: list[int] = []  # atom id -> term id
         self.clauses: list[GroundClause] = []
         self.seen: set[tuple[int, tuple[tuple[bool, int], ...]]] = set()
@@ -511,16 +521,26 @@ class _Grounder:
         self.clauses.append(GroundClause(head, lits, origin=(idx, binding)))
 
     def ground(self) -> GroundProgram:
-        try:
-            for atom in self.enum.universe(O, self.k):
-                self.atom(self.terms.intern(atom))
-        except EmptyUniverse:
-            self.notes.append(f"no ground atoms exist at depth {self.k}")
+        atoms = self.slice(O)
+        for t in atoms.ids if atoms else ():
+            self.atom(t)
         for idx, clause in enumerate(self.tp.clauses):
             self.clause(idx, clause)
-        text = self.terms.text
+        if not self.atom_terms:
+            # after the type checker's notes, before the clauses' own
+            self.notes.insert(len(self.tp.notes), f"no ground atoms exist at depth {self.k}")
+        terms = self.terms
+        for typ in sorted(self.enum.closure, key=str):
+            sl = self.slice(typ)
+            terms.slices[typ] = sl.ids if sl else ()
+        terms.nodes.clear()
+        text = terms.text
         return GroundProgram(
-            tuple([text[t] for t in self.atom_terms]), tuple(self.clauses), self.k, tuple(self.notes)
+            tuple([text[t] for t in self.atom_terms]),
+            tuple(self.clauses),
+            self.k,
+            tuple(self.notes),
+            terms,
         )
 
     def variable_free(self, idx: int, clause: Clause) -> None:

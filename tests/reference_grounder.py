@@ -40,7 +40,7 @@ def reference_ground_instantiate(
         for atom in TermEnumerator(tp).universe(O, k):
             intern(atom)
     except EmptyUniverse:
-        notes.append(f"no ground atoms exist at depth {k}")
+        pass
 
     clauses: list[GroundClause] = []
     seen: set[tuple[int, tuple[tuple[bool, int], ...]]] = set()
@@ -74,6 +74,8 @@ def reference_ground_instantiate(
             GroundClause(head_id, tuple(literals), origin=(idx, tuple(binding.items())))
         )
 
+    if not atom_order:
+        notes.insert(len(tp.notes), f"no ground atoms exist at depth {k}")
     return GroundProgram(tuple(atom_order), tuple(clauses), k, tuple(notes))
 
 

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from hopes import parse_program, typecheck
+from hopes import analysis, cli, parse_program, typecheck
 from hopes.cli import main
-from hopes.herbrand import DEFAULT_BUDGET
+from hopes.herbrand import DEFAULT_BUDGET, TermEnumerator
 from hopes.types import MAX_TYPE_NESTING
 
 from conftest import program_path
@@ -235,6 +235,46 @@ def test_stable_ext_text(capsys):
     assert "not extensionally equal" in out
 
 
+def choice_program(m: int) -> str:
+    """choice_pair.hop over m predicates: 2^m stable models, of which the
+    two that pick r everywhere or s everywhere are extensional."""
+    preds = [f"q{j}" for j in range(m)]
+    lines = ["#pred r : (i -> o) -> o.", "#pred s : (i -> o) -> o."]
+    lines += [f"#pred {q} : i -> o." for q in preds]
+    lines += ["r(Q) :- ~s(Q).", "s(Q) :- ~r(Q)."] + [f"{q}(a)." for q in preds]
+    return "\n".join(lines) + "\n"
+
+
+def test_stable_ext_compiles_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "choice.hop"
+    path.write_text(choice_program(8))
+    compiled = []
+    compile_extensional = analysis.compile_extensional
+
+    def count_compile(*args):
+        compiled.append(args)
+        return compile_extensional(*args)
+
+    ground_instantiate = cli.ground_instantiate
+
+    def ground_then_forbid_enumeration(*args):
+        g = ground_instantiate(*args)
+
+        def universe(self, typ, k):
+            raise AssertionError(f"slice of {typ} enumerated after grounding")
+
+        monkeypatch.setattr(TermEnumerator, "universe", universe)
+        return g
+
+    monkeypatch.setattr(analysis, "compile_extensional", count_compile)
+    monkeypatch.setattr(cli, "ground_instantiate", ground_then_forbid_enumeration)
+    code, out, _ = run(capsys, "stable", path, "--depth", "2", "--ext")
+    assert code == 0
+    assert len(compiled) == 1
+    assert out.count("extensional: yes") == 2
+    assert out.count("extensional: no") == 254
+
+
 def test_stable_atom_cap(capsys):
     code, out, err = run(
         capsys, "stable", program_path("choice_pair"), "--depth", "2", "--max-atoms", "2"
@@ -356,6 +396,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "p = T0\nq = F0\ns = T1\nr = F1\nt = ZERO\ndepth = 2\n"
+
+
+def test_unencodable_output_is_a_front_end_failure(tmp_path):
+    accented = tmp_path / "accent.hop"
+    accented.write_text("#pred p\u00e9 : o.\np\u00e9.\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        PYTHONIOENCODING="ascii:strict",
+    )
+    for command in ("model", "ground", "stable"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopes", command, str(accented)], capture_output=True, env=env
+        )
+        assert proc.returncode == 2, command
+        assert proc.stdout == b""
+        err = proc.stderr.decode("ascii")  # the message itself is encodable
+        assert "error: cannot write the output" in err and "\\xe9" in err
+        assert "Traceback" not in err
+    # a note or an error naming a file that stderr cannot encode is escaped
+    missing = tmp_path / "caf\u00e9.hop"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopes", "model", str(missing)], capture_output=True, env=env
+    )
+    assert proc.returncode == 2
+    assert "caf\\xe9.hop" in proc.stderr.decode("ascii")
 
 
 def _nested_fact(depth: int) -> str:

@@ -174,6 +174,21 @@ def test_empty_universe_clause_is_skipped_with_note():
     assert "p" in g.atoms  # the base atom is still in the table
 
 
+def test_no_ground_atoms_note_only_without_atoms():
+    # no zero-arity predicate, so the o slice is empty, but the fact's
+    # head is an atom
+    g = ground_instantiate(typecheck(parse_program("#pred e : i -> i -> o.\ne(c0, c1).\n")), 2)
+    assert len(g.atoms) == 4
+    assert g.notes == ()
+    # the only clause has no instances: no atom at all, and the note
+    # comes before the clause's own
+    text = "#pred p : (i -> i -> o) -> o.\np(R) :- R(a, a).\n"
+    g = ground_instantiate(typecheck(parse_program(text)), 3)
+    assert g.atoms == ()
+    assert g.notes[0] == "no ground atoms exist at depth 3"
+    assert "variable R ranges over an empty universe" in g.notes[1]
+
+
 def test_build_helper_round_trip():
     g = GroundProgram.build(["x", "y"], [("x", [], ["y"]), ("y", ["x"], [])])
     assert g.atoms == ("x", "y")
