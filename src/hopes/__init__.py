@@ -34,7 +34,6 @@ from .engine import (
     compare_alpha,
     is_model,
     minimum_model,
-    stage_fixpoint,
     tp_step,
     valuate_expression,
 )

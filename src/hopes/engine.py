@@ -31,6 +31,36 @@ atoms still undecided there oscillate forever and take the middle
 value 0.  The result is the least model of the program in the
 pointwise stage ordering, and collapsing it to three values agrees
 with the well-founded model.
+
+``minimum_model`` computes all stages in one event-driven loop: a
+stage visits only the clauses that its events touch, never every
+undecided atom, because three pieces of state persist across stages
+(Dowling & Gallier 1984 for the truths; Berman, Schlipf &
+Franco, "Computing the well-founded semantics faster", LPNMR 1995, for
+the unfounded sets):
+
+* per clause, a count of the literals not yet satisfied.  A positive
+  literal counts down when its atom turns true, within the same stage;
+  a negative literal counts down at the start of stage alpha + 1 when
+  its atom settled false at alpha.  A clause whose count reaches zero
+  makes its undecided head true at the current stage.
+
+* per clause, a count of the literals that block it for good: a
+  positive literal over an atom settled false, and, from the next
+  stage on, a negative literal over an atom settled true.
+
+* per undecided atom, a source: a clause with no blocking literal
+  whose positive literals over undecided atoms all have sources of
+  their own.  The source graph is acyclic, so an atom with a source is
+  not unfounded.  A stage re-examines only the atoms whose source just
+  became blocked and the atoms whose sources rest on them positively;
+  those that no clause supports again form the greatest unfounded set
+  and settle false.
+
+A stage with no events decides nothing and ends the loop.  Each stage
+record keeps only the atoms the stage decided; its ``snapshot``, the
+interpretation the stage hands on, is derived on demand from the final
+values, so the records take linear space in total.
 """
 
 from __future__ import annotations
@@ -58,10 +88,20 @@ class UnknownAtom(Exception):
 
 @dataclass(frozen=True)
 class StageRecord:
+    """What stage ``alpha`` decided, over the model's final values."""
+
     alpha: int
     newly_true: frozenset[int]
     newly_false: frozenset[int]
-    snapshot: tuple[TruthValue, ...]
+    final: tuple[TruthValue, ...] = field(repr=False, compare=False)
+
+    @property
+    def snapshot(self) -> tuple[TruthValue, ...]:
+        """The interpretation the stage hands on: every atom of order at
+        most alpha at its final value, every other atom at F_(alpha+1)."""
+        f_alpha, t_alpha = truth.false_at(self.alpha), truth.true_at(self.alpha)
+        parked = truth.false_at(self.alpha + 1)
+        return tuple(v if v <= f_alpha or v >= t_alpha else parked for v in self.final)
 
 
 @dataclass(frozen=True)
@@ -96,82 +136,109 @@ def tp_step(g: GroundProgram, interp: Interpretation) -> Interpretation:
     return [truth.lub(body_value(g, c, interp) for c in clauses) for clauses in g.by_head]
 
 
-def stage_fixpoint(
-    g: GroundProgram, frozen: Interpretation, alpha: int
-) -> tuple[frozenset[int], frozenset[int]]:
-    """The atoms that settle true and false at order alpha.
-
-    ``frozen`` holds final values (order < alpha) for decided atoms and
-    F_alpha for the undecided ones.
-    """
-    # v < F_alpha: v settled false below alpha; v > T_alpha: settled true
-    f_alpha, t_alpha = truth.false_at(alpha), truth.true_at(alpha)
-    undecided = {a for a in range(len(g.atoms)) if frozen[a] == f_alpha}
-    by_head = g.by_head
-
-    # least fixpoint: newly true atoms
-    true_set: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for a in undecided - true_set:
-            for c in by_head[a]:
-                for negated, b in c.literals:
-                    v = frozen[b]
-                    if not ((v < f_alpha) if negated else (v > t_alpha or b in true_set)):
-                        break
-                else:
-                    true_set.add(a)
-                    changed = True
-                    break
-
-    # greatest fixpoint: newly false atoms
-    false_set = undecided - true_set
-    changed = True
-    while changed:
-        changed = False
-        for a in list(false_set):
-            for c in by_head[a]:
-                for negated, b in c.literals:
-                    v = frozen[b]
-                    if (v > t_alpha) if negated else (v < f_alpha or b in false_set):
-                        break
-                else:
-                    false_set.discard(a)  # a clause with no blocking literal
-                    changed = True
-                    break
-
-    return frozenset(true_set), frozenset(false_set)
-
-
 def minimum_model(g: GroundProgram) -> InfModel:
     """Run stages until one decides nothing; undecided atoms become 0."""
     n = len(g.atoms)
-    current: Interpretation = [F0] * n
-    records: list[StageRecord] = []
+    clauses = g.clauses
+    heads = [c.head for c in clauses]
+    pending = [len(c.literals) for c in clauses]  # literals not yet satisfied
+    blocking = [0] * len(clauses)  # literals that fail for good
+    clauses_of: list[list[int]] = [[] for _ in range(n)]  # clause ids by head
+    pos_in: list[list[int]] = [[] for _ in range(n)]  # clause ids, once per occurrence
+    neg_in: list[list[int]] = [[] for _ in range(n)]
+    for k, c in enumerate(clauses):
+        clauses_of[c.head].append(k)
+        for negated, a in c.literals:
+            (neg_in if negated else pos_in)[a].append(k)
+    value: list[int] = [0] * n  # 0 while undecided, else the final value
+    source = [-1] * n  # the clause that supports an undecided atom
+    ready = [heads[k] for k, p in enumerate(pending) if not p]
+    lost: list[int] = list(range(n))  # at stage 0 no atom has a source yet
+    decided: list[tuple[frozenset[int], frozenset[int]]] = []
     alpha = 0
-    while True:
-        newly_true, newly_false = stage_fixpoint(g, current, alpha)
-        if not newly_true and not newly_false:
-            break
-        nxt = list(current)
+    while ready or lost:
         t_val, f_val = truth.true_at(alpha), truth.false_at(alpha)
-        parked = truth.false_at(alpha + 1)
-        for a in range(n):
-            if a in newly_true:
-                nxt[a] = t_val
-            elif a in newly_false:
-                nxt[a] = f_val
-            elif current[a] == f_val:
-                nxt[a] = parked
-        records.append(StageRecord(alpha, newly_true, newly_false, tuple(nxt)))
-        current = nxt
+
+        # new truths: heads of clauses with nothing pending; a positive
+        # literal is satisfied as soon as its atom turns true
+        newly_true: list[int] = []
+        for a in ready:
+            if not value[a]:
+                value[a] = t_val
+                newly_true.append(a)
+        for a in newly_true:  # grows while it is walked
+            for k in pos_in[a]:
+                pending[k] -= 1
+                if not pending[k] and not value[heads[k]]:
+                    value[heads[k]] = t_val
+                    newly_true.append(heads[k])
+
+        # new falsities: the atoms that lost their source, and every atom
+        # whose source rests on one of them positively ...
+        unfounded: set[int] = set()
+        stack = [a for a in lost if not value[a]]
+        while stack:
+            a = stack.pop()
+            if a not in unfounded:
+                unfounded.add(a)
+                for k in pos_in[a]:
+                    h = heads[k]
+                    if source[h] == k and not value[h]:
+                        stack.append(h)
+        # ... less those that a clause with no blocking literal supports
+        # again once its positive literals over them are supported
+        waiting: dict[int, int] = {}
+        supported: list[int] = []
+        for a in unfounded:
+            for k in clauses_of[a]:
+                if not blocking[k]:
+                    count = 0
+                    for negated, b in clauses[k].literals:
+                        if not negated and b in unfounded:
+                            count += 1
+                    if count:
+                        waiting[k] = count
+                    else:
+                        supported.append(k)
+        while supported:
+            k = supported.pop()
+            a = heads[k]
+            if a in unfounded:
+                unfounded.discard(a)
+                source[a] = k
+                for j in pos_in[a]:
+                    if j in waiting:
+                        waiting[j] -= 1
+                        if not waiting[j]:
+                            supported.append(j)
+
+        if not newly_true and not unfounded:
+            break
+        for a in unfounded:
+            value[a] = f_val
+            for k in pos_in[a]:
+                blocking[k] += 1
+        decided.append((frozenset(newly_true), frozenset(unfounded)))
         alpha += 1
-    depth = alpha
-    final = tuple(
-        v if truth.order(v) < depth else ZERO for v in current
-    )
-    return InfModel(g, final, depth, StageTrace(tuple(records)))
+
+        # events of the next stage: a negative literal is satisfied, or
+        # blocks, one stage after its atom settled
+        ready = []
+        for a in unfounded:
+            for k in neg_in[a]:
+                pending[k] -= 1
+                if not pending[k]:
+                    ready.append(heads[k])
+        lost = []
+        for a in newly_true:
+            for k in neg_in[a]:
+                blocking[k] += 1
+                if source[heads[k]] == k:
+                    lost.append(heads[k])
+
+    final = tuple(v or ZERO for v in value)
+    records = tuple(StageRecord(i, t, f, final) for i, (t, f) in enumerate(decided))
+    return InfModel(g, final, alpha, StageTrace(records))
 
 
 def is_model(

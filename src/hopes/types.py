@@ -15,7 +15,7 @@ that may be passed to a predicate is an argument type.  A type such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -24,6 +24,19 @@ class TypeExpr:
     kind: str  # "iota" | "o" | "arrow"
     left: Optional["TypeExpr"] = None
     right: Optional["TypeExpr"] = None
+    # computed once from the kind and the children's cached hashes, so
+    # that a dict lookup keyed by a type does not walk the tree
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt when unpickled, since string hashes differ between processes
+        return (TypeExpr, (self.kind, self.left, self.right))
 
     def __str__(self) -> str:
         return type_to_str(self)
@@ -34,8 +47,8 @@ class TypeExpr:
 IOTA = TypeExpr("iota")
 O = TypeExpr("o")
 
-# Printing, equality, hashing and the extensionality relations walk
-# types recursively, so a declared or inferred type whose tree is deeper
+# Printing, equality and the extensionality relations walk types
+# recursively, so a declared or inferred type whose tree is deeper
 # than this is refused up front.
 MAX_TYPE_NESTING = 100
 

@@ -1,0 +1,103 @@
+"""The stage loop that ``hopes.engine.minimum_model`` used to run, kept
+as the reference that the event-driven engine is checked against.
+
+Each stage rescans every undecided atom to a least fixpoint of new
+truths and a greatest fixpoint of new falsities, and each stage record
+stores a full copy of the interpretation it hands on, so time and
+memory both grow quadratically on a negation chain.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from hopes import truth
+from hopes.engine import InfModel, Interpretation, StageTrace
+from hopes.herbrand import GroundProgram
+from hopes.truth import F0, TruthValue, ZERO
+
+
+@dataclass(frozen=True)
+class StageRecord:
+    alpha: int
+    newly_true: frozenset[int]
+    newly_false: frozenset[int]
+    snapshot: tuple[TruthValue, ...]
+
+
+def stage_fixpoint(
+    g: GroundProgram, frozen: Interpretation, alpha: int
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The atoms that settle true and false at order alpha.
+
+    ``frozen`` holds final values (order < alpha) for decided atoms and
+    F_alpha for the undecided ones.
+    """
+    # v < F_alpha: v settled false below alpha; v > T_alpha: settled true
+    f_alpha, t_alpha = truth.false_at(alpha), truth.true_at(alpha)
+    undecided = {a for a in range(len(g.atoms)) if frozen[a] == f_alpha}
+    by_head = g.by_head
+
+    # least fixpoint: newly true atoms
+    true_set: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for a in undecided - true_set:
+            for c in by_head[a]:
+                for negated, b in c.literals:
+                    v = frozen[b]
+                    if not ((v < f_alpha) if negated else (v > t_alpha or b in true_set)):
+                        break
+                else:
+                    true_set.add(a)
+                    changed = True
+                    break
+
+    # greatest fixpoint: newly false atoms
+    false_set = undecided - true_set
+    changed = True
+    while changed:
+        changed = False
+        for a in list(false_set):
+            for c in by_head[a]:
+                for negated, b in c.literals:
+                    v = frozen[b]
+                    if (v > t_alpha) if negated else (v < f_alpha or b in false_set):
+                        break
+                else:
+                    false_set.discard(a)  # a clause with no blocking literal
+                    changed = True
+                    break
+
+    return frozenset(true_set), frozenset(false_set)
+
+
+def minimum_model(g: GroundProgram) -> InfModel:
+    """Run stages until one decides nothing; undecided atoms become 0."""
+    n = len(g.atoms)
+    current: Interpretation = [F0] * n
+    records: list[StageRecord] = []
+    alpha = 0
+    while True:
+        newly_true, newly_false = stage_fixpoint(g, current, alpha)
+        if not newly_true and not newly_false:
+            break
+        nxt = list(current)
+        t_val, f_val = truth.true_at(alpha), truth.false_at(alpha)
+        parked = truth.false_at(alpha + 1)
+        for a in range(n):
+            if a in newly_true:
+                nxt[a] = t_val
+            elif a in newly_false:
+                nxt[a] = f_val
+            elif current[a] == f_val:
+                nxt[a] = parked
+        records.append(StageRecord(alpha, newly_true, newly_false, tuple(nxt)))
+        current = nxt
+        alpha += 1
+    depth = alpha
+    final = tuple(
+        v if truth.order(v) < depth else ZERO for v in current
+    )
+    return InfModel(g, final, depth, StageTrace(tuple(records)))

@@ -13,7 +13,6 @@ from hopes.engine import (
     compare_alpha,
     is_model,
     minimum_model,
-    stage_fixpoint,
     tp_step,
 )
 from hopes.herbrand import GroundProgram
@@ -21,6 +20,7 @@ from hopes.parser import parse_term
 from hopes.truth import F0, T0, ZERO, false_at, parse_value, true_at
 
 from conftest import CORPUS, load, load_ground
+from reference_engine import stage_fixpoint
 
 
 def model_of(name, k=3):

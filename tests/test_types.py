@@ -1,6 +1,11 @@
+import pickle
+
+from hopes.parser import parse_program
+from hopes.typecheck import typecheck
 from hopes.types import (
     IOTA,
     O,
+    TypeExpr,
     argument_types,
     arity,
     arrow,
@@ -47,3 +52,15 @@ def test_argument_types_and_arity():
     assert arity(t) == 2
     assert argument_types(O) == []
     assert arity(IOTA) == 0
+
+
+def test_equal_types_built_apart_hash_and_look_up_equal():
+    built = arrow(arrow(TypeExpr("iota"), TypeExpr("o")), arrow(IOTA, O))
+    declared = typecheck(parse_program("#pred p : (i -> o) -> i -> o.\n")).predicate_decls["p"]
+    assert built is not declared and built == declared
+    assert hash(built) == hash(declared) == hash(arrow_chain([I_TO_O, IOTA], O))
+    assert {built: 1}[declared] == 1
+    unpickled = pickle.loads(pickle.dumps(built))
+    assert unpickled == built and hash(unpickled) == hash(built)
+    assert hash(arrow(IOTA, O)) != hash(arrow(O, IOTA))
+    assert repr(built) == "(i -> o) -> i -> o"
