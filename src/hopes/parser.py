@@ -17,6 +17,18 @@ identifiers name variables.  ``p(a, b)``, ``p(a)(b)`` and ``p a b`` all
 denote the same curried application.  Negation takes a single aterm, so
 a multi-word negated atom needs parentheses: ``~(subset S1 S2)``.
 Comments run from ``%`` to end of line.
+
+The scan runs in C: ``findall`` of one pattern gives the token texts
+and ``finditer`` their offsets.  A kind table gives each token its
+kind: identifiers and one-character marks by their first character,
+``:-``, ``->``, ``:``, ``#pred`` and ``#func`` by their whole text.
+Only what the table does not know takes a careful per-token path:
+comments, any other ``#`` word, identifiers that start with a non-ASCII
+character, and stray characters.  The parser walks the parallel kind
+and text lists by index and builds no token objects.  Line and column
+are computed from offsets only where they are read: at clause starts,
+advancing from the previous clause start, and in errors.  ``tokenize``
+gives the same scan as ``Token``s for tests.
 """
 
 from __future__ import annotations
@@ -51,77 +63,157 @@ class Token(NamedTuple):
     col: int
 
 
-# Tried in order at each position, so ':-' wins over ':'.  WORD is
-# \w+, that is isalnum() or '_' per character, and HASH is '#' then \w*:
-# the tokenizer narrows both where the grammar asks for isalpha().
-_TOKEN = re.compile(
-    r"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<COMMENT>%[^\n]*)|(?P<HASH>#\w*)"
-    r"|(?P<COLONDASH>:-)|(?P<ARROW>->)|(?P<LP>\()|(?P<RP>\))|(?P<COMMA>,)"
-    r"|(?P<DOT>\.)|(?P<COLON>:)|(?P<TILDE>~)|(?P<EQUALS>=)|(?P<WORD>\w+)"
-)
+# Matches every token, comment and stray character; whitespace (space,
+# tab, CR, LF) is all it skips.  ':-' and '->' are tried before the
+# one-character catch-all, and a word is \w+: isalnum() or '_' per
+# character.
+_TOKEN = re.compile(r"\w+|:-|->|#\w*|%[^\n]*|[^ \t\r\n]")
+_START = re.Match.start
+
+# The kind table: a token's first character decides its kind when it is
+# an ASCII letter, '_' or a one-character punctuation mark; the other
+# marks and the two directives are looked up whole.  Whatever neither
+# table knows (a comment, another '#' word, an identifier starting with
+# a non-ASCII character, a stray character) goes to `_careful`.
+_FIRST = {
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz_", "IDENT"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "VARIDENT"),
+    "(": "LP",
+    ")": "RP",
+    ",": "COMMA",
+    ".": "DOT",
+    "~": "TILDE",
+    "=": "EQUALS",
+}
 _DIRECTIVES = {"#pred": "HASHPRED", "#func": "HASHFUNC"}
+_WHOLE = {":-": "COLONDASH", "->": "ARROW", ":": "COLON", **_DIRECTIVES}
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind, value = m.lastgroup, m.group()
-        if kind == "NL":
-            line, col, pos = line + 1, 1, pos + 1
+class _Lines:
+    """Line and column of offsets asked for in increasing order.
+
+    Each step counts only the newlines between the previous offset and
+    this one, so a sweep over a whole text stays linear.  Columns count
+    characters from 1; a tab is one column.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.off = 0
+        self.line = 1
+        self.line_start = 0
+
+    def at(self, off: int) -> tuple[int, int]:
+        text = self.text
+        newlines = text.count("\n", self.off, off)
+        if newlines:
+            self.line += newlines
+            self.line_start = text.rfind("\n", self.off, off) + 1
+        self.off = off
+        return self.line, off - self.line_start + 1
+
+
+def _error(text: str, off: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    return ParseError(message, *_Lines(text).at(off), expected)
+
+
+def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Parallel lists of token kinds, texts and offsets, ending in EOF."""
+    values = _TOKEN.findall(text)
+    offsets = list(map(_START, _TOKEN.finditer(text)))
+    first, whole = _FIRST.get, _WHOLE.get
+    kinds = [first(v[0]) or whole(v) for v in values]
+    eof = len(text)
+    if None in kinds:
+        kinds, values, offsets, eof = _careful(text, kinds, values, offsets)
+    kinds.append("EOF")
+    values.append("")
+    offsets.append(eof)
+    return kinds, values, offsets
+
+
+def _careful(
+    text: str, kinds: list[str | None], values: list[str], offsets: list[int]
+) -> tuple[list[str], list[str], list[int], int]:
+    """Resolve, in text order, the tokens the kind table does not know.
+
+    A comment is dropped; when it runs to the end of the text, EOF stays
+    at its '%'.  A '#' word is a directive whose name is the isalpha()
+    letters after the '#', so '#pred_x' is '#pred' and then '_x'.  An
+    identifier starts with an isalpha() letter or '_'.  Anything else is
+    a stray character.  The first of these errors raises.
+    """
+    ks: list[str] = []
+    vs: list[str] = []
+    offs: list[int] = []
+    eof = len(text)
+    done = 0
+    for i in [i for i, kind in enumerate(kinds) if kind is None]:
+        ks += kinds[done:i]
+        vs += values[done:i]
+        offs += offsets[done:i]
+        done = i + 1
+        value, off = values[i], offsets[i]
+        if value[0] == "%":
+            if off + len(value) == eof:
+                eof = off
             continue
-        if kind == "COMMENT":
-            # the column stays at the '%', which only an EOF token can show
-            pos = m.end()
-            continue
-        if kind == "HASH":
-            # a directive name is the isalpha() letters after the '#'
+        if value[0] == "#":
             end = 1
             while end < len(value) and value[end].isalpha():
                 end += 1
-            value = value[:end]
-            if value not in _DIRECTIVES:
-                raise ParseError(f"unknown directive {value!r}", line, col)
-            tokens.append(Token(_DIRECTIVES[value], value, line, col))
-        elif kind == "WORD":
-            # an identifier starts with an isalpha() letter or '_'
-            if not (value[0].isalpha() or value[0] == "_"):
-                raise ParseError(f"unexpected character {value[0]!r}", line, col)
-            tokens.append(Token("VARIDENT" if value[0].isupper() else "IDENT", value, line, col))
-        elif kind != "WS":
-            tokens.append(Token(kind, value, line, col))
-        pos += len(value)
-        col += len(value)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+            name = value[:end]
+            if name not in _DIRECTIVES:
+                raise _error(text, off, f"unknown directive {name!r}")
+            ks.append(_DIRECTIVES[name])
+            vs.append(name)
+            offs.append(off)
+            value, off = value[end:], off + end
+            if not value:
+                continue
+        ch = value[0]
+        if not (ch.isalpha() or ch == "_"):
+            raise _error(text, off, f"unexpected character {ch!r}")
+        ks.append("VARIDENT" if ch.isupper() else "IDENT")
+        vs.append(value)
+        offs.append(off)
+    ks += kinds[done:]
+    vs += values[done:]
+    offs += offsets[done:]
+    return ks, vs, offs, eof
+
+
+def tokenize(text: str) -> list[Token]:
+    """The scan as ``Token``s with line and column, in one linear sweep."""
+    kinds, values, offsets = _scan(text)
+    at = _Lines(text).at
+    return [Token(kind, value, *at(off)) for kind, value, off in zip(kinds, values, offsets)]
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Reads the scan by index; positions are computed only for clause
+    starts and errors."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds, self.values, self.offsets = _scan(text)
         self.pos = 0
+        self.lines = _Lines(text)  # clause starts come in increasing order
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def found(self, pos: int, expected: tuple[str, ...]) -> ParseError:
+        """The error for an unexpected token at index `pos`."""
+        if self.kinds[pos] == "EOF":
+            message = "unexpected end of input"
+        else:
+            message = f"found {self.values[pos]!r}"
+        return _error(self.text, self.offsets[pos], message, expected)
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"found {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input",
-                tok.line,
-                tok.col,
-                expected=(what,),
-            )
-        return self.advance()
+    def expect(self, kind: str, what: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.found(pos, (what,))
+        self.pos = pos + 1
+        return self.values[pos]
 
     # types -----------------------------------------------------------
 
@@ -132,53 +224,46 @@ class _Parser:
         chain read so far, so redundant parentheses cost no stack, and a
         type tree deeper than MAX_TYPE_NESTING is refused.
         """
-        start = self.peek()
+        kinds, values = self.kinds, self.values
+        start = pos = self.pos
         stack: list[list[TypeExpr]] = []
         parts: list[TypeExpr] = []  # the arrow chain being read
         while True:
-            tok = self.advance()
-            if tok.kind == "LP":
+            kind = kinds[pos]
+            if kind == "LP":
+                pos += 1
                 stack.append(parts)
                 parts = []
                 continue
-            if tok.kind == "IDENT" and tok.value in ("i", "o"):
-                t = IOTA if tok.value == "i" else O
+            if kind == "IDENT" and values[pos] in ("i", "o"):
+                t = IOTA if values[pos] == "i" else O
+                pos += 1
             else:
-                raise ParseError(
-                    f"found {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input",
-                    tok.line,
-                    tok.col,
-                    expected=("'i'", "'o'", "'('"),
-                )
+                raise self.found(pos, ("'i'", "'o'", "'('"))
             # t is a complete atype: close every chain that ends here
             while True:
                 parts.append(t)
-                if self.peek().kind == "ARROW":
-                    self.advance()
+                if kinds[pos] == "ARROW":
+                    pos += 1
                     break
                 t = arrow_chain(parts[:-1], parts[-1])
                 if not stack:
-                    deepest = type_depth(t)
+                    self.pos = pos
+                    # every level of a type tree takes at least one 'i' or 'o'
+                    deepest = 0 if pos - start <= MAX_TYPE_NESTING else type_depth(t)
                     if deepest > MAX_TYPE_NESTING:
-                        raise ParseError(
+                        raise _error(
+                            self.text,
+                            self.offsets[start],
                             f"type nests {deepest} levels deep, over the limit of {MAX_TYPE_NESTING}",
-                            start.line,
-                            start.col,
                         )
                     return t
-                self.expect("RP", "')'")
+                if kinds[pos] != "RP":
+                    raise self.found(pos, ("')'",))
+                pos += 1
                 parts = stack.pop()
 
     # terms ------------------------------------------------------------
-
-    def at_term_start(self) -> bool:
-        return self.peek().kind in ("IDENT", "VARIDENT", "LP")
-
-    def parse_term(self) -> Expression:
-        return self._term(single=False)
-
-    def parse_aterm(self) -> Expression:
-        return self._term(single=True)
 
     def _term(self, single: bool) -> Expression:
         """term := aterm aterm*, or one aterm when `single`.
@@ -188,102 +273,104 @@ class _Parser:
         applies (a call suffix) or None (a parenthesized primary), so
         arbitrarily deep terms parse in constant stack.
         """
+        kinds, values = self.kinds, self.values
+        pos = self.pos
         stack: list[tuple[Expression | None, Expression | None]] = []
         term: Expression | None = None  # the juxtaposition being built
         while True:
-            tok = self.peek()
-            if tok.kind == "LP":
-                self.advance()
+            kind = kinds[pos]
+            if kind == "LP":
+                pos += 1
                 stack.append((term, None))
                 term = None
                 continue
-            if tok.kind == "IDENT":
-                self.advance()
-                e: Expression = Name(tok.value)
-            elif tok.kind == "VARIDENT":
-                self.advance()
-                e = Var(tok.value)
+            if kind == "IDENT":
+                e: Expression = Name(values[pos])
+            elif kind == "VARIDENT":
+                e = Var(values[pos])
             else:
-                raise ParseError(
-                    f"found {tok.value!r}" if tok.kind != "EOF" else "unexpected end of input",
-                    tok.line,
-                    tok.col,
-                    expected=("identifier", "variable", "'('"),
-                )
+                raise self.found(pos, ("identifier", "variable", "'('"))
+            pos += 1
             # e is a complete primary: take its call suffixes, then close
             # every term that ends here
             while True:
-                if self.peek().kind == "LP":  # p(a, b) sugars to p(a)(b)
-                    self.advance()
+                kind = kinds[pos]
+                if kind == "LP":  # p(a, b) sugars to p(a)(b)
+                    pos += 1
                     stack.append((term, e))
                     term = None
                     break
                 term = e if term is None else App(term, e)
-                if self.at_term_start() and not (single and not stack):
+                if (kind == "IDENT" or kind == "VARIDENT") and not (single and not stack):
                     break
                 if not stack:
+                    self.pos = pos
                     return term
                 outer, fun = stack.pop()
                 if fun is None:
-                    self.expect("RP", "')'")
+                    if kind != "RP":
+                        raise self.found(pos, ("')'",))
+                    pos += 1
                     e, term = term, outer
                     continue
                 fun = App(fun, term)
-                if self.peek().kind == "COMMA":
-                    self.advance()
+                if kind == "COMMA":
+                    pos += 1
                     stack.append((outer, fun))
                     term = None
                     break
-                self.expect("RP", "',' or ')'")
+                if kind != "RP":
+                    raise self.found(pos, ("',' or ')'",))
+                pos += 1
                 e, term = fun, outer
 
     # clauses ------------------------------------------------------------
 
     def parse_literal(self) -> Expression:
-        if self.peek().kind == "TILDE":
-            self.advance()
-            return Neg(self.parse_aterm())
-        lhs = self.parse_term()
-        if self.peek().kind == "EQUALS":
-            self.advance()
-            return Eq(lhs, self.parse_term())
+        kinds = self.kinds
+        if kinds[self.pos] == "TILDE":
+            self.pos += 1
+            return Neg(self._term(single=True))
+        lhs = self._term(single=False)
+        if kinds[self.pos] == "EQUALS":
+            self.pos += 1
+            return Eq(lhs, self._term(single=False))
         return lhs
 
     def parse_clause(self) -> RawClause:
-        start, first = self.peek(), self.pos
-        head = self.parse_term()
+        kinds = self.kinds
+        first = self.pos
+        line, col = self.lines.at(self.offsets[first])
+        head = self._term(single=False)
         body: list[Expression] = []
-        if self.peek().kind == "COLONDASH":
-            self.advance()
+        if kinds[self.pos] == "COLONDASH":
+            self.pos += 1
             body.append(self.parse_literal())
-            while self.peek().kind == "COMMA":
-                self.advance()
+            while kinds[self.pos] == "COMMA":
+                self.pos += 1
                 body.append(self.parse_literal())
         self.expect("DOT", "'.'")
         # every level of a tree takes at least one token
         deepest = 0 if self.pos - first <= MAX_NESTING else max(_nesting(e) for e in (head, *body))
         if deepest > MAX_NESTING:
-            raise ParseError(
-                f"clause nests {deepest} levels deep, over the limit of {MAX_NESTING}",
-                start.line,
-                start.col,
-            )
-        return RawClause(head, tuple(body), start.line, start.col)
+            raise ParseError(f"clause nests {deepest} levels deep, over the limit of {MAX_NESTING}", line, col)
+        return RawClause(head, tuple(body), line, col)
 
     def parse_program(self) -> Program:
         prog = Program()
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind in ("HASHPRED", "HASHFUNC"):
-                self.advance()
+        kinds = self.kinds
+        while (kind := kinds[self.pos]) != "EOF":
+            if kind == "HASHPRED" or kind == "HASHFUNC":
+                self.pos += 1
+                at = self.offsets[self.pos]
                 name = self.expect("IDENT", "symbol name")
                 self.expect("COLON", "':'")
                 t = self.parse_type()
                 self.expect("DOT", "'.'")
-                decls = prog.predicate_decls if tok.kind == "HASHPRED" else prog.function_decls
-                if name.value in prog.predicate_decls or name.value in prog.function_decls:
-                    raise ParseError(f"duplicate declaration of {name.value!r}", name.line, name.col)
-                decls[name.value] = t
+                decls = prog.predicate_decls if kind == "HASHPRED" else prog.function_decls
+                if name in prog.predicate_decls or name in prog.function_decls:
+                    raise _error(self.text, at, f"duplicate declaration of {name!r}")
+                decls[name] = t
             else:
                 prog.clauses.append(self.parse_clause())
         return prog
@@ -307,12 +394,12 @@ def _nesting(e: Expression) -> int:
 
 def parse_program(text: str) -> Program:
     """Parse a whole program; raises ParseError with line and column."""
-    return _Parser(tokenize(text)).parse_program()
+    return _Parser(text).parse_program()
 
 
 def parse_term(text: str) -> Expression:
     """Parse a single term (used for queries and tests)."""
-    p = _Parser(tokenize(text))
-    e = p.parse_term()
+    p = _Parser(text)
+    e = p._term(single=False)
     p.expect("EOF", "end of input")
     return e

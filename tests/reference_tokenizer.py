@@ -1,8 +1,8 @@
 """The character-loop tokenizer that ``parser.tokenize`` replaced.
 
-Kept as the oracle of ``test_tokenizer_oracle.py``: the compiled-pattern
-tokenizer must give the same tokens, and the same ``ParseError`` texts
-and positions, on every input.
+Kept as the oracle of ``test_tokenizer_oracle.py``: ``parser.tokenize``
+must give the same tokens, and the same ``ParseError`` texts and
+positions, on every input.  ``reference_parser.py`` parses its tokens.
 """
 
 from hopes.parser import ParseError, Token

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from hopes.ast import App, Eq, Name, Neg, Var, expr_to_str, program_to_str
-from hopes.parser import ParseError, parse_program, parse_term
+from hopes.parser import ParseError, parse_program, parse_term, tokenize
 from hopes.types import IOTA, O, arrow
 
 from conftest import CORPUS, program_path
@@ -101,3 +103,84 @@ def test_term_round_trip():
     # canonical form uses one pair of parens per argument
     assert expr_to_str(parse_term("p(a, b)")) == "p(a)(b)"
     assert expr_to_str(parse_term("nonsubset S1 S2")) == "nonsubset(S1)(S2)"
+
+
+# lexical rules, as docs/LANGUAGE.md states them ---------------------------
+
+
+def error_at(text: str) -> tuple[str, int, int]:
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    return err.value.message, err.value.line, err.value.col
+
+
+def test_whitespace_is_space_tab_cr_lf():
+    assert len(parse_program("#pred p : o.\r\n\tp .\r\n").clauses) == 1
+    for ch in "\f\v\xa0\u2003":
+        assert error_at(f"#pred p : o. p{ch}.") == (f"unexpected character {ch!r}", 1, 15)
+
+
+def test_identifier_starts_with_a_letter_or_underscore():
+    assert parse_term("é2") == Name("é2")
+    assert parse_term("Ék") == Var("Ék")
+    assert parse_term("a²") == Name("a²")  # later characters may be any isalnum()
+    assert error_at("9a.") == ("unexpected character '9'", 1, 1)
+    assert error_at("p :- Ⅻ.") == ("unexpected character 'Ⅻ'", 1, 6)
+
+
+def test_underscore_identifier_is_lowercase():
+    assert parse_term("_x") == Name("_x")
+    assert parse_term("_X") == Name("_X")
+
+
+def test_directive_name_is_the_run_of_letters():
+    prog = parse_program("#pred_x : o. _x.")
+    assert prog.predicate_decls == {"_x": O}
+    assert [tuple(t) for t in tokenize("#pred_x")] == [
+        ("HASHPRED", "#pred", 1, 1),
+        ("IDENT", "_x", 1, 6),
+        ("EOF", "", 1, 8),
+    ]
+    assert error_at("#pred2 : o.") == ("unexpected character '2'", 1, 6)
+    assert error_at("#predx : o.") == ("unknown directive '#predx'", 1, 1)
+    assert error_at("p. #_x") == ("unknown directive '#'", 1, 4)
+
+
+def test_columns_count_characters_from_one_and_a_tab_is_one():
+    assert error_at("#pred p : o.\n\tp :- $.") == ("unexpected character '$'", 2, 7)
+    assert error_at("#pred p : o.\np :- é é ~.") == ("found '~'", 2, 10)
+    prog = parse_program("#pred p : o.\n\t p.\n  ék.")
+    assert [(c.line, c.col) for c in prog.clauses] == [(2, 3), (3, 3)]
+
+
+def test_end_of_input_after_a_trailing_comment_stays_at_the_percent():
+    assert error_at("#pred p : o.\np :- % no body") == ("unexpected end of input", 2, 6)
+    assert error_at("#pred p : o.\np :- % no body\n") == ("unexpected end of input", 3, 1)
+
+
+# front-end scaling: positions are found without rescanning the text ------
+
+
+FACTS = "#pred p : i -> o.\n" + "".join(f"p(c{i}).\n" for i in range(20000))
+
+
+def test_parse_20000_facts_fast():
+    start = time.perf_counter()
+    prog = parse_program(FACTS)
+    elapsed = time.perf_counter() - start
+    assert len(prog.clauses) == 20000
+    assert (prog.clauses[-1].line, prog.clauses[-1].col) == (20001, 1)
+    assert elapsed < 0.5, elapsed
+
+
+def test_tokenize_20000_facts_fast():
+    start = time.perf_counter()
+    tokens = tokenize(FACTS)
+    elapsed = time.perf_counter() - start
+    assert tokens[-1] == ("EOF", "", 20002, 1)
+    assert elapsed < 1.0, elapsed
+
+
+def test_error_on_the_last_line_of_20000_facts():
+    assert error_at(FACTS + "p(c20000) :- .") == ("found '.'", 20002, 14)
+    assert error_at(FACTS + "  p(c20000) $") == ("unexpected character '$'", 20002, 13)

@@ -1,11 +1,13 @@
-"""The compiled-pattern tokenizer against the character loop it replaced.
+"""The scanner's ``Token`` view against the character loop it replaced.
 
-Both must give the same tokens, or raise ``ParseError`` with the same
-text at the same line and column, on the corpus, random typed programs,
-the CLI fuzz test's token soups, seeded random strings over the
-characters where the two identifier classes (``isalpha()`` against the
-regular expression's ``\\w``) part, and a sample of code points in the
-contexts where a character can start or continue a token.
+``parser.tokenize`` gives the tokens of the scan that ``parse_program``
+reads.  It and the loop must give the same tokens, or raise
+``ParseError`` with the same text at the same line and column, on the
+corpus, random typed programs, the CLI fuzz test's token soups, seeded
+random strings over the characters where the two identifier classes
+(``isalpha()`` against the regular expression's ``\\w``) part, and a
+sample of code points in the contexts where a character can start or
+continue a token.
 """
 
 import random
