@@ -3,14 +3,19 @@
 Extensional equality at an argument type relates ground expressions
 that behave alike: individuals when identical, type-o terms when their
 values under a given valuation agree, and predicates when they send
-related arguments to related results (applications falling outside the
-known atom table or the enumerated slice are skipped, since both sides
-must be defined for the comparison to say anything).  A valuation is
+related arguments to related results.  Only defined applications are
+compared, since both sides must be defined for the comparison to say
+anything: an application is defined when its result lies in the slice
+of its result type or, at type o, in the atom table.  A valuation is
 *extensional* when these relations are reflexive at every argument
 type appearing in the program's declarations; a predicate failing
 reflexivity treats two indistinguishable arguments differently, which
-is the hallmark of intensional (non-extensional) behavior.  Pairs that
-end up related only because no comparable application was defined are
+is the hallmark of intensional (non-extensional) behavior.
+Reflexivity already gives interchangeability: related predicates send
+related, defined arguments to related results, and so on down the
+arrow chain to equal atom values, so applying related predicates to
+related argument tuples needs no check of its own.  Pairs that end up
+related only because no comparable application was defined are
 reported with a vacuity flag rather than silently trusted.  Everything
 that does not depend on the valuation (slices, applications) is
 compiled once per ground program, so checking many valuations, such as
@@ -298,11 +303,11 @@ class ExtReport:
 class _Type:
     """A type of the closure in a compiled plan: its slice as term ids,
     with each id's position, the terms' text and the positions in text
-    order; the applications of terms to the slice are filled in on
-    first use."""
+    order; at an arrow type, the applications of the slice to the
+    argument slice are filled in on first use."""
 
     __slots__ = ("name", "kind", "left", "right", "ids", "positions", "names", "by_text",
-                 "table", "rows", "atom_rows")
+                 "table")
 
     def __init__(self, typ: TypeExpr, ids: tuple[int, ...], text: list[str]):
         self.name = str(typ)
@@ -314,8 +319,6 @@ class _Type:
         self.names = tuple([text[t] for t in ids])
         self.by_text = sorted(range(len(ids)), key=self.names.__getitem__)
         self.table: list[list[int]] | None = None
-        self.rows: dict[int, list[int]] = {}
-        self.atom_rows: dict[int, list[int]] = {}
 
 
 class ExtPlan:
@@ -326,9 +329,10 @@ class ExtPlan:
     closure, as term ids from the grounder's store, and the
     applications of a slice to the slice of its argument type, built on
     first use.  An application counts as defined when its result lies
-    in its result slice or, at type o, in the atom table.  ``check`` and
-    ``relation`` then only compare values; text is rendered only for
-    what they report.
+    in its result slice or, at type o, in the atom table; the relation
+    and the explanation of a violation read the same tables, so they
+    share this one rule.  ``check`` and ``relation`` then only compare
+    values; text is rendered only for what they report.
     """
 
     def __init__(self, g: GroundProgram, k: int):
@@ -348,32 +352,15 @@ class ExtPlan:
         self.checked = [t for t in argument_types if t.ids]
         self.skipped_types = tuple(t.name for t in argument_types if not t.ids)
 
-    def row(self, term: int, arg: _Type, atoms: bool = False) -> list[int]:
-        """The applications of a term to the slice of `arg`: their term
-        ids, or their atom ids when `atoms` is set; -1 where the store
-        holds no such term (or atom)."""
-        rows = arg.atom_rows if atoms else arg.rows
-        row = rows.get(term)
-        if row is None:
-            ids = self.ids
-            row = [ids.get((term, e), -1) for e in arg.ids]
-            if atoms:
-                atom_of = self.atom_of
-                row = [atom_of.get(x, -1) for x in row]
-            rows[term] = row
-        return row
-
     def table(self, t: _Type) -> list[list[int]]:
         """For an arrow type, one row per slice position d and one entry
         per position e of the argument slice: the result of applying d
         to e, as an atom id when the result type is o and as a position
         in the result slice otherwise, or -1 when it is undefined."""
         if t.table is None:
-            if t.right.kind == "o":
-                t.table = [self.row(d, t.left, atoms=True) for d in t.ids]
-            else:
-                where = t.right.positions
-                t.table = [[where.get(x, -1) for x in self.row(d, t.left)] for d in t.ids]
+            ids, args = self.ids, t.left.ids
+            where = self.atom_of if t.right.kind == "o" else t.right.positions
+            t.table = [[where.get(ids.get((d, e), -1), -1) for e in args] for d in t.ids]
         return t.table
 
     def check(self, values: list[TruthValue]) -> ExtReport:
@@ -493,53 +480,6 @@ class _Valuation:
             return t.left.names[e], t.left.names[e2], found
         return "?", "?", ()
 
-    def sweep(self, t: _Type) -> list[ExtViolation]:
-        """Interchangeability: related predicates applied to related
-        argument tuples must give equal atom values, wherever both
-        applications are in the atom table."""
-        chain: list[_Type] = []
-        res = t
-        while res.kind == "arrow":
-            chain.append(res.left)
-            res = res.right
-        if len(chain) < 2:
-            # with one argument the relation compared these very atoms
-            return []
-        plan, values = self.plan, self.values
-        chain_pairs = [(at, self.argument_pairs(at)) for at in chain]
-        related = self.relation(t)
-        out: list[ExtViolation] = []
-        for d in t.by_text:
-            for d2 in t.by_text:
-                if d2 not in related[d]:
-                    continue
-                # the pairs of applications that exist, then their atoms
-                level = [(t.ids[d], t.ids[d2])]
-                for i, (at, pairs) in enumerate(chain_pairs):
-                    last = i == len(chain) - 1
-                    nxt = []
-                    for t1, t2 in level:
-                        row1, row2 = plan.row(t1, at, last), plan.row(t2, at, last)
-                        for e, e2 in pairs:
-                            x, y = row1[e], row2[e2]
-                            if x >= 0 and y >= 0:
-                                nxt.append((x, y))
-                    level = nxt
-                for a1, a2 in level:
-                    if values[a1] != values[a2]:
-                        subject = t.names[d] if d == d2 else f"{t.names[d]} / {t.names[d2]}"
-                        app1, app2 = plan.atoms[a1], plan.atoms[a2]
-                        out.append(
-                            ExtViolation(
-                                t.name,
-                                subject,
-                                app1,
-                                app2,
-                                ((app1, str(values[a1])), (app2, str(values[a2]))),
-                            )
-                        )
-        return out
-
     def report(self) -> ExtReport:
         plan = self.plan
         violations: list[ExtViolation] = []
@@ -559,22 +499,12 @@ class _Valuation:
                 if d not in mates:
                     e, e2, atoms = self.drill(d, d, t)
                     violations.append(ExtViolation(t.name, t.names[d], e, e2, atoms))
-            violations += self.sweep(t)
-
-        # deduplicate violations that name the same differing atom pair
-        unique: list[ExtViolation] = []
-        seen: set[tuple] = set()
-        for v in violations:
-            key = (v.typ, v.subject, frozenset(a for a, _ in v.atoms))
-            if key not in seen:
-                seen.add(key)
-                unique.append(v)
 
         return ExtReport(
-            extensional=not unique,
+            extensional=not violations,
             depth=plan.k,
             checked_types=tuple(t.name for t in plan.checked),
-            violations=tuple(unique),
+            violations=tuple(violations),
             vacuous=tuple(vacuous),
             skipped_types=plan.skipped_types,
         )
@@ -618,7 +548,7 @@ def check_extensional(
     tp: TypedProgram, g: GroundProgram, values: list[TruthValue], k: int
 ) -> ExtReport:
     """Reflexivity of extensional equality at every argument type in the
-    declarations, plus the derived interchangeability sweep: related
-    predicates applied to related argument tuples must give equal atom
-    values."""
+    declarations, with at most one violation per type and term.  It
+    implies interchangeability: related predicates applied to related,
+    defined argument tuples give equal atom values."""
     return compile_extensional(tp, g, k).check(values)

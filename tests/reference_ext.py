@@ -3,7 +3,12 @@ the compiled check in ``hopes.analysis`` is compared against.
 
 It enumerates every slice again with its own ``TermEnumerator``,
 renders the terms to text, builds applications as strings and looks
-them up in the atom table, for every valuation anew.
+them up in the atom table, for every valuation anew.  Besides
+reflexivity it still walks the interchangeability sweep on its own:
+related predicates applied to related argument tuples, each partial
+application defined by the relation's rule, must give equal atom
+values.  The compiled check has no sweep, because reflexivity implies
+it; equal reports show that nothing is lost.
 """
 
 from __future__ import annotations
@@ -158,9 +163,10 @@ def reference_check_extensional(
     tp: TypedProgram, g: GroundProgram, values: list[TruthValue], k: int
 ) -> ExtReport:
     """Reflexivity of extensional equality at every argument type in the
-    declarations, plus the derived interchangeability sweep: related
-    predicates applied to related argument tuples must give equal atom
-    values."""
+    declarations, plus the interchangeability sweep: related predicates
+    applied to related argument tuples must give equal atom values,
+    where every application on the way is defined by the rule the
+    relation uses (in the result slice, or in the atom table at o)."""
     checker = _ExtChecker(tp, g, values, k)
     violations: list[ExtViolation] = []
     vacuous: list[tuple[str, str, str]] = []
@@ -183,25 +189,27 @@ def reference_check_extensional(
                 e, e2, atoms = checker.drill(term, term, typ)
                 violations.append(ExtViolation(str(typ), term, e, e2, atoms))
 
-        # interchangeability: walk full application chains of this type
-        arg_chain: list[TypeExpr] = []
+        # interchangeability: walk full application chains of this type,
+        # keeping the pairs of applications that are both defined
+        chain: list[tuple[list[tuple[str, str]], TypeExpr]] = []
         res = typ
         while res.kind == "arrow":
-            arg_chain.append(res.left)
+            chain.append((checker.argument_pairs(res.left), res.right))
             res = res.right
         if res != O:
             continue
-        chain_pairs = [checker.argument_pairs(at) for at in arg_chain]
         for d, d2 in sorted(rel.pairs):
             tuples: list[tuple[str, str]] = [(d, d2)]
-            for pairs in chain_pairs:
-                tuples = [
-                    (f"{l}({e})", f"{r}({e2})") for l, r in tuples for e, e2 in pairs
-                ]
+            for pairs, res_t in chain:
+                defined = []
+                for l, r in tuples:
+                    for e, e2 in pairs:
+                        app1, app2 = f"{l}({e})", f"{r}({e2})"
+                        if checker.defined(app1, res_t) and checker.defined(app2, res_t):
+                            defined.append((app1, app2))
+                tuples = defined
             for app1, app2 in tuples:
                 v1, v2 = checker.value_of(app1), checker.value_of(app2)
-                if v1 is None or v2 is None:
-                    continue
                 if v1 != v2:
                     violations.append(
                         ExtViolation(
@@ -213,20 +221,11 @@ def reference_check_extensional(
                         )
                     )
 
-    # deduplicate violations that name the same differing atom pair
-    unique: list[ExtViolation] = []
-    seen: set[tuple] = set()
-    for v in violations:
-        key = (v.typ, v.subject, frozenset(a for a, _ in v.atoms))
-        if key not in seen:
-            seen.add(key)
-            unique.append(v)
-
     return ExtReport(
-        extensional=not unique,
+        extensional=not violations,
         depth=k,
         checked_types=tuple(checked),
-        violations=tuple(unique),
+        violations=tuple(violations),
         vacuous=tuple(vacuous),
         skipped_types=tuple(skipped),
     )

@@ -71,7 +71,7 @@ def test_extensional_minimum_models():
     started = time.perf_counter()
     for name in CORPUS:
         tp = load(name)
-        for k in (2, 3, 4):
+        for k in (1, 2, 3, 4):
             g = load_ground(name, k)
             m = minimum_model(g)
             report = check_extensional(tp, g, list(m.values), k)

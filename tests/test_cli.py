@@ -377,6 +377,33 @@ def test_ext_json(capsys):
     assert ["(i -> o) -> i -> o", "id", "id"] in obj["vacuous"]
 
 
+def test_ext_depth_one_subset(capsys):
+    # at depth 1 the slice of (i -> o) -> o is empty, so subset and
+    # nonsubset are related only vacuously and no application of them
+    # is compared
+    code, out, err = run(capsys, "ext", program_path("subset"), "--depth", "1")
+    assert code == 0
+    assert err == ""
+    ty = "(i -> o) -> (i -> o) -> o"
+    assert out == "".join(
+        [
+            "extensional at depth 1: yes\n",
+            f"checked types: {ty}, i, i -> o\n",
+            "types with empty universes: (i -> o) -> o, o\n",
+        ]
+        + [
+            f"note: {a} and {b} related at {ty} only vacuously\n"
+            for a in ("nonsubset", "subset")
+            for b in ("nonsubset", "subset")
+        ]
+    )
+
+    code, out, _ = run(capsys, "stable", program_path("subset"), "--depth", "1", "--ext")
+    assert code == 0
+    assert out.endswith("  extensional: yes\n")
+    assert "not extensionally equal" not in out
+
+
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "model.json"
     code, out, _ = run(

@@ -1,16 +1,23 @@
-"""The paper's stratification theorems as seeded properties.
+"""The paper's theorems as seeded properties.
 
 A stratified program, and a program whose depth-bounded ground program
 is locally stratified, has a minimum model without the middle value 0;
-and on every instance the three-valued collapse of the minimum model is
-the well-founded model.  The instances come from the random typed
-programs of ``test_grounder_oracle`` at depths 1 to 3.
+on every instance the three-valued collapse of the minimum model is
+the well-founded model; and the minimum model is extensional.  The
+instances come from the random typed programs of
+``test_grounder_oracle`` at depths 1 to 3, and 1 to 4 for
+extensionality.
 """
 
 import random
 
 from hopes import ground_instantiate
-from hopes.analysis import StrataAssignment, check_locally_stratified_bounded, check_stratified
+from hopes.analysis import (
+    StrataAssignment,
+    check_extensional,
+    check_locally_stratified_bounded,
+    check_stratified,
+)
 from hopes.classical import collapse, wf_oracle
 from hopes.engine import minimum_model
 from hopes.herbrand import BudgetExceeded
@@ -44,3 +51,19 @@ def test_stratified_programs_have_no_zero():
     assert stratified >= 3000
     assert locally_stratified >= 3900
     assert with_zero >= 100
+
+
+def test_minimum_model_is_extensional():
+    rng = random.Random(7)
+    instances = 0
+    for _ in range(1500):
+        _, tp = random_checked_program(rng)
+        for k in (1, 2, 3, 4):
+            try:
+                g = ground_instantiate(tp, k, 20_000)
+            except BudgetExceeded:
+                continue
+            report = check_extensional(tp, g, list(minimum_model(g).values), k)
+            assert report.extensional, (g.to_text(), k, report.violations)
+            instances += 1
+    assert instances >= 5500
