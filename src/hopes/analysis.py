@@ -39,6 +39,7 @@ Stratification is checked on two levels:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .ast import Eq, Expression, Neg, PredConst, TypedProgram, Var, spine
@@ -66,53 +67,57 @@ def type_geq(pi: TypeExpr, other: TypeExpr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _sccs(nodes: list, succ: dict) -> list[list]:
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    out: list[list] = []
+def _sccs(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The components of the graph on nodes ``0 .. len(succ) - 1``,
+    where ``succ[v]`` lists the successors of ``v``.  Roots are tried
+    in node order and successors in list order; each component comes
+    out after every component it reaches."""
+    done = len(succ)  # the index of a node whose component is out
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    stack: list[int] = []
+    out: list[list[int]] = []
+    count = 0
 
-    for root in nodes:
-        if root in index:
+    for root in range(len(succ)):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = count
+        count += 1
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return out
 
 
-def _find_cycle(start: str, goal: str, succ: dict, allowed: set) -> list:
-    """Shortest path goal -> ... -> start inside one component (BFS)."""
+def _find_cycle(start, goal, succ, allowed: set) -> list:
+    """Shortest path goal -> ... -> start inside one component (BFS);
+    ``succ[u]`` lists the successors of every node of the component."""
     if start == goal:
         return [goal]
     frontier = [goal]
@@ -120,7 +125,7 @@ def _find_cycle(start: str, goal: str, succ: dict, allowed: set) -> list:
     while frontier:
         nxt = []
         for u in frontier:
-            for w in succ.get(u, ()):
+            for w in succ[u]:
                 if w in allowed and w not in parent:
                     parent[w] = u
                     if w == start:
@@ -142,20 +147,27 @@ def _stratify_graph(
     the pair.  Result is (strata dict, stratum count) on success.
     """
     ordered = sorted(edges.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
-    succ: dict = {}
-    for (u, v), _strict in ordered:
-        succ.setdefault(u, []).append(v)
-    comps = _sccs(nodes, succ)
-    comp_of = {}
+    ids = {v: i for i, v in enumerate(nodes)}
+    pairs = [
+        (ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)), strict)
+        for (u, v), strict in ordered
+    ]
+    names = list(ids)
+    succ: list[list[int]] = [[] for _ in names]
+    strict_out: list[list[bool]] = [[] for _ in names]
+    for u, v, strict in pairs:
+        succ[u].append(v)
+        strict_out[u].append(strict)
+    comps = _sccs(succ)
+    comp_of = [0] * len(names)
     for i, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = i
 
-    for (u, v), strict in ordered:
+    for u, v, strict in pairs:
         if strict and comp_of[u] == comp_of[v]:
-            members = set(comps[comp_of[u]])
-            back = _find_cycle(u, v, succ, members)  # path v ->* u
-            cycle: list[Edge] = [(u, "<", v)]
+            back = [names[x] for x in _find_cycle(u, v, succ, set(comps[comp_of[u]]))]
+            cycle: list[Edge] = [(names[u], "<", names[v])]
             for a, b in zip(back, back[1:]):
                 cycle.append((a, "<" if edges.get((a, b)) else "<=", b))
             return cycle
@@ -165,11 +177,11 @@ def _stratify_graph(
     levels = [1] * len(comps)
     for ci in range(len(comps) - 1, -1, -1):
         for u in comps[ci]:
-            for v in succ.get(u, ()):
+            for v, strict in zip(succ[u], strict_out[u]):
                 cv = comp_of[v]
                 if cv != ci:
-                    levels[cv] = max(levels[cv], levels[ci] + edges[(u, v)])
-    strata = {v: levels[comp_of[v]] for v in comp_of}
+                    levels[cv] = max(levels[cv], levels[ci] + strict)
+    strata = {names[v]: levels[ci] for ci, comp in enumerate(comps) for v in comp}
     return strata, max(levels, default=1)
 
 

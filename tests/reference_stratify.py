@@ -11,6 +11,17 @@ from __future__ import annotations
 from hopes.analysis import Edge, _find_cycle, _sccs
 
 
+def named_sccs(nodes: list, succ: dict) -> list[list]:
+    """``analysis._sccs`` over named nodes, roots in the order of
+    ``nodes`` and successors in the order of ``succ``."""
+    ids = {v: i for i, v in enumerate(nodes)}
+    for u, vs in succ.items():
+        for v in (u, *vs):
+            ids.setdefault(v, len(ids))
+    names = list(ids)
+    return [[names[i] for i in comp] for comp in _sccs([[ids[w] for w in succ.get(v, ())] for v in names])]
+
+
 def reference_stratify_graph(
     nodes: list, edges: dict[tuple, bool]
 ) -> tuple[dict, int] | list[Edge]:
@@ -18,7 +29,7 @@ def reference_stratify_graph(
     succ: dict = {}
     for (u, v), _strict in sorted(edges.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
         succ.setdefault(u, []).append(v)
-    comps = _sccs(nodes, succ)
+    comps = named_sccs(nodes, succ)
     comp_of = {}
     for i, comp in enumerate(comps):
         for v in comp:

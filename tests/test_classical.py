@@ -194,7 +194,7 @@ def test_stable_cap():
 
 
 @pytest.mark.parametrize("name", CORPUS)
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_collapse_agrees_with_alternating_fixpoint(name, k):
     g = load_ground(name, k)
     assert collapse(minimum_model(g)) == wf_oracle(g)

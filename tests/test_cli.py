@@ -106,6 +106,21 @@ def test_max_atoms_must_not_be_negative(capsys):
     assert "cap of 0" in err
 
 
+def test_atom_cap_message_counts_one_atom(capsys, tmp_path):
+    path = tmp_path / "odd.hop"
+    path.write_text("#pred p : o.\np :- ~p.\n")
+    code, out, err = run(capsys, "stable", path, "--max-atoms", "0")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "error: stable-model enumeration aborted: 1 atom left undefined by the"
+        " well-founded model exceeds the stable-model enumeration cap of 0"
+    )
+    code, _, err = run(capsys, "stable", program_path("even_loop"), "--max-atoms", "1")
+    assert code == 3
+    assert "2 atoms left undefined by the well-founded model exceed the" in err
+
+
 def test_depth_above_budget_is_refused_before_grounding(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "model", program_path("even_loop"), "--depth", 10**8)
