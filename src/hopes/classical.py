@@ -295,12 +295,18 @@ def is_stable(g: GroundProgram, i: TwoValuedInterp) -> bool:
     return _gl(g, i) == i
 
 
+class _Model(frozenset):
+    """A stable model's atom ids, with its atom names sorted in ``names``."""
+
+    __slots__ = ("names",)
+
+
 def stable_models(
     g: GroundProgram, cap: int = DEFAULT_STABLE_CAP
 ) -> list[TwoValuedInterp]:
-    """All stable models, ordered by their sorted atom-name tuples.
-    ``TooManyAtoms`` when the well-founded model leaves more than
-    ``cap`` atoms Undef."""
+    """All stable models, ordered by their sorted atom names, which each
+    model carries as ``names``.  ``TooManyAtoms`` when the well-founded
+    model leaves more than ``cap`` atoms Undef."""
     wf = wf_oracle(g)
     undef = [a for a, v in enumerate(wf) if v is Tv3.UNDEF]
     if len(undef) > cap:
@@ -376,7 +382,7 @@ def stable_models(
 
     # Depth-first over the Undef atoms, False before True, with an
     # explicit stack of decisions: (atom, branch, atoms it set).
-    models: list[TwoValuedInterp] = []
+    models: list[_Model] = []
     decisions: list[tuple[int, bool, list[int]]] = []
     consistent = True
     while True:
@@ -386,7 +392,7 @@ def stable_models(
                 decisions.append((free, False, []))
                 consistent = assign(free, False, decisions[-1][2])
                 continue
-            candidate = frozenset(wf_true + [a for a in undef if value[a]])
+            candidate = _Model(wf_true + [a for a in undef if value[a]])
             if gl(candidate) == candidate:  # is_stable, over clause lists built once
                 models.append(candidate)
         while decisions and decisions[-1][1]:
@@ -397,5 +403,7 @@ def stable_models(
         undo(trail)
         decisions.append((atom, True, []))
         consistent = assign(atom, True, decisions[-1][2])
-    models.sort(key=lambda m: tuple(sorted(g.atoms[a] for a in m)))
+    for m in models:
+        m.names = tuple(sorted([g.atoms[a] for a in m]))
+    models.sort(key=lambda m: m.names)
     return models

@@ -232,9 +232,8 @@ def cmd_stable(args) -> int:
     lines = []
     out_models = []
     for m in models:
-        names = sorted(g.atoms[a] for a in m)
-        entry = {"atoms": names}
-        line = "{" + ", ".join(names) + "}"
+        entry = {"atoms": m.names}
+        line = "{" + ", ".join(m.names) + "}"
         if args.ext:
             values = [truth.T0 if a in m else truth.F0 for a in range(len(g.atoms))]
             report = plan.check(values)

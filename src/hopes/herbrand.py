@@ -18,18 +18,22 @@ by a false equality still registers its head atom.
 Ground terms are hash-consed: each distinct term gets an integer id,
 keyed on its symbol and the ids of its children, and is printed once,
 when it is first built.  Equality of ground terms is equality of ids.
-A leading body equality ``V = t`` (the shape the type checker gives
-facts and non-variable head arguments) is solved rather than
-enumerated: V takes the id of t's instance, which is live only when
-that term lies in V's slice.  The store of terms stays on the ground
+Slices are enumerated in the store, each size's terms sorted by their
+text, and a ground clause's origin binds each variable to a term id.
+Only the reference definitions over ASTs (``iter_ground_instances``,
+``enumerate_universe``) decode ids into typed terms.  A leading body
+equality ``V = t`` (the shape the type checker gives facts and
+non-variable head arguments) is solved rather than enumerated: V takes
+the id of t's instance, which is live only when that term lies in V's
+slice.  The store of terms stays on the ground
 program, with the slice of every type in the closure, so that the
 extensionality check applies terms to terms by id without enumerating
 anything again.
 
 The work per clause (substitutions enumerated after solving, and head
-tuples registered) is checked against a budget before any instance is
-built; exceeding it raises ``BudgetExceeded`` rather than looping for
-hours.
+tuples registered) is counted from the slice sizes and checked against
+a budget before any term is built; exceeding it raises
+``BudgetExceeded`` rather than looping for hours.
 """
 
 from __future__ import annotations
@@ -114,16 +118,21 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-class TermEnumerator:
-    """Memoized by-size term generation for one program."""
+class _Universe:
+    """The type closure of a program and its universe slices at depth k.
 
-    def __init__(self, tp: TypedProgram):
-        self.tp = tp
-        self.memo: dict[tuple[TypeExpr, int], tuple[Expression, ...]] = {}
-        self.constants = tuple(sorted(tp.individual_constants))
-        self.functions = tuple(sorted(tp.function_decls.items()))
+    The closure holds every type reachable from the predicate
+    declarations, plus i and o.  A term of n symbols is a constant or a
+    predicate name when n is 1; otherwise it applies a function symbol
+    to arguments whose sizes sum to n - 1 (at type i), or applies a
+    smaller term to an argument (a curried application).  ``counts``
+    runs this recursion over numbers only, so every slice's size is
+    known before any term is built, and it indexes the sizes at which
+    each type has terms, so an application walks only those.
+    """
 
-        # every type reachable from the declarations, plus i and o
+    def __init__(self, tp: TypedProgram, k: int):
+        self.k = k
         closure: set[TypeExpr] = {IOTA, O}
         stack = list(tp.predicate_decls.values())
         while stack:
@@ -134,61 +143,83 @@ class TermEnumerator:
             if t.kind == "arrow":
                 stack.append(t.left)
                 stack.append(t.right)
-        self.closure = frozenset(closure)
+        self.closure = sorted(closure, key=str)
         self.arrows_into: dict[TypeExpr, list[TypeExpr]] = {}
-        for t in closure:
+        for t in self.closure:
             if t.kind == "arrow":
                 self.arrows_into.setdefault(t.right, []).append(t)
-        for lst in self.arrows_into.values():
-            lst.sort(key=str)
+        # the terms of one symbol: constants at i, predicates at their type
+        self.names: dict[TypeExpr, list[str]] = {IOTA: sorted(tp.individual_constants)}
+        for name, t in sorted(tp.predicate_decls.items()):
+            self.names.setdefault(t, []).append(name)
+        self.functions = [(f, arity(t)) for f, t in sorted(tp.function_decls.items())]
 
-        self.preds_by_type: dict[TypeExpr, list[str]] = {}
-        for name, t in tp.predicate_decls.items():
-            self.preds_by_type.setdefault(t, []).append(name)
-        for lst in self.preds_by_type.values():
-            lst.sort()
+        # counts[t][n]: the terms of type t with n symbols; nonempty[t]:
+        # the sizes n with such terms, ascending
+        self.counts = {t: [0] * (k + 1) for t in self.closure}
+        self.nonempty: dict[TypeExpr, list[int]] = {t: [] for t in self.closure}
+        for n in range(1, k + 1):
+            for t in self.closure:
+                if n == 1:
+                    self.counts[t][n] = len(self.names.get(t, ()))
+                else:
+                    self.counts[t][n] = sum(
+                        math.prod([self.counts[pt][ps] for pt, ps in parts])
+                        for _, parts in self.parts(t, n)
+                    )
+                if self.counts[t][n]:
+                    self.nonempty[t].append(n)  # parts() reads only sizes below n
+        # the number of terms in each slice; a type outside the closure has none
+        self.total = {t: sum(c) for t, c in self.counts.items()}
 
-    def terms_of(self, typ: TypeExpr, size: int) -> tuple[Expression, ...]:
-        if size < 1:
-            return ()
-        key = (typ, size)
-        if key in self.memo:
-            return self.memo[key]
-        out: list[Expression] = []
-        if size == 1:
-            if typ == IOTA:
-                out.extend(IndConst(c, IOTA) for c in self.constants)
-            out.extend(PredConst(p, typ) for p in self.preds_by_type.get(typ, ()))
-        if typ == IOTA and size >= 2:
-            for fname, ftype in self.functions:
-                n = arity(ftype)
-                for parts in _compositions(size - 1, n):
-                    pools = [self.terms_of(IOTA, p) for p in parts]
-                    for args in itertools.product(*pools):
-                        out.append(FunApp(fname, args, IOTA))
+    def parts(self, typ: TypeExpr, n: int) -> Iterator[tuple[str | None, tuple]]:
+        """How a term of type typ with n >= 2 symbols is built: a
+        function symbol with the (type, size) of each argument, or None
+        with the (type, size) of a function and of its argument."""
+        if typ == IOTA:
+            for f, n_args in self.functions:
+                for sizes in _compositions(n - 1, n_args):
+                    yield f, tuple([(IOTA, s) for s in sizes])
         for at in self.arrows_into.get(typ, ()):
-            for fun_size in range(1, size):
-                for fun in self.terms_of(at, fun_size):
-                    for arg in self.terms_of(at.left, size - fun_size):
-                        out.append(App(fun, arg, typ))
-        out.sort(key=expr_to_str)
-        result = tuple(out)
-        self.memo[key] = result
-        return result
+            for s in self.nonempty[at]:
+                if s >= n:
+                    break
+                yield None, ((at, s), (at.left, n - s))
 
-    def universe(self, typ: TypeExpr, k: int) -> tuple[Expression, ...]:
-        terms: list[Expression] = []
-        for size in range(1, k + 1):
-            terms.extend(self.terms_of(typ, size))
-        if not terms:
-            raise EmptyUniverse(typ, k)
-        return tuple(terms)
+    def enumerate(self, terms: _Terms) -> dict[TypeExpr, tuple[int, ...]]:
+        """Build every slice of the closure in the store: its term ids
+        ordered by (size, canonical text)."""
+        node, by_text = terms.node, terms.text.__getitem__
+        buckets: dict[TypeExpr, list[list[int]]] = {t: [[]] for t in self.closure}
+        for n in range(1, self.k + 1):
+            for t in self.closure:
+                if n == 1:
+                    bucket = [node(name) for name in self.names.get(t, ())]
+                else:
+                    bucket = []
+                    for f, parts in self.parts(t, n):
+                        pools = itertools.product(*[buckets[pt][ps] for pt, ps in parts])
+                        bucket += [node(key if f is None else (f, key)) for key in pools]
+                bucket.sort(key=by_text)
+                buckets[t].append(bucket)
+        return {t: tuple(itertools.chain.from_iterable(b)) for t, b in buckets.items()}
+
+
+def _ast_slices(tp: TypedProgram, universe: _Universe) -> dict[TypeExpr, list[Expression]]:
+    """Every slice of the closure as typed ASTs, in slice order."""
+    terms = _Terms()
+    slices = universe.enumerate(terms)
+    exprs = terms.decode(tp.predicate_decls)
+    return {typ: [exprs[t] for t in ids] for typ, ids in slices.items()}
 
 
 def enumerate_universe(tp: TypedProgram, rho: TypeExpr, k: int) -> UniverseSlice:
     """Ground terms of type rho with at most k symbols, ordered by
     (size, canonical text).  Raises EmptyUniverse when there are none."""
-    return UniverseSlice(rho, k, TermEnumerator(tp).universe(rho, k))
+    universe = _Universe(tp, k)
+    if not universe.total.get(rho):
+        raise EmptyUniverse(rho, k)
+    return UniverseSlice(rho, k, tuple(_ast_slices(tp, universe)[rho]))
 
 
 def normalize_equality(lhs: Expression, rhs: Expression) -> bool:
@@ -200,7 +231,8 @@ def normalize_equality(lhs: Expression, rhs: Expression) -> bool:
 class GroundClause:
     head: int
     literals: tuple[tuple[bool, int], ...]  # (negated, atom id), in source order
-    origin: tuple[int, tuple[tuple[str, Expression], ...]] | None = field(
+    # (clause index, (variable, term id) pairs)
+    origin: tuple[int, tuple[tuple[str, int], ...]] | None = field(
         default=None, compare=False
     )
 
@@ -295,10 +327,10 @@ def _clause_variables(clause: Clause) -> dict[str, TypeExpr]:
     return types
 
 
-def _skip_note(idx: int, name: str, exc: EmptyUniverse) -> str:
+def _skip_note(idx: int, name: str, typ: TypeExpr, k: int) -> str:
     return (
-        f"clause {idx + 1} has no instances at depth {exc.depth_bound}: "
-        f"variable {name} ranges over an empty universe ({exc})"
+        f"clause {idx + 1} has no instances at depth {k}: "
+        f"variable {name} ranges over an empty universe ({EmptyUniverse(typ, k)})"
     )
 
 
@@ -308,27 +340,21 @@ def iter_ground_instances(
     """Yield (clause index, variable binding, notes) for every in-bound
     substitution of every clause.  Notes report clauses skipped because a
     variable's universe slice is empty at this depth."""
-    enum = TermEnumerator(tp)
+    universe = _Universe(tp, k)
+    slices = None
     for idx, clause in enumerate(tp.clauses):
         types = _clause_variables(clause)
         names = list(types)
-        slices: list[tuple[Expression, ...]] = []
-        skip_note = None
-        for name in names:
-            try:
-                slices.append(enum.universe(types[name], k))
-            except EmptyUniverse as exc:
-                skip_note = _skip_note(idx, name, exc)
-                break
-        if skip_note is not None:
-            yield idx, None, [skip_note]
+        empty = next((n for n in names if not universe.total.get(types[n])), None)
+        if empty is not None:
+            yield idx, None, [_skip_note(idx, empty, types[empty], k)]
             continue
-        count = 1
-        for s in slices:
-            count *= len(s)
+        count = math.prod(universe.total[types[n]] for n in names)
         if count > budget:
             raise BudgetExceeded(str(clause), count, budget)
-        for combo in itertools.product(*slices):
+        if slices is None:
+            slices = _ast_slices(tp, universe)
+        for combo in itertools.product(*[slices[types[n]] for n in names]):
             yield idx, dict(zip(names, combo)), []
 
 
@@ -352,10 +378,6 @@ class _Terms:
     def __init__(self) -> None:
         self.ids: dict[object, int] = {}
         self.text: list[str] = []
-        # id() of an AST node -> (node, term id); keeping the node alive
-        # keeps its id() from being reused while the table is in use.
-        # Emptied when grounding ends.
-        self.nodes: dict[int, tuple[Expression, int]] = {}
         self.atom_of: dict[int, int] = {}  # term id -> atom id
         # every type of the closure -> its slice at the bound, as term
         # ids in enumeration order (empty for an empty slice)
@@ -374,33 +396,22 @@ class _Terms:
                 text.append(f"{text[key[0]]}({text[key[1]]})")
         return t
 
-    def intern(self, e: Expression) -> int:
-        """The id of a ground term given as an AST; each node is visited once."""
-        if isinstance(e, (IndConst, PredConst)):
-            return self.node(e.name)
-        nodes = self.nodes
-        hit = nodes.get(id(e))
-        if hit is not None:
-            return hit[1]
-        stack = [e]
-        while stack:
-            x = stack[-1]
-            if id(x) in nodes:
-                stack.pop()
-                continue
-            if isinstance(x, (IndConst, PredConst)):
-                key = x.name
+    def decode(self, decls: dict[str, TypeExpr]) -> list[Expression]:
+        """Every term of the store as a typed AST, indexed by id.  A name
+        declared in `decls` is a predicate of that type, any other name
+        an individual constant.  A term gets its id after its children,
+        so one pass in id order decodes each term once."""
+        out: list[Expression] = []
+        for key in self.ids:  # in id order
+            if isinstance(key, str):
+                typ = decls.get(key)
+                out.append(IndConst(key, IOTA) if typ is None else PredConst(key, typ))
+            elif isinstance(key[0], str):
+                out.append(FunApp(key[0], tuple([out[a] for a in key[1]]), IOTA))
             else:
-                kids = _subterms(x)
-                missing = [c for c in kids if id(c) not in nodes]
-                if missing:
-                    stack.extend(missing)
-                    continue
-                ids = tuple([nodes[id(c)][1] for c in kids])
-                key = (x.symbol, ids) if isinstance(x, FunApp) else ids
-            stack.pop()
-            nodes[id(x)] = (x, self.node(key))
-        return nodes[id(e)][1]
+                fun = out[key[0]]
+                out.append(App(fun, out[key[1]], fun.typ.right))
+        return out
 
     def compile(self, e: Expression, slots: dict[str, int], regs: list[int], code: list) -> int:
         """Compile a term with variables into `code`; return the register
@@ -455,17 +466,6 @@ def _constant(regs: list[int], value: int) -> int:
     return len(regs) - 1
 
 
-class _Slice:
-    """A universe slice as ASTs and as term ids, with each id's index."""
-
-    __slots__ = ("exprs", "ids", "pos")
-
-    def __init__(self, exprs: tuple[Expression, ...], ids: tuple[int, ...]):
-        self.exprs = exprs
-        self.ids = ids
-        self.pos = {t: i for i, t in enumerate(ids)}
-
-
 def _solve_leading(clause: Clause) -> tuple[int, dict[str, Expression], list[Eq]]:
     """Split the leading equalities of a clause body into solved ones and
     tests.  Returns the length of the leading block, the solved variables
@@ -504,14 +504,14 @@ class _Grounder:
         self.tp = tp
         self.k = k
         self.budget = budget
-        self.enum = TermEnumerator(tp)
+        self.universe = _Universe(tp, k)
         self.terms = _Terms()
         self.atom_of = self.terms.atom_of
         self.atom_terms: list[int] = []  # atom id -> term id
         self.clauses: list[GroundClause] = []
         self.seen: set[tuple[int, tuple[tuple[bool, int], ...]]] = set()
         self.notes: list[str] = list(tp.notes)
-        self.slices: dict[TypeExpr, _Slice | None] = {}
+        self.positions: dict[TypeExpr, dict[int, int]] = {}
         # predicates whose heads are registered over their whole formal
         # product: every clause of one predicate has the same formal slices
         self.registered: set[str] = set()
@@ -523,16 +523,12 @@ class _Grounder:
             self.atom_terms.append(t)
         return a
 
-    def slice(self, typ: TypeExpr) -> _Slice | None:
-        if typ not in self.slices:
-            try:
-                exprs = self.enum.universe(typ, self.k)
-            except EmptyUniverse:
-                self.slices[typ] = None
-            else:
-                ids = tuple([self.terms.intern(e) for e in exprs])
-                self.slices[typ] = _Slice(exprs, ids)
-        return self.slices[typ]
+    def pos(self, typ: TypeExpr) -> dict[int, int]:
+        """Each term id of a slice -> its index in the slice."""
+        p = self.positions.get(typ)
+        if p is None:
+            p = self.positions[typ] = {t: i for i, t in enumerate(self.terms.slices[typ])}
+        return p
 
     def add(self, idx: int, head: int, literals: list[tuple[bool, int]], binding) -> None:
         lits = tuple(literals)
@@ -541,20 +537,46 @@ class _Grounder:
         self.seen.add((head, lits))
         self.clauses.append(GroundClause(head, lits, origin=(idx, binding)))
 
+    def plan(self, idx: int, clause: Clause):
+        """Check a clause's work against the budget from slice sizes.
+        Returns None when a variable's slice is empty (noted), else the
+        variables' types, the leading block and whether to walk heads."""
+        types = _clause_variables(clause)
+        if not types:
+            if 1 > self.budget:
+                raise BudgetExceeded(str(clause), 1, self.budget)
+            return types, None, False
+        size = self.universe.total.get
+        sizes = [size(t, 0) for t in types.values()]
+        if 0 in sizes:
+            name = list(types)[sizes.index(0)]
+            note = _skip_note(idx, name, types[name], self.k)
+            if note not in self.notes:
+                self.notes.append(note)
+            return None
+        leading = _solve_leading(clause)
+        count = math.prod([s for n, s in zip(types, sizes) if n not in leading[1]])
+        walk = clause.head_pred not in self.registered
+        if walk:
+            count = max(count, math.prod(sizes[: len(clause.formals)]))
+        if count > self.budget:
+            raise BudgetExceeded(str(clause), count, self.budget)
+        self.registered.add(clause.head_pred)
+        return types, leading, walk
+
     def ground(self) -> GroundProgram:
-        atoms = self.slice(O)
-        for t in atoms.ids if atoms else ():
+        # every clause passes the budget before any term is built
+        plans = [self.plan(idx, clause) for idx, clause in enumerate(self.tp.clauses)]
+        terms = self.terms
+        terms.slices = self.universe.enumerate(terms)
+        for t in terms.slices[O]:
             self.atom(t)
-        for idx, clause in enumerate(self.tp.clauses):
-            self.clause(idx, clause)
+        for idx, plan in enumerate(plans):
+            if plan is not None:
+                self.clause(idx, self.tp.clauses[idx], *plan)
         if not self.atom_terms:
             # after the type checker's notes, before the clauses' own
             self.notes.insert(len(self.tp.notes), f"no ground atoms exist at depth {self.k}")
-        terms = self.terms
-        for typ in sorted(self.enum.closure, key=str):
-            sl = self.slice(typ)
-            terms.slices[typ] = sl.ids if sl else ()
-        terms.nodes.clear()
         text = terms.text
         return GroundProgram(
             tuple([text[t] for t in self.atom_terms]),
@@ -566,46 +588,33 @@ class _Grounder:
 
     def variable_free(self, idx: int, clause: Clause) -> None:
         """The single instance of a clause without variables."""
-        if 1 > self.budget:
-            raise BudgetExceeded(str(clause), 1, self.budget)
-        intern = self.terms.intern
-        head = self.atom(self.terms.node(clause.head_pred))
+        node, compile, regs = self.terms.node, self.terms.compile, []
+
+        def term(e: Expression) -> int:
+            if isinstance(e, (IndConst, PredConst)):
+                return node(e.name)
+            return regs[compile(e, {}, regs, [])]
+
+        head = self.atom(node(clause.head_pred))
         literals: list[tuple[bool, int]] = []
         for lit in clause.body:
             if isinstance(lit, Eq):
-                if intern(lit.lhs) != intern(lit.rhs):
+                if term(lit.lhs) != term(lit.rhs):
                     return
             elif isinstance(lit, Neg):
-                literals.append((True, self.atom(intern(lit.inner))))
+                literals.append((True, self.atom(term(lit.inner))))
             else:
-                literals.append((False, self.atom(intern(lit))))
+                literals.append((False, self.atom(term(lit))))
         self.add(idx, head, literals, ())
 
-    def clause(self, idx: int, clause: Clause) -> None:
-        types = _clause_variables(clause)
+    def clause(self, idx: int, clause: Clause, types: dict[str, TypeExpr], leading, walk: bool) -> None:
         if not types:
             return self.variable_free(idx, clause)
         names = list(types)
-        slices: dict[str, _Slice] = {}
-        for name in names:
-            sl = self.slice(types[name])
-            if sl is None:
-                note = _skip_note(idx, name, EmptyUniverse(types[name], self.k))
-                if note not in self.notes:
-                    self.notes.append(note)
-                return
-            slices[name] = sl
-
+        slices = {n: self.terms.slices[t] for n, t in types.items()}
         nf = len(clause.formals)
-        lead, solved, tests = _solve_leading(clause)
+        lead, solved, tests = leading
         enumerated = [n for n in names if n not in solved]
-        count = math.prod(len(slices[n].ids) for n in enumerated)
-        walk = clause.head_pred not in self.registered
-        if walk:
-            count = max(count, math.prod(len(slices[n].ids) for n in names[:nf]))
-        if count > self.budget:
-            raise BudgetExceeded(str(clause), count, self.budget)
-        self.registered.add(clause.head_pred)
 
         # Registers: the enumerated variables, then constants and the
         # nodes the code builds.  A solved variable lives in the register
@@ -617,7 +626,7 @@ class _Grounder:
         solve = []
         for v, t in solved.items():
             slot[v] = terms.compile(t, slot, regs, lead_code)
-            solve.append((slot[v], slices[v].pos))
+            solve.append((slot[v], self.pos(types[v])))
         checks = [
             (terms.compile(eq.lhs, slot, regs, lead_code), terms.compile(eq.rhs, slot, regs, lead_code))
             for eq in tests
@@ -634,7 +643,7 @@ class _Grounder:
             else:
                 body.append((False, terms.compile(lit, slot, regs, body_code), 0))
         formal_slots = [slot[n] for n in names[:nf]]
-        binding = [(n, slot[n], slices[n]) for n in names]
+        binding = [(n, slot[n]) for n in names]
         pred = terms.node(clause.head_pred)
         ids, node, run, atom = terms.ids, terms.node, terms.run, self.atom
 
@@ -655,9 +664,7 @@ class _Grounder:
                         return  # the literals before it stay interned
                 else:
                     literals.append((negated, atom(env[a])))
-            self.add(
-                idx, h, literals, tuple([(n, sl.exprs[sl.pos[env[s]]]) for n, s, sl in binding])
-            )
+            self.add(idx, h, literals, tuple([(n, env[s]) for n, s in binding]))
 
         # Live instances, keyed by their index in the product over all
         # variables: the order in which generate-and-test visits them.
@@ -665,11 +672,11 @@ class _Grounder:
         strides: list[tuple[int, dict[int, int], int]] = []
         stride = 1
         for n in reversed(names if solved else ()):
-            strides.append((slot[n], slices[n].pos, stride))
-            stride *= len(slices[n].ids)
+            strides.append((slot[n], self.pos(types[n]), stride))
+            stride *= len(slices[n])
         tail = regs[len(enumerated):]
         live: list[tuple[int, list[int]]] = []
-        for i, combo in enumerate(itertools.product(*[slices[n].ids for n in enumerated])):
+        for i, combo in enumerate(itertools.product(*[slices[n] for n in enumerated])):
             env = [*combo, *tail]
             if lead_code:
                 run(lead_code, env)
@@ -683,9 +690,9 @@ class _Grounder:
             return
         # Register every head in product order, a killed instance's too,
         # each followed by the live instances that share it.
-        body_stride = math.prod(len(slices[n].ids) for n in names[nf:])
+        body_stride = math.prod(len(slices[n]) for n in names[nf:])
         j = 0
-        for fi, formals in enumerate(itertools.product(*[slices[n].ids for n in names[:nf]])):
+        for fi, formals in enumerate(itertools.product(*[slices[n] for n in names[:nf]])):
             h = head(formals)
             while j < len(live) and live[j][0] // body_stride == fi:
                 emit(h, live[j][1])

@@ -27,14 +27,12 @@ comments, any other ``#`` word, identifiers that start with a non-ASCII
 character, and stray characters.  The parser walks the parallel kind
 and text lists by index and builds no token objects.  Line and column
 are computed from offsets only where they are read: at clause starts,
-advancing from the previous clause start, and in errors.  ``tokenize``
-gives the same scan as ``Token``s for tests.
+advancing from the previous clause start, and in errors.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .ast import App, Eq, Expression, Name, Neg, Program, RawClause, Var
 from .types import IOTA, MAX_TYPE_NESTING, O, TypeExpr, arrow_chain, type_depth
@@ -54,13 +52,6 @@ class ParseError(Exception):
         where = f"line {line}, column {col}"
         hint = f" (expected {' or '.join(expected)})" if expected else ""
         super().__init__(f"{where}: {message}{hint}")
-
-
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
 
 
 # Matches every token, comment and stray character; whitespace (space,
@@ -181,13 +172,6 @@ def _careful(
     vs += values[done:]
     offs += offsets[done:]
     return ks, vs, offs, eof
-
-
-def tokenize(text: str) -> list[Token]:
-    """The scan as ``Token``s with line and column, in one linear sweep."""
-    kinds, values, offsets = _scan(text)
-    at = _Lines(text).at
-    return [Token(kind, value, *at(off)) for kind, value, off in zip(kinds, values, offsets)]
 
 
 class _Parser:

@@ -1,7 +1,7 @@
 """The string-based extensionality checker, kept as the reference that
 the compiled check in ``hopes.analysis`` is compared against.
 
-It enumerates every slice again with its own ``TermEnumerator``,
+It enumerates every slice again with the reference ``TermEnumerator``,
 renders the terms to text, builds applications as strings and looks
 them up in the atom table, for every valuation anew.  Besides
 reflexivity it still walks the interchangeability sweep on its own:
@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from hopes.analysis import ExtRelation, ExtReport, ExtViolation
 from hopes.ast import TypedProgram, expr_to_str
-from hopes.herbrand import EmptyUniverse, GroundProgram, TermEnumerator
+from hopes.herbrand import EmptyUniverse, GroundProgram
 from hopes.truth import TruthValue
 from hopes.types import IOTA, O, TypeExpr, is_predicate
+
+from reference_grounder import TermEnumerator
 
 
 class _ExtChecker:

@@ -1,24 +1,147 @@
-"""The generate-and-test grounder, kept as the reference that the
-equality-solving grounder in ``hopes.herbrand`` is checked against.
+"""The generate-and-test grounder and the AST term enumerator, kept as
+the references that ``hopes.herbrand`` is checked against.
 
-It enumerates every clause variable over its whole slice, renders both
+``TermEnumerator`` builds every slice as AST nodes, size by size, and
+sorts each size's terms by their rendered text; the enumerator in
+``hopes.herbrand`` builds the same slices as term ids.  The grounder
+enumerates every clause variable over its whole slice, renders both
 sides of each equality to text to compare them, and interns atoms by
 their text.  Its budget bounds the full product of the slices.
 """
 
 from __future__ import annotations
 
-from hopes.ast import Eq, Expression, Neg, TypedProgram, expr_to_str, expr_vars, substitute
+import itertools
+from typing import Iterator
+
+from hopes.ast import (
+    App,
+    Eq,
+    Expression,
+    FunApp,
+    IndConst,
+    Neg,
+    PredConst,
+    TypedProgram,
+    expr_to_str,
+    expr_vars,
+    substitute,
+)
 from hopes.herbrand import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     EmptyUniverse,
     GroundClause,
     GroundProgram,
-    TermEnumerator,
-    iter_ground_instances,
+    _clause_variables,
+    _compositions,
     normalize_equality,
 )
-from hopes.types import O
+from hopes.types import IOTA, O, TypeExpr, arity
+
+
+class TermEnumerator:
+    """Memoized by-size term generation for one program."""
+
+    def __init__(self, tp: TypedProgram):
+        self.tp = tp
+        self.memo: dict[tuple[TypeExpr, int], tuple[Expression, ...]] = {}
+        self.constants = tuple(sorted(tp.individual_constants))
+        self.functions = tuple(sorted(tp.function_decls.items()))
+
+        # every type reachable from the declarations, plus i and o
+        closure: set[TypeExpr] = {IOTA, O}
+        stack = list(tp.predicate_decls.values())
+        while stack:
+            t = stack.pop()
+            if t in closure:
+                continue
+            closure.add(t)
+            if t.kind == "arrow":
+                stack.append(t.left)
+                stack.append(t.right)
+        self.closure = frozenset(closure)
+        self.arrows_into: dict[TypeExpr, list[TypeExpr]] = {}
+        for t in closure:
+            if t.kind == "arrow":
+                self.arrows_into.setdefault(t.right, []).append(t)
+        for lst in self.arrows_into.values():
+            lst.sort(key=str)
+
+        self.preds_by_type: dict[TypeExpr, list[str]] = {}
+        for name, t in tp.predicate_decls.items():
+            self.preds_by_type.setdefault(t, []).append(name)
+        for lst in self.preds_by_type.values():
+            lst.sort()
+
+    def terms_of(self, typ: TypeExpr, size: int) -> tuple[Expression, ...]:
+        if size < 1:
+            return ()
+        key = (typ, size)
+        if key in self.memo:
+            return self.memo[key]
+        out: list[Expression] = []
+        if size == 1:
+            if typ == IOTA:
+                out.extend(IndConst(c, IOTA) for c in self.constants)
+            out.extend(PredConst(p, typ) for p in self.preds_by_type.get(typ, ()))
+        if typ == IOTA and size >= 2:
+            for fname, ftype in self.functions:
+                n = arity(ftype)
+                for parts in _compositions(size - 1, n):
+                    pools = [self.terms_of(IOTA, p) for p in parts]
+                    for args in itertools.product(*pools):
+                        out.append(FunApp(fname, args, IOTA))
+        for at in self.arrows_into.get(typ, ()):
+            for fun_size in range(1, size):
+                for fun in self.terms_of(at, fun_size):
+                    for arg in self.terms_of(at.left, size - fun_size):
+                        out.append(App(fun, arg, typ))
+        out.sort(key=expr_to_str)
+        result = tuple(out)
+        self.memo[key] = result
+        return result
+
+    def universe(self, typ: TypeExpr, k: int) -> tuple[Expression, ...]:
+        terms: list[Expression] = []
+        for size in range(1, k + 1):
+            terms.extend(self.terms_of(typ, size))
+        if not terms:
+            raise EmptyUniverse(typ, k)
+        return tuple(terms)
+
+
+def reference_iter_ground_instances(
+    tp: TypedProgram, k: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[int, dict[str, Expression], list[str]]]:
+    """Yield (clause index, variable binding, notes) for every in-bound
+    substitution of every clause.  Notes report clauses skipped because a
+    variable's universe slice is empty at this depth."""
+    enum = TermEnumerator(tp)
+    for idx, clause in enumerate(tp.clauses):
+        types = _clause_variables(clause)
+        names = list(types)
+        slices: list[tuple[Expression, ...]] = []
+        skip_note = None
+        for name in names:
+            try:
+                slices.append(enum.universe(types[name], k))
+            except EmptyUniverse as exc:
+                skip_note = (
+                    f"clause {idx + 1} has no instances at depth {exc.depth_bound}: "
+                    f"variable {name} ranges over an empty universe ({exc})"
+                )
+                break
+        if skip_note is not None:
+            yield idx, None, [skip_note]
+            continue
+        count = 1
+        for s in slices:
+            count *= len(s)
+        if count > budget:
+            raise BudgetExceeded(str(clause), count, budget)
+        for combo in itertools.product(*slices):
+            yield idx, dict(zip(names, combo)), []
 
 
 def reference_ground_instantiate(
@@ -46,7 +169,7 @@ def reference_ground_instantiate(
     seen: set[tuple[int, tuple[tuple[bool, int], ...]]] = set()
     head_exprs = {i: c.head_expr() for i, c in enumerate(tp.clauses)}
 
-    for idx, binding, inst_notes in iter_ground_instances(tp, k, budget):
+    for idx, binding, inst_notes in reference_iter_ground_instances(tp, k, budget):
         notes.extend(n for n in inst_notes if n not in notes)
         if binding is None:
             continue

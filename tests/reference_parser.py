@@ -10,10 +10,10 @@ must give the same ``Program``, with the same clause positions, or raise
 from __future__ import annotations
 
 from hopes.ast import App, Eq, Expression, Name, Neg, Program, RawClause, Var
-from hopes.parser import MAX_NESTING, ParseError, Token
+from hopes.parser import MAX_NESTING, ParseError
 from hopes.types import IOTA, MAX_TYPE_NESTING, O, TypeExpr, arrow_chain, type_depth
 
-from reference_tokenizer import reference_tokenize
+from reference_tokenizer import Token, reference_tokenize
 
 
 class _Parser:

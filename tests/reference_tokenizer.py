@@ -1,11 +1,22 @@
-"""The character-loop tokenizer that ``parser.tokenize`` replaced.
+"""The character-loop tokenizer that ``parser._scan`` replaced.
 
-Kept as the oracle of ``test_tokenizer_oracle.py``: ``parser.tokenize``
-must give the same tokens, and the same ``ParseError`` texts and
-positions, on every input.  ``reference_parser.py`` parses its tokens.
+Kept as the oracle of ``test_tokenizer_oracle.py``: ``parser._scan``,
+with ``parser._Lines`` for positions, must give the same tokens, and
+the same ``ParseError`` texts and positions, on every input.
+``reference_parser.py`` parses its tokens.
 """
 
-from hopes.parser import ParseError, Token
+from typing import NamedTuple
+
+from hopes.parser import ParseError
+
+
+class Token(NamedTuple):
+    kind: str
+    value: str
+    line: int
+    col: int
+
 
 _PUNCT = [
     (":-", "COLONDASH"),

@@ -9,7 +9,7 @@ import pytest
 
 from hopes import analysis, cli, parse_program, typecheck
 from hopes.cli import main
-from hopes.herbrand import DEFAULT_BUDGET, TermEnumerator
+from hopes.herbrand import DEFAULT_BUDGET, _Universe
 from hopes.types import MAX_TYPE_NESTING
 
 from conftest import program_path
@@ -119,6 +119,22 @@ def test_atom_cap_message_counts_one_atom(capsys, tmp_path):
     code, _, err = run(capsys, "stable", program_path("even_loop"), "--max-atoms", "1")
     assert code == 3
     assert "2 atoms left undefined by the well-founded model exceed the" in err
+
+
+def test_clause_over_budget_is_refused_before_enumeration(capsys, tmp_path):
+    # the slice of i holds about a million terms at depth 27; its size is
+    # counted, and the clause refused, before any term is built
+    path = tmp_path / "tree.hop"
+    path.write_text("#func f : i -> i -> i.\n#pred p : i -> o.\np(a).\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "model", path, "--depth", "27")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: grounding budget exceeded: clause 'p(V_1) :- V_1 = a.' needs 1033412"
+        " substitutions, over the budget of 1000000\n"
+    )
 
 
 def test_depth_above_budget_is_refused_before_grounding(capsys):
@@ -275,10 +291,10 @@ def test_stable_ext_compiles_once(capsys, tmp_path, monkeypatch):
     def ground_then_forbid_enumeration(*args):
         g = ground_instantiate(*args)
 
-        def universe(self, typ, k):
-            raise AssertionError(f"slice of {typ} enumerated after grounding")
+        def enumerate(self, terms):
+            raise AssertionError("slices enumerated after grounding")
 
-        monkeypatch.setattr(TermEnumerator, "universe", universe)
+        monkeypatch.setattr(_Universe, "enumerate", enumerate)
         return g
 
     monkeypatch.setattr(analysis, "compile_extensional", count_compile)
@@ -431,10 +447,13 @@ def test_out_writes_file(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hopes", "model", str(program_path("defaults"))],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "p = T0\nq = F0\ns = T1\nr = F1\nt = ZERO\ndepth = 2\n"

@@ -15,12 +15,13 @@ from hopes import parse_program, typecheck
 from hopes.analysis import check_extensional, compile_extensional, ext_relation
 from hopes.classical import TooManyAtoms, stable_models
 from hopes.engine import minimum_model
-from hopes.herbrand import BudgetExceeded, EmptyUniverse, TermEnumerator, ground_instantiate
+from hopes.herbrand import BudgetExceeded, EmptyUniverse, ground_instantiate
 from hopes.truth import F0, T0, ZERO, TruthValue
 from hopes.types import IOTA, O, arrow
 
 from conftest import CORPUS, load
 from reference_ext import _ExtChecker, reference_check_extensional, reference_ext_relation
+from reference_grounder import TermEnumerator
 from test_grounder_oracle import random_checked_program
 
 GRADES = [F0, T0, ZERO, TruthValue(1, 1), TruthValue(-1, 1)]

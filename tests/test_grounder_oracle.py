@@ -3,7 +3,8 @@
 Both must produce the same atoms in the same intern order, the same
 clauses with the same origins, and the same notes, on the corpus and on
 seeded random typed programs.  Wherever the reference stays within its
-budget, so must the grounder under test.
+budget, so must the grounder under test.  The slices enumerated as term
+ids must equal the reference's AST slices, term for term and in order.
 """
 
 import random
@@ -11,11 +12,17 @@ import random
 import pytest
 
 from hopes import ground_instantiate, parse_program, typecheck
-from hopes.herbrand import BudgetExceeded
+from hopes.ast import expr_to_str
+from hopes.herbrand import BudgetExceeded, EmptyUniverse, enumerate_universe, iter_ground_instances
 from hopes.typecheck import TypeCheckError
 
 from conftest import CORPUS, load
-from reference_grounder import reference_count, reference_ground_instantiate
+from reference_grounder import (
+    TermEnumerator,
+    reference_count,
+    reference_ground_instantiate,
+    reference_iter_ground_instances,
+)
 
 # argument types of the predicates a random program may declare
 PRED_TYPES = {
@@ -113,7 +120,13 @@ def assert_same_grounding(tp, k, budget=1_000_000):
     got = ground_instantiate(tp, k, budget)
     assert got.atoms == expected.atoms
     assert got.clauses == expected.clauses
-    assert [c.origin for c in got.clauses] == [c.origin for c in expected.clauses]
+    # origins bind term ids; decoded, they are the reference's ASTs
+    exprs = got.terms.decode(tp.predicate_decls)
+    origins = [
+        (idx, tuple([(n, exprs[t]) for n, t in binding]))
+        for idx, binding in (c.origin for c in got.clauses)
+    ]
+    assert origins == [c.origin for c in expected.clauses]
     assert got.notes == expected.notes
     assert got.to_text() == expected.to_text()
 
@@ -188,3 +201,41 @@ def test_random_programs_cover_the_interesting_shapes():
     assert any(
         "empty universe" in n for tp in tps for n in reference_ground_instantiate(tp, 2).notes
     )
+
+
+def assert_same_slices(tp, k):
+    """Every closure type's slice of term ids, rendered, is the
+    reference's slice in text and order, and decodes to its ASTs."""
+    enum = TermEnumerator(tp)
+    store = ground_instantiate(tp, k, budget=10**9).terms
+    assert set(store.slices) == enum.closure
+    for typ, ids in store.slices.items():
+        try:
+            expected = enum.universe(typ, k)
+        except EmptyUniverse:
+            expected = ()
+            with pytest.raises(EmptyUniverse):
+                enumerate_universe(tp, typ, k)
+        else:
+            assert enumerate_universe(tp, typ, k).terms == expected
+        assert [store.text[t] for t in ids] == [expr_to_str(e) for e in expected], (typ, k)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_slices_match_reference(name):
+    tp = load(name)
+    for k in range(1, 7):
+        assert_same_slices(tp, k)
+
+
+def test_random_program_slices_match_reference():
+    rng = random.Random(19990101)
+    for _ in range(150):
+        _, tp = random_checked_program(rng)
+        for k in (1, 2, 3):
+            assert_same_slices(tp, k)
+            budget = reference_count(tp, k)
+            if budget <= 1500:
+                assert list(iter_ground_instances(tp, k, budget)) == list(
+                    reference_iter_ground_instances(tp, k, budget)
+                )

@@ -1,7 +1,8 @@
-"""The scanner's ``Token`` view against the character loop it replaced.
+"""The scanner against the character loop it replaced.
 
-``parser.tokenize`` gives the tokens of the scan that ``parse_program``
-reads.  It and the loop must give the same tokens, or raise
+``parser._scan`` gives the tokens that ``parse_program`` reads, and
+``parser._Lines`` their positions.  The scan and the loop must give the
+same tokens, or raise
 ``ParseError`` with the same text at the same line and column, on the
 corpus, random typed programs, the CLI fuzz test's token soups, seeded
 random strings over the characters where the two identifier classes
@@ -14,7 +15,7 @@ import random
 
 import pytest
 
-from hopes.parser import ParseError, tokenize
+from hopes.parser import ParseError, _Lines, _scan
 
 from conftest import PROGRAMS
 from reference_tokenizer import reference_tokenize
@@ -28,6 +29,13 @@ ALPHABET = "aZ_x0 9²½Ⅻ٣éßǅ́ \f\v\t\r\n%#.,:-~=()>$" + "pred func"
 CONTEXTS = ["{}", "a{}", "{}a", "_{}1", "#{}", "#pred{}", "p(a). % {}", "X{}Y"]
 
 
+def scan(text: str) -> list[tuple[str, str, int, int]]:
+    """The scan as (kind, text, line, column) tuples."""
+    kinds, values, offsets = _scan(text)
+    at = _Lines(text).at
+    return [(kind, value, *at(off)) for kind, value, off in zip(kinds, values, offsets)]
+
+
 def outcome(tokenizer, text: str):
     try:
         return [tuple(tok) for tok in tokenizer(text)]
@@ -36,7 +44,7 @@ def outcome(tokenizer, text: str):
 
 
 def agree(text: str) -> None:
-    assert outcome(tokenize, text) == outcome(reference_tokenize, text), repr(text)
+    assert outcome(scan, text) == outcome(reference_tokenize, text), repr(text)
 
 
 def test_corpus():
@@ -65,6 +73,6 @@ def test_code_points():
 
 
 def test_eof_after_comment_keeps_comment_column():
-    assert tokenize("p. % done")[-1] == ("EOF", "", 1, 4)
+    assert scan("p. % done")[-1] == ("EOF", "", 1, 4)
     with pytest.raises(ParseError, match="column 6: unexpected character '²'"):
-        tokenize("#pred²")
+        scan("#pred²")
