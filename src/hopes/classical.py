@@ -33,10 +33,18 @@ two constructions can be tested against each other.
   pending and false literals, and per-atom counts of live clauses,
   propagate each assignment through the clauses the atom occurs in (a
   clause with every literal true makes its head true, an atom with
-  every clause dead is false).  Each total candidate is checked against
-  the full program, over clause lists built once per search.  The
-  count of Undef atoms is capped, since the search is meant for
-  desk-sized programs.
+  every clause dead is false).  Each total candidate lies between the
+  well-founded model's true and non-false atoms, and the reduct
+  operator is antimonotone, so the least model of its reduct agrees
+  with the well-founded model on every decided atom; the leaf check
+  compares only the residual's least model with the candidate on the
+  Undef atoms.  The count of Undef atoms is capped, since the search
+  is meant for desk-sized programs.
+
+One residual builder (``_residual``) and one linear least-model loop
+(``_least``, Dowling & Gallier 1984) serve all three: ``wf_oracle`` per
+component, ``stable_models`` over the Undef atoms, and ``is_stable``
+over the whole program with every atom inside.
 """
 
 from __future__ import annotations
@@ -96,62 +104,19 @@ def reduct(g: GroundProgram, i: TwoValuedInterp) -> GroundProgram:
     return GroundProgram(g.atoms, clauses, g.depth_bound)
 
 
-class _Reduct:
-    """The least model of the reduct of one program against any guess,
-    in time linear in the program (Dowling & Gallier 1984), without
-    building the reduct.  The clause lists are built once: per clause
-    its head and its count of positive literals, the negated atoms of
-    each clause that has one, and per atom the clauses waiting on it.
-    Each guess then only resets the counts: a clause with a negated
-    atom in the guess is dead, an atom that becomes true decrements the
-    clauses waiting on it, and a live clause whose count reaches zero
-    makes its head true."""
-
-    def __init__(self, g: GroundProgram):
-        self.size = len(g.atoms)
-        self.heads: list[int] = []
-        self.counts: list[int] = []
-        self.negated: list[tuple[int, list[int]]] = []
-        self.ready: list[int] = []  # clauses without a positive literal
-        self.waiting: list[list[int]] = [[] for _ in g.atoms]
-        for k, c in enumerate(g.clauses):
-            pos = [a for negated, a in c.literals if not negated]
-            neg = [a for negated, a in c.literals if negated]
-            self.heads.append(c.head)
-            self.counts.append(len(pos))
-            for a in pos:
-                self.waiting[a].append(k)
-            if neg:
-                self.negated.append((k, neg))
-            if not pos:
-                self.ready.append(k)
-
-    def least_model(self, i: TwoValuedInterp) -> TwoValuedInterp:
-        pending = self.counts.copy()
-        for k, neg in self.negated:
-            for a in neg:
-                if a in i:
-                    pending[k] = -1  # dead: never counts down to zero
-                    break
-        heads, waiting = self.heads, self.waiting
-        true = [False] * self.size
-        stack: list[int] = []
-        for k in self.ready:
-            if not pending[k] and not true[heads[k]]:
-                true[heads[k]] = True
-                stack.append(heads[k])
-        while stack:
-            for k in waiting[stack.pop()]:
-                pending[k] -= 1
-                if not pending[k] and not true[heads[k]]:
-                    true[heads[k]] = True
-                    stack.append(heads[k])
-        return frozenset(a for a, t in enumerate(true) if t)
-
-
 def _gl(g: GroundProgram, i: TwoValuedInterp) -> TwoValuedInterp:
-    """Least model of the reduct of ``g`` against the guess ``i``."""
-    return _Reduct(g).least_model(i)
+    """Least model of the reduct of ``g`` against the guess ``i``: the
+    residual of the whole program with every atom inside."""
+    n = len(g.atoms)
+    every = range(n)
+    waiting: list[list[int]] = [[] for _ in every]
+    sure, _, heads, counts, ready, negated, _ = _residual(every, g.by_head, [None] * n, waiting)
+    guess = [False] * n
+    for a in i:
+        guess[a] = True
+    out = [False] * n
+    _least(every, sure, heads, counts, ready, negated, [], waiting, guess, out)
+    return frozenset([a for a in every if out[a]])
 
 
 def least_model_positive(g: GroundProgram) -> TwoValuedInterp:
@@ -159,6 +124,62 @@ def least_model_positive(g: GroundProgram) -> TwoValuedInterp:
     if any(negated for c in g.clauses for negated, _ in c.literals):
         raise HasNegation("least_model_positive expects a negation-free program")
     return _gl(g, frozenset())
+
+
+def _residual(atoms, by_head, value: list, waiting: list[list[int]]):
+    """The clauses of ``atoms`` over the atoms inside, those whose
+    ``value`` is None.  Each other atom has its final value: a clause
+    with a literal false over one is dropped, a literal true over one is
+    removed, and a literal over an Undef one is removed but marks its
+    clause uncertain.
+
+    Returns the heads of the clauses with no literal left inside,
+    certain (``sure``) and uncertain (``maybe``), and for the others:
+    per clause its head and its count of positive literals inside, the
+    clauses with none (``ready``), the negated atoms inside of each
+    clause that has one, and the uncertain clauses (``undef``).  Each
+    atom inside gets, in ``waiting``, the clauses with it as a positive
+    literal."""
+    TRUE, UNDEF = Tv3.TRUE, Tv3.UNDEF  # enum lookups are slow
+    sure: list[int] = []
+    maybe: list[int] = []
+    heads: list[int] = []
+    counts: list[int] = []
+    ready: list[int] = []
+    negated: list[tuple[int, list[int]]] = []
+    undef: list[int] = []
+    for a in atoms:
+        for c in by_head[a]:
+            pos: list[int] = []
+            neg: list[int] = []
+            certain = True
+            for is_neg, b in c.literals:
+                v = value[b]
+                if v is None:  # inside
+                    if is_neg:
+                        neg.append(b)
+                    else:
+                        pos.append(b)
+                elif v is UNDEF:
+                    certain = False
+                elif (v is TRUE) == is_neg:
+                    break
+            else:
+                if not pos and not neg:
+                    (sure if certain else maybe).append(a)
+                    continue
+                k = len(heads)
+                heads.append(a)
+                counts.append(len(pos))
+                for b in pos:
+                    waiting[b].append(k)
+                if not pos:
+                    ready.append(k)
+                if neg:
+                    negated.append((k, neg))
+                if not certain:
+                    undef.append(k)
+    return sure, maybe, heads, counts, ready, negated, undef
 
 
 def wf_oracle(g: GroundProgram) -> list[Tv3]:
@@ -176,50 +197,7 @@ def wf_oracle(g: GroundProgram) -> list[Tv3]:
     upper = [False] * len(by_head)
     waiting: list[list[int]] = [[] for _ in by_head]
     for comp in _sccs([[a for c in cs for _, a in c.literals] for cs in by_head]):
-        # heads of the clauses with no literal left inside the
-        # component: with every literal true, or with some over an
-        # Undef atom
-        sure: list[int] = []
-        maybe: list[int] = []
-        # the other clauses: head, count of positive literals inside,
-        # those with none, negated atoms inside, those with a literal
-        # over an Undef atom
-        heads: list[int] = []
-        counts: list[int] = []
-        ready: list[int] = []
-        negated: list[tuple[int, list[int]]] = []
-        undef: list[int] = []
-        for a in comp:
-            for c in by_head[a]:
-                pos: list[int] = []
-                neg: list[int] = []
-                certain = True
-                for is_neg, b in c.literals:
-                    v = value[b]
-                    if v is None:  # inside the component
-                        if is_neg:
-                            neg.append(b)
-                        else:
-                            pos.append(b)
-                    elif v is UNDEF:
-                        certain = False
-                    elif (v is TRUE) == is_neg:
-                        break
-                else:
-                    if not pos and not neg:
-                        (sure if certain else maybe).append(a)
-                        continue
-                    k = len(heads)
-                    heads.append(a)
-                    counts.append(len(pos))
-                    for b in pos:
-                        waiting[b].append(k)
-                    if not pos:
-                        ready.append(k)
-                    if neg:
-                        negated.append((k, neg))
-                    if not certain:
-                        undef.append(k)
+        sure, maybe, heads, counts, ready, negated, undef = _residual(comp, by_head, value, waiting)
         if not heads:  # no literal left inside: the clauses settle it
             for a in comp:
                 value[a] = FALSE
@@ -244,7 +222,7 @@ def wf_oracle(g: GroundProgram) -> list[Tv3]:
 
 
 def _least(
-    comp: list[int],
+    comp,
     seeds: list[int],
     heads: list[int],
     counts: list[int],
@@ -252,14 +230,14 @@ def _least(
     negated: list[tuple[int, list[int]]],
     dead: list[int],
     waiting: list[list[int]],
-    guess: list[bool],
+    guess: list,
     out: list[bool],
 ) -> int:
-    """Least model of one component: the seeds are true, and so is the
-    head of every clause whose positive literals are, once the clauses
-    with a negated atom in the guess and the ``dead`` ones are dropped.
-    Written into ``out`` for the atoms of the component; returns their
-    count of true atoms."""
+    """Least model of a residual program (Dowling & Gallier 1984): the
+    seeds are true, and so is the head of every clause whose positive
+    literals are, once the clauses with a negated atom in the guess and
+    the ``dead`` ones are dropped.  Written into ``out`` for the atoms
+    ``comp`` inside; returns their count of true atoms."""
     pending = counts.copy()
     for k, neg in negated:
         for b in neg:
@@ -313,34 +291,26 @@ def stable_models(
         raise TooManyAtoms(len(undef), cap)
     wf_true = [a for a, v in enumerate(wf) if v is Tv3.TRUE]
 
-    # The residual program: for each clause, pending counts its literals
+    # The residual program over the Undef atoms, whose value None means
+    # unassigned.  Every other atom is decided, so no clause is
+    # uncertain, and none has every literal true, or its head would be
+    # true.  For the search, pending counts the literals of each clause
     # not yet true and falsified those already false (it is dead while
     # that is above zero); live counts the clauses of each atom that are
     # not dead.
-    heads: list[int] = []
-    pending: list[int] = []
-    falsified: list[int] = []
-    live = [0] * len(g.atoms)
-    occurs: list[list[tuple[int, bool]]] = [[] for _ in g.atoms]
-    for c in g.clauses:
-        if wf[c.head] is not Tv3.UNDEF:
-            continue
-        rest = []
-        for negated, a in c.literals:
-            if wf[a] is Tv3.UNDEF:
-                rest.append((negated, a))
-            elif (wf[a] is Tv3.TRUE) == negated:
-                break
-        else:
-            for negated, a in rest:
-                occurs[a].append((len(heads), negated))
-            heads.append(c.head)
-            pending.append(len(rest))
-            falsified.append(0)
-            live[c.head] += 1
-
-    value: list[bool | None] = [None] * len(g.atoms)
-    gl = _Reduct(g).least_model
+    value: list = [None if v is Tv3.UNDEF else v for v in wf]
+    waiting: list[list[int]] = [[] for _ in wf]
+    _, _, heads, counts, ready, negated, _ = _residual(undef, g.by_head, value, waiting)
+    occurs = [[(k, False) for k in ks] for ks in waiting]
+    pending = counts.copy()
+    for k, neg in negated:
+        pending[k] += len(neg)
+        for a in neg:
+            occurs[a].append((k, True))
+    falsified = [0] * len(heads)
+    live = [0] * len(wf)
+    for a in heads:
+        live[a] += 1
 
     def assign(atom: int, v: bool, trail: list[int]) -> bool:
         """Set atom to v and every atom that forces: the head of a clause
@@ -356,8 +326,8 @@ def stable_models(
                 continue
             value[atom] = v
             trail.append(atom)
-            for k, negated in occurs[atom]:
-                if v != negated:
+            for k, is_neg in occurs[atom]:
+                if v != is_neg:
                     pending[k] -= 1
                     if not pending[k]:
                         todo.append((heads[k], True))
@@ -371,8 +341,8 @@ def stable_models(
 
     def undo(trail: list[int]) -> None:
         for atom in trail:
-            for k, negated in occurs[atom]:
-                if value[atom] != negated:
+            for k, is_neg in occurs[atom]:
+                if value[atom] != is_neg:
                     pending[k] += 1
                 else:
                     falsified[k] -= 1
@@ -383,6 +353,7 @@ def stable_models(
     # Depth-first over the Undef atoms, False before True, with an
     # explicit stack of decisions: (atom, branch, atoms it set).
     models: list[_Model] = []
+    out = [False] * len(wf)
     decisions: list[tuple[int, bool, list[int]]] = []
     consistent = True
     while True:
@@ -392,9 +363,12 @@ def stable_models(
                 decisions.append((free, False, []))
                 consistent = assign(free, False, decisions[-1][2])
                 continue
-            candidate = _Model(wf_true + [a for a in undef if value[a]])
-            if gl(candidate) == candidate:  # is_stable, over clause lists built once
-                models.append(candidate)
+            # is_stable: the least model of the reduct agrees with the
+            # well-founded model on every decided atom, so only its
+            # Undef atoms, the residual's least model, are compared
+            _least(undef, [], heads, counts, ready, negated, [], waiting, value, out)
+            if all(out[a] == value[a] for a in undef):
+                models.append(_Model(wf_true + [a for a in undef if value[a]]))
         while decisions and decisions[-1][1]:
             undo(decisions.pop()[2])
         if not decisions:

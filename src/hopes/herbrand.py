@@ -32,8 +32,9 @@ anything again.
 
 The work per clause (substitutions enumerated after solving, and head
 tuples registered) is counted from the slice sizes and checked against
-a budget before any term is built; exceeding it raises
-``BudgetExceeded`` rather than looping for hours.
+a budget before any term is built, and so is the number of terms in
+all the slices together; exceeding it raises ``BudgetExceeded`` rather
+than looping for hours.
 """
 
 from __future__ import annotations
@@ -70,13 +71,19 @@ class EmptyUniverse(Exception):
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, clause: str, count: int, budget: int):
+    """A clause needs more substitutions than the budget, or, when
+    ``clause`` is None, the universe slices at ``depth`` hold more terms."""
+
+    def __init__(self, clause: str | None, count: int, budget: int, depth: int = 0):
         self.clause = clause
         self.count = count
         self.budget = budget
-        super().__init__(
-            f"clause '{clause}' needs {count} substitutions, over the budget of {budget}"
+        need = (
+            f"universe slices at depth {depth} hold {count} terms"
+            if clause is None
+            else f"clause '{clause}' needs {count} substitutions"
         )
+        super().__init__(f"{need}, over the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -550,9 +557,7 @@ class _Grounder:
         sizes = [size(t, 0) for t in types.values()]
         if 0 in sizes:
             name = list(types)[sizes.index(0)]
-            note = _skip_note(idx, name, types[name], self.k)
-            if note not in self.notes:
-                self.notes.append(note)
+            self.notes.append(_skip_note(idx, name, types[name], self.k))
             return None
         leading = _solve_leading(clause)
         count = math.prod([s for n, s in zip(types, sizes) if n not in leading[1]])
@@ -565,8 +570,11 @@ class _Grounder:
         return types, leading, walk
 
     def ground(self) -> GroundProgram:
-        # every clause passes the budget before any term is built
+        # every clause, then the slices, pass the budget before any term is built
         plans = [self.plan(idx, clause) for idx, clause in enumerate(self.tp.clauses)]
+        total = sum(self.universe.total.values())
+        if total > self.budget:
+            raise BudgetExceeded(None, total, self.budget, self.k)
         terms = self.terms
         terms.slices = self.universe.enumerate(terms)
         for t in terms.slices[O]:

@@ -197,14 +197,18 @@ def reference_ground_instantiate(
             GroundClause(head_id, tuple(literals), origin=(idx, tuple(binding.items())))
         )
 
+    # after every clause's own check, as the grounder under test does it
+    total = reference_slice_total(tp, k)
+    if total > budget:
+        raise BudgetExceeded(None, total, budget, k)
     if not atom_order:
         notes.insert(len(tp.notes), f"no ground atoms exist at depth {k}")
     return GroundProgram(tuple(atom_order), tuple(clauses), k, tuple(notes))
 
 
 def reference_count(tp: TypedProgram, k: int) -> int:
-    """The smallest budget the reference grounder accepts at depth k:
-    the largest full product of one clause's variable slices."""
+    """The smallest budget ``reference_iter_ground_instances`` accepts at
+    depth k: the largest full product of one clause's variable slices."""
     enum = TermEnumerator(tp)
     largest = 1
     for clause in tp.clauses:
@@ -220,3 +224,11 @@ def reference_count(tp: TypedProgram, k: int) -> int:
             continue
         largest = max(largest, count)
     return largest
+
+
+def reference_slice_total(tp: TypedProgram, k: int) -> int:
+    """The number of terms in all the slices of the closure at depth k,
+    which ``reference_ground_instantiate`` checks against the budget
+    too."""
+    enum = TermEnumerator(tp)
+    return sum(len(enum.terms_of(t, n)) for t in enum.closure for n in range(1, k + 1))

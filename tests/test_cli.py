@@ -137,6 +137,29 @@ def test_clause_over_budget_is_refused_before_enumeration(capsys, tmp_path):
     )
 
 
+def test_universe_slices_over_budget_are_refused_before_enumeration(capsys, tmp_path):
+    # the one clause has no variable, so it passes its check, but the
+    # slices of i and o hold 1,323,926 terms at depth 27; they are
+    # counted, and refused, before any term is built
+    path = tmp_path / "slices.hop"
+    path.write_text("#func f : i -> i -> i.\n#pred q : i -> o.\n#pred r : o.\nr.\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "model", path, "--depth", "27")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: grounding budget exceeded: universe slices at depth 27 hold 1323926"
+        " terms, over the budget of 1000000\n"
+    )
+    # at depth 25 the slices hold 373,014 terms, within the budget
+    tp = typecheck(parse_program(path.read_text()))
+    assert sum(_Universe(tp, 25).total.values()) == 373014
+    code, out, err = run(capsys, "ground", path, "--depth", "25")
+    assert (code, out) == (0, "r.\n")
+    assert err == "note: program uses no individual constants; injected reserved constant a0\n"
+
+
 def test_depth_above_budget_is_refused_before_grounding(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "model", program_path("even_loop"), "--depth", 10**8)

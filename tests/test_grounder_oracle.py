@@ -22,6 +22,7 @@ from reference_grounder import (
     reference_count,
     reference_ground_instantiate,
     reference_iter_ground_instances,
+    reference_slice_total,
 )
 
 # argument types of the predicates a random program may declare
@@ -175,7 +176,7 @@ def test_random_programs_match_reference():
         for k in (1, 2, 3):
             # the smallest budget the reference accepts, which the
             # grounder under test must accept as well
-            budget = reference_count(tp, k)
+            budget = max(reference_count(tp, k), reference_slice_total(tp, k))
             if budget <= 1500:
                 assert_same_grounding(tp, k, budget)
                 compared += 1
@@ -189,6 +190,13 @@ def test_budget_refuses_only_what_the_reference_refuses():
     assert_same_grounding(tp, 1, budget=4)
     with pytest.raises(BudgetExceeded):
         ground_instantiate(tp, 1, budget=3)
+    # the clause has no variable; the slices hold a0, f(a0), f(f(a0)) and r
+    tp = typecheck(parse_program("#func f : i -> i.\n#pred r : o.\nr.\n"))
+    assert (reference_count(tp, 3), reference_slice_total(tp, 3)) == (1, 4)
+    assert_same_grounding(tp, 3, budget=4)
+    for grounder in (ground_instantiate, reference_ground_instantiate):
+        with pytest.raises(BudgetExceeded, match="universe slices at depth 3 hold 4 terms"):
+            grounder(tp, 3, budget=3)
 
 
 def test_random_programs_cover_the_interesting_shapes():

@@ -175,6 +175,22 @@ def test_empty_universe_clause_is_skipped_with_note():
     assert "p" in g.atoms  # the base atom is still in the table
 
 
+def test_skip_notes_scale_linearly():
+    # each of 20,000 clauses has a variable over an empty slice and so
+    # its own note, naming its index; appending them costs linear time
+    tp = typecheck(parse_program("#pred q : (i -> i -> o) -> o.\n" + "q(X).\n" * 20000))
+    start = time.perf_counter()
+    g = ground_instantiate(tp, 1)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, elapsed
+    assert g.clauses == ()
+    assert g.notes[2:] == tuple(
+        f"clause {i} has no instances at depth 1: variable X ranges over an empty"
+        " universe (no ground terms of type i -> i -> o within depth 1)"
+        for i in range(1, 20001)
+    )
+
+
 def test_no_ground_atoms_note_only_without_atoms():
     # no zero-arity predicate, so the o slice is empty, but the fact's
     # head is an atom
