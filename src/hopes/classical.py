@@ -33,18 +33,28 @@ two constructions can be tested against each other.
   pending and false literals, and per-atom counts of live clauses,
   propagate each assignment through the clauses the atom occurs in (a
   clause with every literal true makes its head true, an atom with
-  every clause dead is false).  Each total candidate lies between the
-  well-founded model's true and non-false atoms, and the reduct
-  operator is antimonotone, so the least model of its reduct agrees
-  with the well-founded model on every decided atom; the leaf check
-  compares only the residual's least model with the candidate on the
+  every clause dead is false).  A leaf that this propagation leaves
+  consistent is a supported model of the residual: each true atom has
+  a clause with every literal true, and no false atom has one.  Each
+  total candidate lies between the well-founded model's true and
+  non-false atoms, and the reduct operator is antimonotone, so the
+  least model of its reduct agrees with the well-founded model on every
+  decided atom, and the candidate is stable exactly when its Undef
+  atoms are a stable model of the residual.  When the residual is tight
+  (no cycle through positive literals, self-loops included, in its
+  graph over the Undef atoms, decided once per run), every supported
+  model of it is stable (Fages 1994; Erdem & Lifschitz, TPLP 2003), so
+  each consistent leaf is accepted as it stands.  Otherwise the leaf
+  check compares the residual's least model with the candidate on the
   Undef atoms.  The count of Undef atoms is capped, since the search
   is meant for desk-sized programs.  The well-founded true atoms, which
   every model shares, are frozen and named once; a model adds only its
   own true Undef atoms to both.  The search decides the Undef atoms in
   the order of their names, True before False, so the models come out
   in the order of their sorted names and are never sorted afterwards
-  (no stable model contains another; see ``stable_models``).
+  (no stable model contains another; see ``stable_models``).  Every
+  atom before a decision's place in that order is already set, so the
+  scan for the next free atom resumes after the last decision.
 
 One residual builder (``_residual``) and one linear least-model loop
 (``_least``, Dowling & Gallier 1984) serve all three: ``wf_oracle`` per
@@ -302,7 +312,16 @@ def stable_models(
     is the first Undef atom, by name, that the two disagree on, so the
     search decides the Undef atoms in the order of their names and
     tries True first: at the decision that splits the two, every
-    earlier atom is set, and the decided atom is that name."""
+    earlier atom is set, and the decided atom is that name.  The scan
+    for the next free atom therefore resumes after the last decision.
+
+    A consistent leaf of the search is a supported model of the
+    residual program.  If the residual's positive graph has no cycle
+    (it is tight), supported models are stable (Fages, "Consistency of
+    Clark's completion and existence of stable models", 1994; Erdem &
+    Lifschitz, "Tight logic programs", TPLP 2003), and every such leaf
+    is a model; otherwise each leaf is checked against the least model
+    of its reduct over the residual."""
     atoms = g.atoms
     wf = wf_oracle(g)
     undef = sorted([a for a, v in enumerate(wf) if v is Tv3.UNDEF], key=atoms.__getitem__)
@@ -330,6 +349,13 @@ def stable_models(
     live = [0] * len(wf)
     for a in heads:
         live[a] += 1
+    # Tight: the residual's positive graph, an edge from each positive
+    # literal to its clause's head, has no cycle, not even a self-loop.
+    tight = True
+    if undef:
+        number = {a: i for i, a in enumerate(undef)}
+        succ = [[number[heads[k]] for k in waiting[a]] for a in undef]
+        tight = all(len(c) == 1 and c[0] not in succ[c[0]] for c in _sccs(succ))
 
     def assign(atom: int, v: bool, trail: list[int]) -> bool:
         """Set atom to v and every atom that forces: the head of a clause
@@ -370,9 +396,11 @@ def stable_models(
             value[atom] = None
 
     # Depth-first over the Undef atoms, True before False, with an
-    # explicit stack of decisions: (atom, on its second branch, atoms it
-    # set).  An accepted model is the shared true atoms and their sorted
-    # names, each Undef atom true in it added at its place among them.
+    # explicit stack of decisions: (position in undef, on its second
+    # branch, atoms it set).  Every atom before a decision's position is
+    # set, so the scan for the next free atom resumes after it.  An
+    # accepted model is the shared true atoms and their sorted names,
+    # each Undef atom true in it added at its place among them.
     base = frozenset(wf_true)
     shared = sorted([atoms[a] for a in wf_true])
     place = {a: bisect(shared, atoms[a]) for a in undef}
@@ -382,16 +410,21 @@ def stable_models(
     consistent = True
     while True:
         if consistent:
-            free = next((a for a in undef if value[a] is None), None)
-            if free is not None:
+            free = decisions[-1][0] + 1 if decisions else 0
+            while free < len(undef) and value[undef[free]] is not None:
+                free += 1
+            if free < len(undef):
                 decisions.append((free, False, []))
-                consistent = assign(free, True, decisions[-1][2])
+                consistent = assign(undef[free], True, decisions[-1][2])
                 continue
-            # is_stable: the least model of the reduct agrees with the
-            # well-founded model on every decided atom, so only its
-            # Undef atoms, the residual's least model, are compared
-            _least(undef, [], heads, counts, ready, negated, [], waiting, value, out)
-            if all(out[a] == value[a] for a in undef):
+            # a consistent leaf is a supported model of the residual,
+            # stable when the residual is tight; otherwise is_stable:
+            # the least model of the reduct agrees with the well-founded
+            # model on every decided atom, so only its Undef atoms, the
+            # residual's least model, are compared
+            if not tight:
+                _least(undef, [], heads, counts, ready, negated, [], waiting, value, out)
+            if tight or all(out[a] == value[a] for a in undef):
                 own = [a for a in undef if value[a]]
                 names = shared.copy()
                 for a in reversed(own):  # from the last place back
@@ -403,8 +436,8 @@ def stable_models(
             undo(decisions.pop()[2])
         if not decisions:
             break
-        atom, _, trail = decisions.pop()
+        pos, _, trail = decisions.pop()
         undo(trail)
-        decisions.append((atom, True, []))
-        consistent = assign(atom, False, decisions[-1][2])
+        decisions.append((pos, True, []))
+        consistent = assign(undef[pos], False, decisions[-1][2])
     return models

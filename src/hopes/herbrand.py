@@ -179,6 +179,13 @@ class _Universe:
         # the number of terms in each slice; a type outside the closure has none
         self.total = {t: sum(c) for t, c in self.counts.items()}
 
+    def check_budget(self, budget: int) -> None:
+        """Refuse slices that hold more terms together than the budget,
+        before any of them is built."""
+        total = sum(self.total.values())
+        if total > budget:
+            raise BudgetExceeded(None, total, budget, self.k)
+
     def parts(self, typ: TypeExpr, n: int) -> Iterator[tuple[str | None, tuple]]:
         """How a term of type typ with n >= 2 symbols is built: a
         function symbol with the (type, size) of each argument, or None
@@ -346,7 +353,9 @@ def iter_ground_instances(
 ) -> Iterator[tuple[int, dict[str, Expression], list[str]]]:
     """Yield (clause index, variable binding, notes) for every in-bound
     substitution of every clause.  Notes report clauses skipped because a
-    variable's universe slice is empty at this depth."""
+    variable's universe slice is empty at this depth.  Each clause's
+    substitutions, and before the first term is built the terms of all
+    the slices, are checked against the budget."""
     universe = _Universe(tp, k)
     slices = None
     for idx, clause in enumerate(tp.clauses):
@@ -360,6 +369,7 @@ def iter_ground_instances(
         if count > budget:
             raise BudgetExceeded(str(clause), count, budget)
         if slices is None:
+            universe.check_budget(budget)
             slices = _ast_slices(tp, universe)
         for combo in itertools.product(*[slices[types[n]] for n in names]):
             yield idx, dict(zip(names, combo)), []
@@ -572,9 +582,7 @@ class _Grounder:
     def ground(self) -> GroundProgram:
         # every clause, then the slices, pass the budget before any term is built
         plans = [self.plan(idx, clause) for idx, clause in enumerate(self.tp.clauses)]
-        total = sum(self.universe.total.values())
-        if total > self.budget:
-            raise BudgetExceeded(None, total, self.budget, self.k)
+        self.universe.check_budget(self.budget)
         terms = self.terms
         terms.slices = self.universe.enumerate(terms)
         for t in terms.slices[O]:

@@ -6,7 +6,8 @@ sorts each size's terms by their rendered text; the enumerator in
 ``hopes.herbrand`` builds the same slices as term ids.  The grounder
 enumerates every clause variable over its whole slice, renders both
 sides of each equality to text to compare them, and interns atoms by
-their text.  Its budget bounds the full product of the slices.
+their text.  Its budget bounds the full product of each clause's
+slices, and the terms of all the slices together.
 """
 
 from __future__ import annotations
@@ -116,7 +117,23 @@ def reference_iter_ground_instances(
 ) -> Iterator[tuple[int, dict[str, Expression], list[str]]]:
     """Yield (clause index, variable binding, notes) for every in-bound
     substitution of every clause.  Notes report clauses skipped because a
-    variable's universe slice is empty at this depth."""
+    variable's universe slice is empty at this depth.  Before the first
+    substitution, the terms of all the slices are checked against the
+    budget too."""
+    checked = False
+    for idx, binding, notes in _instances(tp, k, budget):
+        if binding is not None and not checked:
+            total = reference_slice_total(tp, k)
+            if total > budget:
+                raise BudgetExceeded(None, total, budget, k)
+            checked = True
+        yield idx, binding, notes
+
+
+def _instances(
+    tp: TypedProgram, k: int, budget: int
+) -> Iterator[tuple[int, dict[str, Expression], list[str]]]:
+    """The substitutions, each clause's checked against the budget."""
     enum = TermEnumerator(tp)
     for idx, clause in enumerate(tp.clauses):
         types = _clause_variables(clause)
@@ -169,7 +186,7 @@ def reference_ground_instantiate(
     seen: set[tuple[int, tuple[tuple[bool, int], ...]]] = set()
     head_exprs = {i: c.head_expr() for i, c in enumerate(tp.clauses)}
 
-    for idx, binding, inst_notes in reference_iter_ground_instances(tp, k, budget):
+    for idx, binding, inst_notes in _instances(tp, k, budget):
         notes.extend(n for n in inst_notes if n not in notes)
         if binding is None:
             continue
@@ -207,8 +224,8 @@ def reference_ground_instantiate(
 
 
 def reference_count(tp: TypedProgram, k: int) -> int:
-    """The smallest budget ``reference_iter_ground_instances`` accepts at
-    depth k: the largest full product of one clause's variable slices."""
+    """The smallest budget every clause's own check accepts at depth k:
+    the largest full product of one clause's variable slices."""
     enum = TermEnumerator(tp)
     largest = 1
     for clause in tp.clauses:

@@ -197,6 +197,20 @@ def test_budget_refuses_only_what_the_reference_refuses():
     for grounder in (ground_instantiate, reference_ground_instantiate):
         with pytest.raises(BudgetExceeded, match="universe slices at depth 3 hold 4 terms"):
             grounder(tp, 3, budget=3)
+    for instances in (iter_ground_instances, reference_iter_ground_instances):
+        with pytest.raises(BudgetExceeded, match="universe slices at depth 3 hold 4 terms"):
+            list(instances(tp, 3, budget=3))
+
+
+def test_instances_check_the_slices_before_building_them():
+    # 106,216 terms at depth 23, counted but never built: the same
+    # refusal as the grounder's, before any term exists
+    tp = typecheck(parse_program("#func f : i -> i -> i.\n#pred q : i -> o.\n#pred r : o.\nr.\n"))
+    message = "universe slices at depth 23 hold 106216 terms, over the budget of 10"
+    with pytest.raises(BudgetExceeded, match=message):
+        ground_instantiate(tp, 23, budget=10)
+    with pytest.raises(BudgetExceeded, match=message):
+        next(iter_ground_instances(tp, 23, budget=10))
 
 
 def test_random_programs_cover_the_interesting_shapes():
@@ -242,7 +256,7 @@ def test_random_program_slices_match_reference():
         _, tp = random_checked_program(rng)
         for k in (1, 2, 3):
             assert_same_slices(tp, k)
-            budget = reference_count(tp, k)
+            budget = max(reference_count(tp, k), reference_slice_total(tp, k))
             if budget <= 1500:
                 assert list(iter_ground_instances(tp, k, budget)) == list(
                     reference_iter_ground_instances(tp, k, budget)
