@@ -35,6 +35,13 @@ Stratification is checked on two levels:
 * ground level: the same test on the bounded ground program's atom
   dependency graph, which is a finite check of local stratification up
   to the depth bound.
+
+Both graphs, and the one ``wf_oracle`` solves by, are lists over node
+ids of the (strict, source) pairs of the edges into each node.  A
+violation's witness starts from the strict edge inside a component
+whose (source name, target name) comes first, and is closed by the
+shortest path back from its target to its source: a breadth-first
+search inside the component that tries successors in name order.
 """
 
 from __future__ import annotations
@@ -42,12 +49,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .ast import Eq, Expression, Neg, PredConst, TypedProgram, Var, spine
+from .ast import Eq, Neg, PredConst, TypedProgram, Var, spine
 from .herbrand import EmptyUniverse, GroundProgram
 from .truth import TruthValue
 from .types import IOTA, O, TypeExpr, is_predicate
 
 Edge = tuple[str, str, str]  # (source, "<" or "<=", target)
+_Deps = Sequence[Sequence[tuple[bool, int]]]  # per node v, (strict, u) for each edge u -> v
 
 
 def type_geq(pi: TypeExpr, other: TypeExpr) -> bool:
@@ -62,38 +70,44 @@ def type_geq(pi: TypeExpr, other: TypeExpr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# strongly connected components (iterative Tarjan, emitted in reverse
-# topological order of the condensation)
+# dependency graphs: per node, the (strict, source) pairs of the edges into
+# it; strongly connected components by iterative Tarjan, dependencies first
 # ---------------------------------------------------------------------------
 
 
-def _sccs(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The components of the graph on nodes ``0 .. len(succ) - 1``,
-    where ``succ[v]`` lists the successors of ``v``.  Roots are tried
-    in node order and successors in list order; each component comes
-    out after every component it reaches."""
-    done = len(succ)  # the index of a node whose component is out
-    index = [-1] * len(succ)
-    low = [0] * len(succ)
+def _dependencies(g: GroundProgram) -> list[list[tuple[bool, int]]]:
+    """The atom dependency graph of ``g``: per atom, the (negated, atom)
+    literals of its clauses, in program order."""
+    return [[lit for c in cs for lit in c.literals] for cs in g.by_head]
+
+
+def _sccs(deps: _Deps) -> list[list[int]]:
+    """The components of the graph on nodes ``0 .. len(deps) - 1``.
+    Roots are tried in node order and the edges into a node in list
+    order; each component comes out after every component it depends
+    on."""
+    done = len(deps)  # the index of a node whose component is out
+    index = [-1] * len(deps)
+    low = [0] * len(deps)
     stack: list[int] = []
     out: list[list[int]] = []
     count = 0
 
-    for root in range(len(succ)):
+    for root in range(len(deps)):
         if index[root] >= 0:
             continue
         index[root] = low[root] = count
         count += 1
         stack.append(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(deps[root]))]
         while work:
             v, it = work[-1]
-            for w in it:
+            for _, w in it:
                 if index[w] < 0:
                     index[w] = low[w] = count
                     count += 1
                     stack.append(w)
-                    work.append((w, iter(succ[w])))
+                    work.append((w, iter(deps[w])))
                     break
                 if index[w] < low[v]:
                     low[v] = index[w]
@@ -138,51 +152,50 @@ def _find_cycle(start, goal, succ, allowed: set) -> list:
     return [goal, start]  # unreachable for edges within one SCC
 
 
-def _stratify_graph(
-    nodes: list, edges: dict[tuple, bool]
-) -> tuple[dict, int] | list[Edge]:
+def _stratify_graph(deps: _Deps, names: Sequence[str]) -> tuple[dict[str, int], int] | list[Edge]:
     """Assign strata, or return a witness cycle through a strict edge.
 
-    ``edges`` maps (source, target) to True when some strict edge joins
-    the pair.  Result is (strata dict, stratum count) on success.
+    Node v is named ``names[v]``.  Result is (strata dict, stratum
+    count) on success.  Levels are pulled from the components a
+    component depends on, which come out before it; names are read only
+    for the strict edges inside a component and to trace the witness.
     """
-    ordered = sorted(edges.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
-    ids = {v: i for i, v in enumerate(nodes)}
-    pairs = [
-        (ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)), strict)
-        for (u, v), strict in ordered
-    ]
-    names = list(ids)
-    succ: list[list[int]] = [[] for _ in names]
-    strict_out: list[list[bool]] = [[] for _ in names]
-    for u, v, strict in pairs:
-        succ[u].append(v)
-        strict_out[u].append(strict)
-    comps = _sccs(succ)
-    comp_of = [0] * len(names)
-    for i, comp in enumerate(comps):
+    comps = _sccs(deps)
+    comp_of = [0] * len(deps)
+    levels: list[int] = []
+    inner: list[tuple[int, int]] = []  # the strict edges inside a component
+    for ci, comp in enumerate(comps):
         for v in comp:
-            comp_of[v] = i
+            comp_of[v] = ci
+        level = 1
+        for v in comp:
+            for strict, u in deps[v]:
+                cu = comp_of[u]
+                if cu != ci:
+                    if levels[cu] + strict > level:
+                        level = levels[cu] + strict
+                elif strict:
+                    inner.append((u, v))
+        levels.append(level)
+    if not inner:
+        return {name: levels[comp_of[v]] for v, name in enumerate(names)}, max(levels, default=1)
 
-    for u, v, strict in pairs:
-        if strict and comp_of[u] == comp_of[v]:
-            back = [names[x] for x in _find_cycle(u, v, succ, set(comps[comp_of[u]]))]
-            cycle: list[Edge] = [(names[u], "<", names[v])]
-            for a, b in zip(back, back[1:]):
-                cycle.append((a, "<" if edges.get((a, b)) else "<=", b))
-            return cycle
-
-    # components come out in reverse topological order: walking them
-    # from the last one settles every level before it is pushed on
-    levels = [1] * len(comps)
-    for ci in range(len(comps) - 1, -1, -1):
-        for u in comps[ci]:
-            for v, strict in zip(succ[u], strict_out[u]):
-                cv = comp_of[v]
-                if cv != ci:
-                    levels[cv] = max(levels[cv], levels[ci] + strict)
-    strata = {names[v]: levels[ci] for ci, comp in enumerate(comps) for v in comp}
-    return strata, max(levels, default=1)
+    u, v = min(inner, key=lambda e: (names[e[0]], names[e[1]]))
+    members = set(comps[comp_of[u]])
+    succ: dict[int, list[int]] = {a: [] for a in members}
+    strict_edges = set()
+    for b in members:
+        for strict, a in deps[b]:
+            if a in members:
+                succ[a].append(b)
+                if strict:
+                    strict_edges.add((a, b))
+    for out in succ.values():
+        out.sort(key=names.__getitem__)
+    back = _find_cycle(u, v, succ, members)
+    return [(names[u], "<", names[v])] + [
+        (names[a], "<" if (a, b) in strict_edges else "<=", names[b]) for a, b in zip(back, back[1:])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -206,33 +219,25 @@ class StratViolation:
 
 
 def check_stratified(tp: TypedProgram) -> StrataAssignment | StratViolation:
-    """Decide stratification over the declared predicate constants."""
+    """Decide stratification over the declared predicate constants,
+    numbered in name order."""
     nodes = sorted(tp.predicate_decls)
-    edges: dict[tuple[str, str], bool] = {}
-
-    def add(src: str, dst: str, strict: bool) -> None:
-        edges[(src, dst)] = edges.get((src, dst), False) or strict
-
-    def sources_of(atom: Expression) -> list[str]:
-        head = spine(atom)[0]
-        if isinstance(head, PredConst):
-            return [head.name]
-        if isinstance(head, Var):
-            qtype = head.typ
-            return [q for q in nodes if type_geq(tp.predicate_decls[q], qtype)]
-        return []
-
+    rank = {p: i for i, p in enumerate(nodes)}
+    deps: list[list[tuple[bool, int]]] = [[] for _ in nodes]
     for clause in tp.clauses:
-        p = clause.head_pred
+        into = deps[rank[clause.head_pred]]
         for lit in clause.body:
             if isinstance(lit, Eq):
                 continue
             strict = isinstance(lit, Neg)
-            atom = lit.inner if strict else lit
-            for q in sources_of(atom):
-                add(q, p, strict)
+            head = spine(lit.inner if strict else lit)[0]
+            if isinstance(head, PredConst):
+                into.append((strict, rank[head.name]))
+            elif isinstance(head, Var):
+                decls = tp.predicate_decls
+                into += [(strict, q) for q, p in enumerate(nodes) if type_geq(decls[p], head.typ)]
 
-    result = _stratify_graph(nodes, edges)
+    result = _stratify_graph(deps, nodes)
     if isinstance(result, list):
         return StratViolation(tuple(result))
     strata, count = result
@@ -254,14 +259,7 @@ class LocalStratResult:
 
 def check_locally_stratified_bounded(g: GroundProgram) -> LocalStratResult:
     """Local stratification of the depth-bounded ground program."""
-    nodes = list(g.atoms)
-    edges: dict[tuple[str, str], bool] = {}
-    for c in g.clauses:
-        head = g.atoms[c.head]
-        for negated, a in c.literals:
-            key = (g.atoms[a], head)
-            edges[key] = edges.get(key, False) or negated
-    result = _stratify_graph(nodes, edges)
+    result = _stratify_graph(_dependencies(g), g.atoms)
     if isinstance(result, list):
         return LocalStratResult(False, witness=tuple(result))
     strata, count = result

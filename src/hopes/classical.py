@@ -67,7 +67,7 @@ from __future__ import annotations
 from bisect import bisect
 from enum import Enum
 
-from .analysis import _sccs
+from .analysis import _dependencies, _sccs
 from .engine import InfModel
 from .herbrand import GroundClause, GroundProgram
 
@@ -212,7 +212,7 @@ def wf_oracle(g: GroundProgram) -> list[Tv3]:
     lower = [False] * len(by_head)
     upper = [False] * len(by_head)
     waiting: list[list[int]] = [[] for _ in by_head]
-    for comp in _sccs([[a for c in cs for _, a in c.literals] for cs in by_head]):
+    for comp in _sccs(_dependencies(g)):
         sure, maybe, heads, counts, ready, negated, undef = _residual(comp, by_head, value, waiting)
         if not heads:  # no literal left inside: the clauses settle it
             for a in comp:
@@ -350,12 +350,13 @@ def stable_models(
     for a in heads:
         live[a] += 1
     # Tight: the residual's positive graph, an edge from each positive
-    # literal to its clause's head, has no cycle, not even a self-loop.
+    # literal to its clause's head, has no cycle, not even a self-loop;
+    # given to _sccs reversed, as lists of heads, with the same cycles.
     tight = True
     if undef:
         number = {a: i for i, a in enumerate(undef)}
-        succ = [[number[heads[k]] for k in waiting[a]] for a in undef]
-        tight = all(len(c) == 1 and c[0] not in succ[c[0]] for c in _sccs(succ))
+        heads_of = [[(False, number[heads[k]]) for k in waiting[a]] for a in undef]
+        tight = all(len(c) == 1 and (False, c[0]) not in heads_of[c[0]] for c in _sccs(heads_of))
 
     def assign(atom: int, v: bool, trail: list[int]) -> bool:
         """Set atom to v and every atom that forces: the head of a clause

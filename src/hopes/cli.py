@@ -292,10 +292,9 @@ def cmd_locstrat(args) -> int:
             "count": result.count,
         }
     else:
-        steps = ", ".join(f"{u} {rel} {v}" for u, rel, v in result.witness)
         text = (
             f"locally stratified up to depth {args.depth}: no\n"
-            f"cycle through negation: {steps}\n"
+            f"{analysis.StratViolation(result.witness)}\n"
         )
         obj = {
             "verdict": "violation",

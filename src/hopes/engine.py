@@ -70,7 +70,7 @@ from enum import Enum
 
 from . import truth
 from .ast import Eq, Expression, Neg, TypedProgram, expr_to_str, substitute
-from .herbrand import GroundProgram, iter_ground_instances, normalize_equality
+from .herbrand import DEFAULT_BUDGET, GroundProgram, iter_ground_instances, normalize_equality
 from .truth import F0, T0, TruthValue, ZERO
 
 Interpretation = list[TruthValue]
@@ -316,18 +316,14 @@ def valuate_expression(tp: TypedProgram, m: InfModel, e: Expression) -> TruthVal
 
 
 def check_model_ho(
-    tp: TypedProgram, m: InfModel, k: int, budget: int | None = None
+    tp: TypedProgram, m: InfModel, k: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, list[tuple[str, TruthValue, TruthValue]]]:
     """Check the model property clause by clause over all depth-k
     substitutions of the source program (not just the stored ground
     clauses).  Returns the verdict and violating instances."""
-    from .herbrand import DEFAULT_BUDGET
-
     violations: list[tuple[str, TruthValue, TruthValue]] = []
     head_exprs = {i: c.head_expr() for i, c in enumerate(tp.clauses)}
-    for idx, binding, _notes in iter_ground_instances(
-        tp, k, DEFAULT_BUDGET if budget is None else budget
-    ):
+    for idx, binding, _notes in iter_ground_instances(tp, k, budget):
         if binding is None:
             continue
         clause = tp.clauses[idx]

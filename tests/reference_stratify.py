@@ -3,7 +3,8 @@ kept as the reference that the one-pass stratifier is checked against.
 
 It finds the same components and the same witness cycles, but gives
 each component its stratum by scanning every edge once per node of the
-component, which is quadratic.
+component, which is quadratic.  It works on named nodes and an edge
+dict, read off the dependency lists that ``_stratify_graph`` takes.
 """
 
 from __future__ import annotations
@@ -19,10 +20,21 @@ def named_sccs(nodes: list, succ: dict) -> list[list]:
         for v in (u, *vs):
             ids.setdefault(v, len(ids))
     names = list(ids)
-    return [[names[i] for i in comp] for comp in _sccs([[ids[w] for w in succ.get(v, ())] for v in names])]
+    return [[names[i] for i in comp] for comp in _sccs([[(False, ids[w]) for w in succ.get(v, ())] for v in names])]
 
 
-def reference_stratify_graph(
+def reference_stratify_graph(deps, names) -> tuple[dict, int] | list[Edge]:
+    """``_stratify_graph(deps, names)`` through the named reference:
+    ``deps[v]`` holds (strict, u) for each edge u -> v."""
+    edges: dict[tuple, bool] = {}
+    for v, pairs in enumerate(deps):
+        for strict, u in pairs:
+            key = (names[u], names[v])
+            edges[key] = edges.get(key, False) or strict
+    return named_stratify_graph(list(names), edges)
+
+
+def named_stratify_graph(
     nodes: list, edges: dict[tuple, bool]
 ) -> tuple[dict, int] | list[Edge]:
     """Assign strata, or return a witness cycle through a strict edge."""

@@ -12,11 +12,12 @@ import time
 
 import pytest
 
-from hopes import analysis, parse_program, typecheck
+from hopes import analysis, ground_instantiate, parse_program, typecheck
 from hopes.herbrand import GroundProgram
 
 from conftest import CORPUS, load, load_ground
 from reference_stratify import reference_stratify_graph
+from test_grounder_oracle import random_checked_program
 
 
 def _both(monkeypatch, check, arg):
@@ -36,20 +37,25 @@ def test_corpus_matches_reference(monkeypatch, name):
         assert fast == slow
 
 
-def random_graph(rng: random.Random, shape: str) -> GroundProgram:
+def random_graph(rng: random.Random, shape: str, shuffle: bool = False) -> GroundProgram:
     """A random ground program over atoms in blocks of four.  Literals
     point only to lower blocks ("dag"), positive ones also within the
     block of the head, so that every cycle is lax ("lax"), or anywhere
-    ("any")."""
-    n = rng.randint(1, 30)
+    ("any", and "dense", which draws few atoms and many clauses, so that
+    a cycle often has several shortest back paths).  With ``shuffle``
+    the atom names are shuffled against the atom ids."""
+    dense = shape == "dense"
+    n = rng.randint(2, 12) if dense else rng.randint(1, 30)
     atoms = [f"a{i}" for i in range(n)]
+    if shuffle:
+        rng.shuffle(atoms)
     clauses = []
-    for _ in range(rng.randint(0, 2 * n)):
+    for _ in range(rng.randint(0, (3 if dense else 2) * n)):
         h = rng.randrange(n)
         pos, neg = [], []
         for _ in range(rng.randint(0, 3)):
             strict = rng.random() < 0.4
-            if shape == "any":
+            if shape in ("any", "dense"):
                 b = rng.randrange(n)
             elif shape == "lax" and not strict:
                 b = rng.randrange(min(n, h // 4 * 4 + 4))
@@ -75,6 +81,34 @@ def test_random_graphs_match_reference(monkeypatch):
     assert verdicts["dag"] == verdicts["lax"] == {(True, False), (True, True)}
     assert verdicts["any"] >= {(False, False), (True, True)}
 
+    # With names shuffled against ids, name order and id order choose
+    # different witness edges and, where a cycle has several shortest
+    # back paths, different paths: both are taken in name order.
+    rng = random.Random(16)
+    long = 0
+    for i in range(300):
+        g = random_graph(rng, ("any", "dense")[i % 2], shuffle=True)
+        fast, slow = _both(monkeypatch, analysis.check_locally_stratified_bounded, g)
+        assert fast == slow, g.to_text()
+        long += not fast.stratified and len(fast.witness) > 2
+    assert long >= 40
+
+
+def test_random_typed_programs_match_reference(monkeypatch):
+    # negated literals, and literals headed by a predicate variable,
+    # which add an edge from every declared predicate of a fitting type
+    rng = random.Random(16)
+    source = ground = 0
+    for _ in range(300):
+        text, tp = random_checked_program(rng)
+        fast, slow = _both(monkeypatch, analysis.check_stratified, tp)
+        assert fast == slow, text
+        source += isinstance(fast, analysis.StratViolation)
+        fast, slow = _both(monkeypatch, analysis.check_locally_stratified_bounded, ground_instantiate(tp, 2))
+        assert fast == slow, text
+        ground += not fast.stratified
+    assert source >= 50 and ground >= 20
+
 
 def layered_dag(layers: int, width: int) -> tuple[list[str], list]:
     """Half of layer 0 are facts; every other atom has one clause of two
@@ -91,21 +125,32 @@ def layered_dag(layers: int, width: int) -> tuple[list[str], list]:
     return atoms, clauses
 
 
-def test_stratifiers_scale_linearly():
-    # 8000 atoms and about 16000 edges: the reference takes about 2 s
+def test_stratifiers_scale_linearly(monkeypatch):
+    # 8000 atoms and about 16000 edges: the reference takes about 2 s on
+    # the DAG.  A negative 2-cycle in the top layer makes a violation,
+    # whose witness the reference finds without its level loop.
     atoms, clauses = layered_dag(40, 200)
-    g = GroundProgram.build(atoms, clauses)
-    start = time.perf_counter()
-    local = analysis.check_locally_stratified_bounded(g)
-    assert time.perf_counter() - start < 0.5
-    assert local.stratified
+    p, q = atoms[-2:]
+    for extra in ([], [(p, [], [q]), (q, [], [p])]):
+        g = GroundProgram.build(atoms, clauses + extra)
+        start = time.perf_counter()
+        local = analysis.check_locally_stratified_bounded(g)
+        assert time.perf_counter() - start < 0.5
+        assert local.stratified == (not extra)
 
-    text = "".join(f"#pred {a} : o.\n" for a in atoms) + "".join(
-        h + (" :- " + ", ".join(pos + ["~" + b for b in neg]) if pos or neg else "") + ".\n"
-        for h, pos, neg in clauses
-    )
-    tp = typecheck(parse_program(text))
-    start = time.perf_counter()
-    source = analysis.check_stratified(tp)
-    assert time.perf_counter() - start < 0.5
-    assert (source.strata, source.count) == (local.strata, local.count)
+        text = "".join(f"#pred {a} : o.\n" for a in atoms) + "".join(
+            h + (" :- " + ", ".join(pos + ["~" + b for b in neg]) if pos or neg else "") + ".\n"
+            for h, pos, neg in clauses + extra
+        )
+        tp = typecheck(parse_program(text))
+        start = time.perf_counter()
+        source = analysis.check_stratified(tp)
+        assert time.perf_counter() - start < 0.5
+        if not extra:
+            assert (source.strata, source.count) == (local.strata, local.count)
+            continue
+        assert source.cycle == local.witness == ((p, "<", q), (q, "<", p))
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_stratify_graph", reference_stratify_graph)
+            assert analysis.check_locally_stratified_bounded(g) == local
+            assert analysis.check_stratified(tp) == source
