@@ -153,10 +153,10 @@ def spine(e: Expression) -> tuple[Expression, list[Expression]]:
     return e, args
 
 
-def expr_vars(e: Expression) -> list[Var]:
-    """Variables of an expression, in first-occurrence order."""
+def expr_vars(*es: Expression) -> list[Var]:
+    """Variables of expressions, in first-occurrence order."""
     seen: dict[str, Var] = {}
-    stack = [e]
+    stack = list(reversed(es))
     while stack:
         x = stack.pop()
         kind = type(x)
@@ -164,6 +164,8 @@ def expr_vars(e: Expression) -> list[Var]:
             seen.setdefault(x.name, x)
         elif kind is App:
             stack += (x.arg, x.fun)
+        elif kind is Neg:
+            stack.append(x.inner)
         elif kind not in _LEAF_TYPES:
             stack.extend(reversed(_children(x)))
     return list(seen.values())

@@ -335,9 +335,8 @@ def _clause_variables(clause: Clause) -> dict[str, TypeExpr]:
     """Every variable of a clause with its type: the head formals first,
     then the body variables in first-occurrence order."""
     types = {v.name: v.typ for v in clause.formals}
-    for lit in clause.body:
-        for v in expr_vars(lit):
-            types.setdefault(v.name, v.typ)
+    for v in expr_vars(*clause.body):
+        types.setdefault(v.name, v.typ)
     return types
 
 
@@ -429,6 +428,13 @@ class _Terms:
                 fun = out[key[0]]
                 out.append(App(fun, out[key[1]], fun.typ.right))
         return out
+
+    def term(self, e: Expression) -> int:
+        """The id of a term without variables."""
+        if type(e) is PredConst or type(e) is IndConst:
+            return self.node(e.name)
+        regs: list[int] = []
+        return regs[self.compile(e, {}, regs, [])]
 
     def compile(self, e: Expression, slots: dict[str, int], regs: list[int], code: list) -> int:
         """Compile a term with variables into `code`; return the register
@@ -548,11 +554,11 @@ class _Grounder:
         return p
 
     def add(self, idx: int, head: int, literals: list[tuple[bool, int]], binding) -> None:
-        lits = tuple(literals)
-        if (head, lits) in self.seen:
+        key = (head, tuple(literals))
+        if key in self.seen:
             return
-        self.seen.add((head, lits))
-        self.clauses.append(GroundClause(head, lits, origin=(idx, binding)))
+        self.seen.add(key)
+        self.clauses.append(GroundClause(head, key[1], (idx, binding)))
 
     def plan(self, idx: int, clause: Clause):
         """Check a clause's work against the budget from slice sizes.
@@ -604,23 +610,18 @@ class _Grounder:
 
     def variable_free(self, idx: int, clause: Clause) -> None:
         """The single instance of a clause without variables."""
-        node, compile, regs = self.terms.node, self.terms.compile, []
-
-        def term(e: Expression) -> int:
-            if isinstance(e, (IndConst, PredConst)):
-                return node(e.name)
-            return regs[compile(e, {}, regs, [])]
-
-        head = self.atom(node(clause.head_pred))
+        term, atom = self.terms.term, self.atom
+        head = atom(self.terms.node(clause.head_pred))
         literals: list[tuple[bool, int]] = []
         for lit in clause.body:
-            if isinstance(lit, Eq):
+            kind = type(lit)
+            if kind is Eq:
                 if term(lit.lhs) != term(lit.rhs):
                     return
-            elif isinstance(lit, Neg):
-                literals.append((True, self.atom(term(lit.inner))))
+            elif kind is Neg:
+                literals.append((True, atom(term(lit.inner))))
             else:
-                literals.append((False, self.atom(term(lit))))
+                literals.append((False, atom(term(lit))))
         self.add(idx, head, literals, ())
 
     def clause(self, idx: int, clause: Clause, types: dict[str, TypeExpr], leading, walk: bool) -> None:

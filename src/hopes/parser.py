@@ -18,20 +18,23 @@ denote the same curried application.  Negation takes a single aterm, so
 a multi-word negated atom needs parentheses: ``~(subset S1 S2)``.
 Comments run from ``%`` to end of line.
 
-The scan runs in C: ``findall`` of one pattern gives the token texts
-and ``finditer`` their offsets.  A kind table gives each token its
-kind: identifiers and one-character marks by their first character,
-``:-``, ``->``, ``:``, ``#pred`` and ``#func`` by their whole text.
-Only what the table does not know takes a careful per-token path:
-comments, any other ``#`` word, identifiers that start with a non-ASCII
-character, and stray characters.  The parser walks the parallel kind
-and text lists by index and builds no token objects.  Line and column
-are computed from offsets only where they are read: at clause starts,
-advancing from the previous clause start, and in errors.
+The scan runs in C: one ``split`` by a pattern that captures every
+token gives the token texts, alternating with the whitespace between
+them, and a running sum of the parts' lengths gives each token's
+offset.  A kind table gives each token its kind: identifiers and
+one-character marks by their first character, ``:-``, ``->``, ``:``,
+``#pred`` and ``#func`` by their whole text.  Only what the table does
+not know takes a careful per-token path: comments, any other ``#``
+word, identifiers that start with a non-ASCII character, and stray
+characters.  The parser walks the parallel kind and text lists by index
+and builds no token objects.  Line and column are computed from offsets
+only where they are read: at clause starts, advancing from the previous
+clause start, and in errors.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .ast import App, Eq, Expression, Name, Neg, Program, RawClause, Var
@@ -57,9 +60,8 @@ class ParseError(Exception):
 # Matches every token, comment and stray character; whitespace (space,
 # tab, CR, LF) is all it skips.  ':-' and '->' are tried before the
 # one-character catch-all, and a word is \w+: isalnum() or '_' per
-# character.
-_TOKEN = re.compile(r"\w+|:-|->|#\w*|%[^\n]*|[^ \t\r\n]")
-_START = re.Match.start
+# character.  The group makes a split keep the tokens.
+_TOKEN = re.compile(r"(\w+|:-|->|#\w*|%[^\n]*|[^ \t\r\n])")
 
 # The kind table: a token's first character decides its kind when it is
 # an ASCII letter, '_' or a one-character punctuation mark; the other
@@ -110,8 +112,9 @@ def _error(text: str, off: int, message: str, expected: tuple[str, ...] = ()) ->
 
 def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
     """Parallel lists of token kinds, texts and offsets, ending in EOF."""
-    values = _TOKEN.findall(text)
-    offsets = list(map(_START, _TOKEN.finditer(text)))
+    parts = _TOKEN.split(text)  # a whitespace run, maybe empty, around every token
+    values = parts[1::2]
+    offsets = list(itertools.islice(itertools.accumulate(map(len, parts)), 0, len(parts) - 1, 2))
     first, whole = _FIRST.get, _WHOLE.get
     kinds = [first(v[0]) or whole(v) for v in values]
     eof = len(text)

@@ -8,6 +8,8 @@ introducing a fresh formal and an equality literal: ``q(V) :- V = a``.
 Grounding later erases the detour, so ``q(a)`` still grounds to exactly
 the fact ``q(a)``.  Only individual-typed head arguments can be
 rewritten this way, because equality is defined on individuals alone.
+A fresh formal is named ``V_<n>``, n counted over the whole program;
+an n whose name the clause already gives a variable is skipped.
 
 Variable types are inferred per clause by unification.  Lowercase
 identifiers resolve against the declarations: predicate constants keep
@@ -15,6 +17,14 @@ their declared type, function symbols must be fully applied, and any
 undeclared lowercase identifier is an implicit individual constant.  A
 program that uses no individual constant at all gets a reserved one
 (``a0``) injected so that the individual universe is never empty.
+
+Each clause gets one typed tree, built once while its names resolve.
+A constant or a predicate is one node shared by the whole program, and
+a variable one node per clause.  The nodes whose type follows from a
+variable's (the variable's own, and each application it heads) are
+stamped in place once the clause's variable types are resolved.  Every
+other node is typed when it is built, and a name whose declared type
+is the expected one takes no unifier round.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .types import (
     TypeExpr,
     argument_types,
     arity,
+    arrow_chain,
     is_argument,
     is_functional,
     is_predicate,
@@ -142,123 +153,145 @@ class _Unifier:
         return done[0]
 
 
-class _ClauseChecker:
-    def __init__(self, program: Program, raw: RawClause, fresh_formals: "itertools.count"):
-        self.program = program
-        self.raw = raw
+class _Checker:
+    """Checks the clauses of one program, one clause at a time."""
+
+    def __init__(self, program: Program):
+        self.preds = program.predicate_decls
+        self.funcs = program.function_decls
         self.uni = _Unifier()
+        self.fresh_formals = itertools.count(1)
+        self.predicates = {name: PredConst(name, t) for name, t in self.preds.items()}
+        self.constants: dict[str, IndConst] = {}
+        # the clause being checked: its variables and the spines they head
         self.var_types: dict[str, object] = {}
-        self.fresh_formals = fresh_formals
-        self.used_constants: set[str] = set()
+        self.var_nodes: dict[str, Var] = {}
+        self.var_spines: list[tuple[str, list[App]]] = []
 
     def fail(self, message: str) -> TypeCheckError:
         return TypeCheckError(message, self.raw.line, self.raw.col)
 
-    def var_type(self, name: str) -> object:
-        if name not in self.var_types:
-            self.var_types[name] = self.uni.fresh()
-        return self.var_types[name]
+    def fits(self, t: object, typ: object) -> bool:
+        return t is typ or t == typ or self.uni.unify(t, typ)
+
+    def var(self, name: str, typ: object, what: str) -> Var:
+        """The clause's node for variable `name`, used at type `typ`."""
+        node = self.var_nodes.get(name)
+        if node is None:
+            node = self.var_nodes[name] = Var(name)
+            self.var_types[name] = typ
+        elif not self.uni.unify(self.var_types[name], typ):
+            raise self.fail(f"{what} {name} is used at incompatible types")
+        return node
 
     def infer(self, e: Expression, typ: object) -> Expression:
-        """Check e against the expected type, resolving Name nodes.
-
-        Returns the rebuilt tree (types attached in a later pass).
-        """
-        if isinstance(e, Var):
-            if not self.uni.unify(self.var_type(e.name), typ):
-                raise self.fail(f"variable {e.name} is used at incompatible types")
-            return Var(e.name)
-        if isinstance(e, Name):
-            if e.name in self.program.predicate_decls:
-                declared = self.program.predicate_decls[e.name]
-                if not self.uni.unify(declared, typ):
-                    raise self.fail(
-                        f"predicate {e.name} has type {declared}, which does not fit here"
-                    )
-                return PredConst(e.name, declared)
-            if e.name in self.program.function_decls:
-                raise self.fail(
-                    f"function symbol {e.name} must be applied to "
-                    f"{arity(self.program.function_decls[e.name])} argument(s)"
-                )
-            if not self.uni.unify(IOTA, typ):
-                raise self.fail(f"individual constant {e.name} cannot have a non-individual type")
-            self.used_constants.add(e.name)
-            return IndConst(e.name, IOTA)
-        if isinstance(e, App):
-            # a spine headed by a declared function symbol becomes a FunApp
+        """Check e against the expected type, resolving Name nodes."""
+        kind = type(e)
+        if kind is Var:
+            return self.var(e.name, typ, "variable")
+        if kind is Name:
+            name = e.name
+            if name in self.preds:
+                if not self.fits(self.preds[name], typ):
+                    raise self.fail(f"predicate {name} has type {self.preds[name]}, which does not fit here")
+                return self.predicates[name]
+            if name in self.funcs:
+                raise self.fail(f"function symbol {name} must be applied to {arity(self.funcs[name])} argument(s)")
+            if not self.fits(IOTA, typ):
+                raise self.fail(f"individual constant {name} cannot have a non-individual type")
+            if name not in self.constants:
+                self.constants[name] = IndConst(name, IOTA)
+            return self.constants[name]
+        if kind is App:
             head, args = spine(e)
-            if isinstance(head, Name) and head.name in self.program.function_decls:
-                ftype = self.program.function_decls[head.name]
-                want = arity(ftype)
+            name = head.name if type(head) is Name else None
+            if name in self.funcs:
+                # a spine headed by a declared function symbol becomes a FunApp
+                want = arity(self.funcs[name])
                 if len(args) != want:
-                    raise self.fail(
-                        f"function symbol {head.name} takes {want} argument(s), got {len(args)}"
-                    )
+                    raise self.fail(f"function symbol {name} takes {want} argument(s), got {len(args)}")
                 # a loop, not a generator: one stack frame per nesting level
                 typed_args = []
                 for a in args:
                     typed_args.append(self.infer(a, IOTA))
-                if not self.uni.unify(IOTA, typ):
-                    raise self.fail(f"application of {head.name} is an individual, which does not fit here")
-                return FunApp(head.name, tuple(typed_args), IOTA)
-            arg_t = self.uni.fresh()
-            fun = self.infer(e.fun, _arrow_meta(arg_t, typ))
-            arg = self.infer(e.arg, arg_t)
-            return App(fun, arg)
-        if isinstance(e, (Neg, Eq)):
+                if not self.fits(IOTA, typ):
+                    raise self.fail(f"application of {name} is an individual, which does not fit here")
+                return FunApp(name, tuple(typed_args), IOTA)
+            if name in self.preds:
+                rest = _applied(self.preds[name], len(args))
+                if rest is None or not self.fits(rest, typ):
+                    raise self.fail(f"predicate {name} has type {self.preds[name]}, which does not fit here")
+                node, t = self.predicates[name], self.preds[name]
+                for a in args:
+                    node = App(node, self.infer(a, t.left), t.right)
+                    t = t.right
+                return node
+            # any other head must be a variable, of type a1 -> ... -> an -> typ;
+            # TypeExpr tolerates metavariables, which never leave the checker
+            metas = [self.uni.fresh() for _ in args]
+            node = self.infer(head, arrow_chain(metas, typ))
+            apps = []
+            for a, m in zip(args, metas):
+                node = App(node, self.infer(a, m))
+                apps.append(node)
+            self.var_spines.append((head.name, apps))
+            return node
+        if kind is Neg or kind is Eq:
             raise self.fail("negation and equality cannot occur inside a term")
         raise self.fail(f"unexpected expression {expr_to_str(e)}")
 
-    def check_literal(self, e: Expression) -> Expression:
-        if isinstance(e, Neg):
+    def literal(self, e: Expression) -> Expression:
+        kind = type(e)
+        if kind is Neg:
             return Neg(self.infer(e.inner, O), O)
-        if isinstance(e, Eq):
+        if kind is Eq:
             return Eq(self.infer(e.lhs, IOTA), self.infer(e.rhs, IOTA), O)
         return self.infer(e, O)
 
-    def check(self) -> Clause:
-        head, args = spine(self.raw.head)
-        if not isinstance(head, Name) or head.name not in self.program.predicate_decls:
+    def check(self, raw: RawClause) -> Clause:
+        self.raw = raw
+        self.var_types.clear()
+        self.var_nodes.clear()
+        self.var_spines.clear()
+        head, args = spine(raw.head)
+        pred = head.name if type(head) is Name else None
+        if pred not in self.preds:
             what = head.name if isinstance(head, (Name, Var)) else expr_to_str(head)
             raise self.fail(f"clause head must start with a declared predicate constant, got {what!r}")
-        pred = head.name
-        formal_types = argument_types(self.program.predicate_decls[pred])
+        formal_types = argument_types(self.preds[pred])
         if len(args) != len(formal_types):
-            raise self.fail(
-                f"head of {pred} must apply it to {len(formal_types)} argument(s), got {len(args)}"
-            )
-        formals: list[Var] = []
-        seen: set[str] = set()
-        desugared: list[Expression] = []
+            raise self.fail(f"head of {pred} must apply it to {len(formal_types)} argument(s), got {len(args)}")
+        formals: list[Var | None] = []
+        terms = []  # (position, typed term) of each head argument that is not a variable
         for arg, ft in zip(args, formal_types):
-            if isinstance(arg, Var):
-                if arg.name in seen:
+            if type(arg) is Var:
+                if any(f is not None and f.name == arg.name for f in formals):
                     raise self.fail(f"repeated variable {arg.name} in clause head")
-                seen.add(arg.name)
-                if not self.uni.unify(self.var_type(arg.name), ft):
-                    raise self.fail(f"head variable {arg.name} is used at incompatible types")
-                formals.append(Var(arg.name, ft))
+                formals.append(self.var(arg.name, ft, "head variable"))
             elif ft == IOTA:
-                fresh = Var(f"V_{next(self.fresh_formals)}")
-                self.uni.unify(self.var_type(fresh.name), IOTA)
-                formals.append(Var(fresh.name, IOTA))
-                desugared.append(Eq(Var(fresh.name), self.infer(arg, IOTA), O))
+                terms.append((len(formals), self.infer(arg, IOTA)))
+                formals.append(None)
             else:
                 raise self.fail(
                     f"head argument {expr_to_str(arg)} of {pred} has predicate type {ft}; "
                     "only variables are allowed there"
                 )
-        body = list(desugared) + [self.check_literal(b) for b in self.raw.body]
-        resolved = self.resolve_types()
-        return Clause(
-            head_pred=pred,
-            formals=tuple(Var(v.name, resolved[v.name]) for v in formals),
-            body=tuple(self.attach(b, resolved) for b in body),
-        )
+        body = [self.literal(b) for b in raw.body]
+        # a fresh formal and an equality for each head argument that is
+        # not a variable; every name the clause uses is known by now
+        for j, (i, term) in enumerate(terms):
+            name = f"V_{next(self.fresh_formals)}"
+            while name in self.var_nodes:
+                name = f"V_{next(self.fresh_formals)}"
+            formals[i] = Var(name, IOTA)
+            body.insert(j, Eq(formals[i], term, O))
+        if self.var_types:
+            self.resolve_types()
+        return Clause(pred, tuple(formals), tuple(body))
 
-    def resolve_types(self) -> dict[str, TypeExpr]:
-        out: dict[str, TypeExpr] = {}
+    def resolve_types(self) -> None:
+        """Resolve every variable's type and stamp the nodes that wait
+        for it: the variable's own, and the applications it heads."""
         for name, t in self.var_types.items():
             resolved = self.uni.resolve(t)
             if resolved is None:
@@ -271,40 +304,23 @@ class _ClauseChecker:
                 )
             if not is_argument(resolved):
                 raise self.fail(f"variable {name} has type {resolved}, which is not an argument type")
-            out[name] = resolved
-        return out
-
-    def attach(self, e: Expression, var_types: dict[str, TypeExpr]) -> Expression:
-        """Second pass: stamp resolved types onto every node."""
-        if isinstance(e, Var):
-            return Var(e.name, var_types[e.name])
-        if isinstance(e, (IndConst, PredConst)):
-            return e
-        if isinstance(e, FunApp):
-            args = []
-            for a in e.args:
-                args.append(self.attach(a, var_types))
-            return FunApp(e.symbol, tuple(args), IOTA)
-        if isinstance(e, App):
-            fun = self.attach(e.fun, var_types)
-            arg = self.attach(e.arg, var_types)
-            ft = fun.typ
-            if ft is None or ft.kind != "arrow":
-                raise self.fail(f"{expr_to_str(e.fun)} is applied to an argument but is not a predicate")
-            if not is_argument(arg.typ):
-                raise self.fail(f"argument {expr_to_str(e.arg)} has non-argument type {arg.typ}")
-            return App(fun, arg, ft.right)
-        if isinstance(e, Neg):
-            return Neg(self.attach(e.inner, var_types), O)
-        if isinstance(e, Eq):
-            return Eq(self.attach(e.lhs, var_types), self.attach(e.rhs, var_types), O)
-        raise self.fail(f"unexpected expression {e!r}")
+            object.__setattr__(self.var_nodes[name], "typ", resolved)
+        for name, apps in self.var_spines:
+            t = self.var_nodes[name].typ
+            for node in apps:
+                t = t.right
+                object.__setattr__(node, "typ", t)
+        self.uni.bindings.clear()
 
 
-def _arrow_meta(left: object, right: object) -> TypeExpr:
-    # TypeExpr is frozen but tolerates metavariables in its fields; they
-    # never escape the checker.
-    return TypeExpr("arrow", left, right)
+def _applied(t: TypeExpr, n: int) -> TypeExpr | None:
+    """The type of a t-typed term applied to n arguments; None when t
+    takes fewer."""
+    for _ in range(n):
+        if t.kind != "arrow":
+            return None
+        t = t.right
+    return t
 
 
 def typecheck(program: Program) -> TypedProgram:
@@ -318,13 +334,9 @@ def typecheck(program: Program) -> TypedProgram:
                 f"declared function symbol {name} must have type i -> ... -> i, got {t}"
             )
 
-    fresh = itertools.count(1)
-    clauses: list[Clause] = []
-    constants: set[str] = set()
-    for raw in program.clauses:
-        checker = _ClauseChecker(program, raw, fresh)
-        clauses.append(checker.check())
-        constants |= checker.used_constants
+    checker = _Checker(program)
+    clauses = [checker.check(raw) for raw in program.clauses]
+    constants = set(checker.constants)
 
     notes: list[str] = []
     if not constants:

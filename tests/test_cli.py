@@ -380,6 +380,32 @@ def test_grounding_budget_exit_code(capsys, tmp_path):
     assert "grounding budget exceeded" in err
 
 
+# A head argument that is not a variable gets a fresh formal V_<n>.  It
+# must not take the name of a variable the clause already uses: here the
+# first fresh name of each program would be that variable's.
+FRESH_FORMAL_CLASHES = {
+    "body": (
+        "#pred p : i -> o.\n#pred q : i -> o.\np(a) :- q(V_1).\nq(b).\n",
+        "p(a) :- q(a).\np(a) :- q(b).\nq(b).\n",
+        "p(a) = T0\nq(b) = T0\np(b) = F0\nq(a) = F0\ndepth = 1\n",
+    ),
+    "head": (
+        "#pred p : i -> i -> o.\n#pred q : i -> o.\nq(b).\np(a, V_2) :- q(V_2).\n",
+        "q(b).\np(a)(a) :- q(a).\np(a)(b) :- q(b).\n",
+        "p(a)(b) = T0\nq(b) = T0\np(a)(a) = F0\np(b)(a) = F0\np(b)(b) = F0\nq(a) = F0\ndepth = 1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FRESH_FORMAL_CLASHES))
+def test_fresh_formal_skips_names_the_clause_uses(capsys, tmp_path, shape):
+    text, ground, model = FRESH_FORMAL_CLASHES[shape]
+    program = tmp_path / f"{shape}.hop"
+    program.write_text(text)
+    assert run(capsys, "ground", program) == (0, ground, "")
+    assert run(capsys, "model", program) == (0, model, "")
+
+
 def test_stratify_positive(capsys):
     code, out, _ = run(capsys, "stratify", program_path("subset"))
     assert code == 0

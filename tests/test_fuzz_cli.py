@@ -15,8 +15,8 @@ from hopes.cli import main
 from hopes.parser import MAX_NESTING
 from hopes.types import MAX_TYPE_NESTING
 
+from conftest import random_typed_program
 from test_cli import COMMANDS, _deep_types, _nested_fact
-from test_grounder_oracle import random_typed_program
 
 TOKENS = (
     ["#pred", "#func", "#bad", ":-", "->", "(", ")", ",", ".", ":", "~", "=", "%c\n", "\n", "$"]

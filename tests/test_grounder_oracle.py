@@ -16,7 +16,7 @@ from hopes.ast import expr_to_str
 from hopes.herbrand import BudgetExceeded, EmptyUniverse, enumerate_universe, iter_ground_instances
 from hopes.typecheck import TypeCheckError
 
-from conftest import CORPUS, load
+from conftest import CORPUS, load, random_typed_program
 from reference_grounder import (
     TermEnumerator,
     reference_count,
@@ -24,86 +24,6 @@ from reference_grounder import (
     reference_iter_ground_instances,
     reference_slice_total,
 )
-
-# argument types of the predicates a random program may declare
-PRED_TYPES = {
-    "o": [],
-    "i -> o": ["i"],
-    "i -> i -> o": ["i", "i"],
-    "(i -> o) -> o": ["i -> o"],
-    "(i -> o) -> i -> o": ["i -> o", "i"],
-    "((i -> o) -> o) -> o": ["(i -> o) -> o"],
-}
-# variables are typed by name, so every clause is consistent
-VARS = {"i": ["X", "Y", "Z"], "i -> o": ["P", "Q"], "(i -> o) -> o": ["R"]}
-
-
-def random_typed_program(rng: random.Random) -> str:
-    """A random well-typed program: function symbols, facts and
-    non-variable head arguments, user equalities in any body position,
-    higher-order variables applied and passed, and argument types whose
-    universes may be empty."""
-    consts = rng.sample(["a", "b", "c"], rng.randint(0, 3))
-    arities = {"f": 1, "g": 2}
-    funcs = [f for f in arities if rng.random() < 0.5]
-    preds = {f"p{i}": rng.choice(list(PRED_TYPES)) for i in range(rng.randint(2, 5))}
-
-    def ind(depth: int = 0) -> str:
-        choices = ["var", "var"] + (["const"] if consts else []) + (funcs if depth < 2 else [])
-        pick = rng.choice(choices)
-        if pick == "var":
-            return rng.choice(VARS["i"])
-        if pick == "const":
-            return rng.choice(consts)
-        return f"{pick}({', '.join(ind(depth + 1) for _ in range(arities[pick]))})"
-
-    def nonvar() -> str:
-        pick = rng.choice(([rng.choice(consts)] if consts else []) + funcs)
-        if pick in arities:
-            return f"{pick}({', '.join(ind(1) for _ in range(arities[pick]))})"
-        return pick
-
-    def arg(typ: str) -> str:
-        if typ == "i":
-            return ind()
-        options = list(VARS[typ]) + [p for p, t in preds.items() if t == typ]
-        return rng.choice(options)
-
-    def atom() -> str:
-        if rng.random() < 0.2:
-            if rng.random() < 0.5:
-                return f"{rng.choice(VARS['i -> o'])}({ind()})"
-            return f"{VARS['(i -> o) -> o'][0]}({arg('i -> o')})"
-        p = rng.choice(list(preds))
-        args = PRED_TYPES[preds[p]]
-        return f"{p}({', '.join(arg(t) for t in args)})" if args else p
-
-    lines = [f"#pred {p} : {t}." for p, t in preds.items()]
-    lines += [f"#func {f} : {' -> '.join(['i'] * (arities[f] + 1))}." for f in funcs]
-    for _ in range(rng.randint(1, 6)):
-        p = rng.choice(list(preds))
-        used: set[str] = set()
-        head_args = []
-        for t in PRED_TYPES[preds[p]]:
-            free = [v for v in VARS[t] if v not in used]
-            if t == "i" and (consts or funcs) and rng.random() < 0.5:
-                head_args.append(nonvar())  # normalized into a leading equality
-            else:
-                used.add(free[0])
-                head_args.append(free[0])
-        head = f"{p}({', '.join(head_args)})" if head_args else p
-        body = []
-        for _ in range(rng.randint(0, 3)):
-            roll = rng.random()
-            if roll < 0.25:
-                body.append(f"{ind()} = {ind()}")
-            elif roll < 0.45:
-                body.append(f"~{atom()}")
-            else:
-                body.append(atom())
-        lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
-    return "\n".join(lines) + "\n"
-
 
 def random_checked_program(rng: random.Random):
     """Draw until a program type-checks; a variable seen only in an

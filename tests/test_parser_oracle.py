@@ -13,10 +13,9 @@ import random
 
 from hopes.parser import ParseError, parse_program, parse_term
 
-from conftest import PROGRAMS
+from conftest import PROGRAMS, random_typed_program
 from reference_parser import reference_parse_program, reference_parse_term
 from test_fuzz_cli import token_stream
-from test_grounder_oracle import random_typed_program
 from test_tokenizer_oracle import ALPHABET
 
 PIECES = list(ALPHABET) + ["p(X)"]

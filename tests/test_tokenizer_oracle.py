@@ -17,10 +17,9 @@ import pytest
 
 from hopes.parser import ParseError, _Lines, _scan
 
-from conftest import PROGRAMS
+from conftest import PROGRAMS, random_typed_program
 from reference_tokenizer import reference_tokenize
 from test_fuzz_cli import token_stream
-from test_grounder_oracle import random_typed_program
 
 # digits that are \w but not decimal, letters, letter-like numbers,
 # marks, spaces that are not the tokenizer's, and the punctuation

@@ -1,6 +1,10 @@
+import gc
+import time
+
 import pytest
 
 from hopes.ast import Eq, Var
+from hopes.herbrand import ground_instantiate
 from hopes.parser import parse_program
 from hopes.typecheck import TypeCheckError, typecheck
 from hopes.types import IOTA, O, arrow
@@ -169,3 +173,28 @@ def test_every_application_argument_is_argument_typed(name):
     for clause in tp.clauses:
         for lit in clause.body:
             walk(lit)
+
+
+def test_front_end_scales_on_propositional_clauses():
+    """Type checking and grounding 20,000 clauses without variables.
+
+    On a shared 2-vCPU host the best of three runs took 0.24-0.42 s
+    here, against 0.31-0.60 s when the checker built each clause tree
+    twice and each such clause went through the clause compiler.  The
+    collector is off while timing: how long its passes take depends on
+    everything else the test process holds."""
+    n = 20_000
+    lines = [f"#pred a_{i} : o." for i in range(n + 1)]
+    lines += [f"a_{i} :- ~a_{i + 1}." for i in range(n)]
+    program = parse_program("\n".join(lines) + "\n")
+    times = []
+    for _ in range(3):
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            g = ground_instantiate(typecheck(program), 1)
+            times.append(time.perf_counter() - started)
+        finally:
+            gc.enable()
+    assert len(g.clauses) == n
+    assert min(times) < 0.5, times
