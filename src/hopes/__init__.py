@@ -30,21 +30,16 @@ from .engine import (
     InfModel,
     StageTrace,
     UnknownAtom,
-    check_model_ho,
     compare_alpha,
     is_model,
     minimum_model,
     tp_step,
-    valuate_expression,
 )
 from .herbrand import (
     BudgetExceeded,
     EmptyUniverse,
     GroundProgram,
-    UniverseSlice,
-    enumerate_universe,
     ground_instantiate,
-    normalize_equality,
 )
 from .parser import ParseError, parse_program, parse_term
 from .truth import ZERO, TruthValue, false_at, true_at

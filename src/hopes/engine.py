@@ -69,9 +69,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import truth
-from .ast import Eq, Expression, Neg, TypedProgram, expr_to_str, substitute
-from .herbrand import DEFAULT_BUDGET, GroundProgram, iter_ground_instances, normalize_equality
-from .truth import F0, T0, TruthValue, ZERO
+from .herbrand import GroundProgram
+from .truth import T0, TruthValue, ZERO
 
 Interpretation = list[TruthValue]
 
@@ -305,34 +304,3 @@ def aleq(i: Interpretation, j: Interpretation) -> bool:
         return ti <= tj and fi >= fj
     return True  # all named levels agree, so the rest is 0 on both sides
 
-
-def valuate_expression(tp: TypedProgram, m: InfModel, e: Expression) -> TruthValue:
-    """The value of a ground query expression under a model."""
-    if isinstance(e, Neg):
-        return truth.neg(valuate_expression(tp, m, e.inner))
-    if isinstance(e, Eq):
-        return T0 if normalize_equality(e.lhs, e.rhs) else F0
-    return m.value_of(expr_to_str(e))
-
-
-def check_model_ho(
-    tp: TypedProgram, m: InfModel, k: int, budget: int = DEFAULT_BUDGET
-) -> tuple[bool, list[tuple[str, TruthValue, TruthValue]]]:
-    """Check the model property clause by clause over all depth-k
-    substitutions of the source program (not just the stored ground
-    clauses).  Returns the verdict and violating instances."""
-    violations: list[tuple[str, TruthValue, TruthValue]] = []
-    head_exprs = {i: c.head_expr() for i, c in enumerate(tp.clauses)}
-    for idx, binding, _notes in iter_ground_instances(tp, k, budget):
-        if binding is None:
-            continue
-        clause = tp.clauses[idx]
-        head_val = valuate_expression(tp, m, substitute(head_exprs[idx], binding))
-        body_vals = [
-            valuate_expression(tp, m, substitute(lit, binding)) for lit in clause.body
-        ]
-        body_val = min(body_vals) if body_vals else T0
-        if head_val < body_val:
-            ground_clause = substitute(head_exprs[idx], binding)
-            violations.append((expr_to_str(ground_clause), head_val, body_val))
-    return (not violations, violations)

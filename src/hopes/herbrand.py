@@ -20,8 +20,8 @@ keyed on its symbol and the ids of its children, and is printed once,
 when it is first built.  Equality of ground terms is equality of ids.
 Slices are enumerated in the store, each size's terms sorted by their
 text, and a ground clause's origin binds each variable to a term id.
-Only the reference definitions over ASTs (``iter_ground_instances``,
-``enumerate_universe``) decode ids into typed terms.  A leading body
+Only ``_Terms.decode`` turns ids back into typed terms, for readers of
+origins; the grounder never does.  A leading body
 equality ``V = t`` (the shape the type checker gives facts and
 non-variable head arguments) is solved rather than enumerated: V takes
 the id of t's instance, which is live only when that term lies in V's
@@ -55,7 +55,6 @@ from .ast import (
     PredConst,
     TypedProgram,
     Var,
-    expr_to_str,
     expr_vars,
 )
 from .types import IOTA, O, TypeExpr, arity
@@ -84,34 +83,6 @@ class BudgetExceeded(Exception):
             else f"clause '{clause}' needs {count} substitutions"
         )
         super().__init__(f"{need}, over the budget of {budget}")
-
-
-@dataclass(frozen=True)
-class UniverseSlice:
-    typ: TypeExpr
-    depth_bound: int
-    terms: tuple[Expression, ...]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def term_size(e: Expression) -> int:
-    """Symbol occurrences; application nodes are not symbols."""
-    size = 0
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, (IndConst, PredConst)):
-            size += 1
-        elif isinstance(x, FunApp):
-            size += 1
-            stack.extend(x.args)
-        elif isinstance(x, App):
-            stack += (x.fun, x.arg)
-        else:
-            raise TypeError(f"not a ground term: {x!r}")
-    return size
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -219,28 +190,6 @@ class _Universe:
         return {t: tuple(itertools.chain.from_iterable(b)) for t, b in buckets.items()}
 
 
-def _ast_slices(tp: TypedProgram, universe: _Universe) -> dict[TypeExpr, list[Expression]]:
-    """Every slice of the closure as typed ASTs, in slice order."""
-    terms = _Terms()
-    slices = universe.enumerate(terms)
-    exprs = terms.decode(tp.predicate_decls)
-    return {typ: [exprs[t] for t in ids] for typ, ids in slices.items()}
-
-
-def enumerate_universe(tp: TypedProgram, rho: TypeExpr, k: int) -> UniverseSlice:
-    """Ground terms of type rho with at most k symbols, ordered by
-    (size, canonical text).  Raises EmptyUniverse when there are none."""
-    universe = _Universe(tp, k)
-    if not universe.total.get(rho):
-        raise EmptyUniverse(rho, k)
-    return UniverseSlice(rho, k, tuple(_ast_slices(tp, universe)[rho]))
-
-
-def normalize_equality(lhs: Expression, rhs: Expression) -> bool:
-    """Ground equality is syntactic identity."""
-    return expr_to_str(lhs) == expr_to_str(rhs)
-
-
 @dataclass(frozen=True)
 class GroundClause:
     head: int
@@ -345,33 +294,6 @@ def _skip_note(idx: int, name: str, typ: TypeExpr, k: int) -> str:
         f"clause {idx + 1} has no instances at depth {k}: "
         f"variable {name} ranges over an empty universe ({EmptyUniverse(typ, k)})"
     )
-
-
-def iter_ground_instances(
-    tp: TypedProgram, k: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[int, dict[str, Expression], list[str]]]:
-    """Yield (clause index, variable binding, notes) for every in-bound
-    substitution of every clause.  Notes report clauses skipped because a
-    variable's universe slice is empty at this depth.  Each clause's
-    substitutions, and before the first term is built the terms of all
-    the slices, are checked against the budget."""
-    universe = _Universe(tp, k)
-    slices = None
-    for idx, clause in enumerate(tp.clauses):
-        types = _clause_variables(clause)
-        names = list(types)
-        empty = next((n for n in names if not universe.total.get(types[n])), None)
-        if empty is not None:
-            yield idx, None, [_skip_note(idx, empty, types[empty], k)]
-            continue
-        count = math.prod(universe.total[types[n]] for n in names)
-        if count > budget:
-            raise BudgetExceeded(str(clause), count, budget)
-        if slices is None:
-            universe.check_budget(budget)
-            slices = _ast_slices(tp, universe)
-        for combo in itertools.product(*[slices[types[n]] for n in names]):
-            yield idx, dict(zip(names, combo)), []
 
 
 def _subterms(e: Expression) -> tuple[Expression, ...]:

@@ -5,6 +5,7 @@ import pytest
 
 from hopes import ground_instantiate, parse_program, typecheck
 from hopes.herbrand import GroundProgram
+from hopes.typecheck import TypeCheckError
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -134,3 +135,14 @@ def random_typed_program(rng: random.Random) -> str:
                 body.append(atom())
         lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
     return "\n".join(lines) + "\n"
+
+
+def random_checked_program(rng: random.Random):
+    """Draw until a program type-checks; a variable seen only in an
+    application such as P(X) has an ambiguous type."""
+    while True:
+        text = random_typed_program(rng)
+        try:
+            return text, typecheck(parse_program(text))
+        except TypeCheckError:
+            continue

@@ -1,10 +1,16 @@
 """The stage loop that ``hopes.engine.minimum_model`` used to run, kept
-as the reference that the event-driven engine is checked against.
+as the reference that the event-driven engine is checked against, and
+the model condition checked on the source program.
 
 Each stage rescans every undecided atom to a least fixpoint of new
 truths and a greatest fixpoint of new falsities, and each stage record
 stores a full copy of the interpretation it hands on, so time and
 memory both grow quadratically on a negation chain.
+
+``check_model_ho`` tests a model against every clause instance of the
+source program at depth k, as Bezem's condition asks, not against the
+stored ground clauses: it enumerates the instances with
+``reference_grounder``, independently of the grounder under test.
 """
 
 from __future__ import annotations
@@ -12,9 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from hopes import truth
+from hopes.ast import Eq, Expression, Neg, TypedProgram, expr_to_str, substitute
 from hopes.engine import InfModel, Interpretation, StageTrace
-from hopes.herbrand import GroundProgram
-from hopes.truth import F0, TruthValue, ZERO
+from hopes.herbrand import DEFAULT_BUDGET, GroundProgram
+from hopes.truth import F0, T0, TruthValue, ZERO
+
+from reference_grounder import normalize_equality, reference_iter_ground_instances
 
 
 @dataclass(frozen=True)
@@ -101,3 +110,39 @@ def minimum_model(g: GroundProgram) -> InfModel:
         v if truth.order(v) < depth else ZERO for v in current
     )
     return InfModel(g, final, depth, StageTrace(tuple(records)))
+
+
+def valuate_expression(tp: TypedProgram, m: InfModel, e: Expression) -> TruthValue:
+    """The value of a ground query expression under a model."""
+    if isinstance(e, Neg):
+        return truth.neg(valuate_expression(tp, m, e.inner))
+    if isinstance(e, Eq):
+        return T0 if normalize_equality(e.lhs, e.rhs) else F0
+    return m.value_of(expr_to_str(e))
+
+
+def check_model_ho(
+    tp: TypedProgram, m: InfModel, k: int, budget: int = DEFAULT_BUDGET
+) -> tuple[bool, list[tuple[str, TruthValue, TruthValue]]]:
+    """Check the model property clause by clause over all depth-k
+    substitutions of the source program (not just the stored ground
+    clauses).  Returns the verdict and violating instances.
+
+    An instance with a false equality has body F0 and holds whatever
+    its head's value, so the equalities are decided before any atom is
+    valued: such an instance may name atoms the grounder never
+    interned."""
+    violations: list[tuple[str, TruthValue, TruthValue]] = []
+    head_exprs = {i: c.head_expr() for i, c in enumerate(tp.clauses)}
+    for idx, binding, _notes in reference_iter_ground_instances(tp, k, budget):
+        if binding is None:
+            continue
+        body = [substitute(lit, binding) for lit in tp.clauses[idx].body]
+        if not all(normalize_equality(e.lhs, e.rhs) for e in body if isinstance(e, Eq)):
+            continue
+        head = substitute(head_exprs[idx], binding)
+        head_val = valuate_expression(tp, m, head)
+        body_val = min((valuate_expression(tp, m, lit) for lit in body), default=T0)
+        if head_val < body_val:
+            violations.append((expr_to_str(head), head_val, body_val))
+    return (not violations, violations)

@@ -1,5 +1,6 @@
 """The generate-and-test grounder and the AST term enumerator, kept as
-the references that ``hopes.herbrand`` is checked against.
+the references that ``hopes.herbrand`` is checked against.  The
+instance enumerator also drives ``reference_engine.check_model_ho``.
 
 ``TermEnumerator`` builds every slice as AST nodes, size by size, and
 sorts each size's terms by their rendered text; the enumerator in
@@ -36,9 +37,13 @@ from hopes.herbrand import (
     GroundProgram,
     _clause_variables,
     _compositions,
-    normalize_equality,
 )
 from hopes.types import IOTA, O, TypeExpr, arity
+
+
+def normalize_equality(lhs: Expression, rhs: Expression) -> bool:
+    """Ground equality is syntactic identity."""
+    return expr_to_str(lhs) == expr_to_str(rhs)
 
 
 class TermEnumerator:

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from hopes.ast import Eq, Neg
+from hopes import ground_instantiate, parse_program, typecheck
+from hopes.ast import Eq, Neg, expr_to_str, substitute
 from hopes.engine import (
     Comparison,
     InfModel,
     StageTrace,
     UnknownAtom,
     aleq,
-    check_model_ho,
     compare_alpha,
     is_model,
     minimum_model,
@@ -19,8 +19,14 @@ from hopes.herbrand import GroundProgram
 from hopes.parser import parse_term
 from hopes.truth import F0, T0, ZERO, false_at, parse_value, true_at
 
-from conftest import CORPUS, load, load_ground
-from reference_engine import stage_fixpoint
+from conftest import CORPUS, load, load_ground, random_checked_program
+from reference_engine import check_model_ho, stage_fixpoint, valuate_expression
+from reference_grounder import (
+    normalize_equality,
+    reference_count,
+    reference_iter_ground_instances,
+    reference_slice_total,
+)
 
 
 def model_of(name, k=3):
@@ -234,7 +240,6 @@ def test_later_stages_preserve_earlier_levels(name):
 def test_valuate_expression():
     tp = load("defaults")
     g, m = model_of("defaults")
-    from hopes.engine import valuate_expression
 
     assert str(valuate_expression(tp, m, parse_term("s"))) == "T1"
     assert str(valuate_expression(tp, m, Neg(parse_term("s")))) == "F2"
@@ -265,6 +270,53 @@ def test_check_model_ho_rejects_bottom():
     head, head_val, body_val = violations[0]
     assert head_val < body_val
     assert isinstance(head, str)
+
+
+# p(b) :- b = a, q(f(b)) is killed by its equality, so the grounder
+# never interns q(f(b)) at depth 1
+KILLED = (
+    "#func f : i -> i.\n#pred p : i -> o.\n#pred q : i -> o.\n#pred r : i -> o.\n"
+    "r(b).\np(X) :- X = a, q(f(X)).\n"
+)
+
+
+def kills_an_unknown_atom(tp, g, k, budget) -> bool:
+    """Does an instance with a false equality name an atom outside g?"""
+    for idx, binding, _ in reference_iter_ground_instances(tp, k, budget):
+        if binding is None:
+            continue
+        body = [substitute(lit, binding) for lit in tp.clauses[idx].body]
+        if all(normalize_equality(e.lhs, e.rhs) for e in body if isinstance(e, Eq)):
+            continue
+        atoms = [e.inner if isinstance(e, Neg) else e for e in body if not isinstance(e, Eq)]
+        if any(expr_to_str(a) not in g.atom_index for a in atoms):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_check_model_ho_skips_instances_a_false_equality_kills(k):
+    tp = typecheck(parse_program(KILLED))
+    g = ground_instantiate(tp, k)
+    assert kills_an_unknown_atom(tp, g, k, 10**6)
+    assert check_model_ho(tp, minimum_model(g), k) == (True, [])
+
+
+def test_minimum_model_passes_check_model_ho_on_random_programs():
+    rng = random.Random(20170131)
+    compared = killed = 0
+    for _ in range(300):
+        _, tp = random_checked_program(rng)
+        for k in (1, 2, 3):
+            budget = max(reference_count(tp, k), reference_slice_total(tp, k))
+            if budget > 1500:
+                continue
+            g = ground_instantiate(tp, k, budget)
+            assert check_model_ho(tp, minimum_model(g), k, budget) == (True, [])
+            compared += 1
+            killed += kills_an_unknown_atom(tp, g, k, budget)
+    assert compared > 800
+    assert killed > 60
 
 
 def test_minimum_model_is_least():

@@ -1,66 +1,57 @@
-import random
+import re
 import time
 
 import pytest
 
 from hopes.ast import expr_to_str, substitute
-from hopes.herbrand import (
-    BudgetExceeded,
-    EmptyUniverse,
-    GroundProgram,
-    enumerate_universe,
-    ground_instantiate,
-    normalize_equality,
-    term_size,
-)
+from hopes.herbrand import BudgetExceeded, GroundProgram, ground_instantiate
 from hopes.parser import parse_program, parse_term
 from hopes.typecheck import typecheck
 from hopes.types import IOTA, O, arrow
 
 from conftest import CORPUS, load, load_ground
+from reference_grounder import normalize_equality
 
 
-def names(slice_):
-    return [expr_to_str(t) for t in slice_.terms]
+def names(tp, typ, k):
+    """The slice of a type at depth k, as the store prints its terms."""
+    terms = ground_instantiate(tp, k).terms
+    return [terms.text[t] for t in terms.slices.get(typ, ())]
 
 
 def test_individual_universe():
     tp = load("identity")
     for k in (1, 2, 5):
-        assert names(enumerate_universe(tp, IOTA, k)) == ["a", "b"]
+        assert names(tp, IOTA, k) == ["a", "b"]
 
 
 def test_predicate_universe_grows_with_depth():
     tp = load("identity")
-    assert names(enumerate_universe(tp, arrow(IOTA, O), 1)) == ["q"]
-    assert names(enumerate_universe(tp, arrow(IOTA, O), 3)) == ["q", "id(q)", "id(id(q))"]
-    u4 = names(enumerate_universe(tp, arrow(IOTA, O), 4))
+    assert names(tp, arrow(IOTA, O), 1) == ["q"]
+    assert names(tp, arrow(IOTA, O), 3) == ["q", "id(q)", "id(id(q))"]
+    u4 = names(tp, arrow(IOTA, O), 4)
     assert u4 == ["q", "id(q)", "id(id(q))", "id(id(id(q)))"]
 
 
 def test_universe_ordered_by_size_then_text():
     tp = load("naturals")
-    assert names(enumerate_universe(tp, IOTA, 3)) == ["z", "s(z)", "s(s(z))"]
-    for t in enumerate_universe(tp, IOTA, 4).terms:
-        assert term_size(t) <= 4
+    assert names(tp, IOTA, 3) == ["z", "s(z)", "s(s(z))"]
+    u4 = names(tp, IOTA, 4)
+    sizes = [len(re.findall(r"\w+", t)) for t in u4]  # symbol occurrences
+    assert max(sizes) <= 4
+    assert sorted(zip(sizes, u4)) == list(zip(sizes, u4))
 
 
-def test_empty_universe_raises():
+def test_empty_universe_has_no_terms():
     tp = load("defaults")  # no symbols of type (i -> o) -> o anywhere
-    with pytest.raises(EmptyUniverse):
-        enumerate_universe(tp, arrow(arrow(IOTA, O), O), 3)
+    assert names(tp, arrow(arrow(IOTA, O), O), 3) == []
 
 
 def test_universe_monotone_in_depth():
     for name in CORPUS:
         tp = load(name)
         for k in (1, 2, 3):
-            try:
-                smaller = set(names(enumerate_universe(tp, O, k)))
-            except EmptyUniverse:
-                continue
-            larger = set(names(enumerate_universe(tp, O, k + 1)))
-            assert smaller <= larger
+            assert set(names(tp, O, k)) <= set(names(tp, O, k + 1))
 
 
 def test_normalize_equality():
@@ -111,10 +102,9 @@ def test_false_equality_kills_clause_but_registers_head():
 
 
 def test_atom_table_covers_type_o_slice():
-    tp = load("identity")
     g = load_ground("identity", 3)
-    for atom in enumerate_universe(tp, O, 3).terms:
-        assert expr_to_str(atom) in g.atom_index
+    o_slice = [g.terms.text[t] for t in g.terms.slices[O]]
+    assert o_slice and g.atoms[: len(o_slice)] == tuple(o_slice)
 
 
 def test_atom_interning_injective_and_canonical():
