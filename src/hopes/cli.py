@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import analysis, classical, engine, truth
 from .ast import TypedProgram
@@ -77,11 +78,13 @@ def _load_ground(args) -> tuple[TypedProgram, GroundProgram]:
     return tp, g
 
 
-def _emit(args, text_render, json_obj) -> None:
-    if args.format == "json":
-        out = json.dumps(json_obj, indent=2, sort_keys=True) + "\n"
-    else:
-        out = text_render
+def _emit(args, render_text, render_obj) -> None:
+    """Render only the shape --format asks for: the text, or the JSON
+    object; both arguments are zero-argument callables."""
+    _write(args, _dumps(render_obj()) if args.format == "json" else render_text())
+
+
+def _write(args, out: str) -> None:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -93,6 +96,37 @@ def _emit(args, text_render, json_obj) -> None:
             sys.stdout.write(out)
         except UnicodeEncodeError as exc:
             raise _Failure(EXIT_FRONTEND, f"cannot write the output: {exc}")
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Encoded items as ``json.dumps(indent=2)`` lays out a list at this indent."""
+    if not items:
+        return "[]"
+    sep = "\n  " + indent
+    return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
+
+
+def _ground_json(g: GroundProgram, depth: int) -> str:
+    """``_dumps`` of the ground program's record, written directly."""
+    names = [encode_basestring_ascii(a) for a in g.atoms]
+    clauses = []
+    for c in g.clauses:
+        pos, neg = [], []
+        for negated, a in c.literals:
+            (neg if negated else pos).append(names[a])
+        clauses.append(
+            f'{{\n      "head": {names[c.head]},\n      "neg": {_json_list(neg, "      ")},'
+            f'\n      "pos": {_json_list(pos, "      ")}\n    }}'
+        )
+    notes = [encode_basestring_ascii(n) for n in g.notes]
+    return (
+        f'{{\n  "atoms": {_json_list(names, "  ")},\n  "clauses": {_json_list(clauses, "  ")},'
+        f'\n  "depth": {depth},\n  "notes": {_json_list(notes, "  ")}\n}}\n'
+    )
 
 
 def _print_diagnostic(line: str) -> None:
@@ -114,16 +148,15 @@ def _warn(notes) -> None:
 def cmd_check(args) -> int:
     tp = _load(args.file)
     _warn(tp.notes)
-    text = (
-        f"ok: {len(tp.predicate_decls)} predicate(s), "
-        f"{len(tp.function_decls)} function symbol(s), "
-        f"{len(tp.individual_constants)} individual constant(s), "
-        f"{len(tp.clauses)} clause(s)\n"
-    )
     _emit(
         args,
-        text,
-        {
+        lambda: (
+            f"ok: {len(tp.predicate_decls)} predicate(s), "
+            f"{len(tp.function_decls)} function symbol(s), "
+            f"{len(tp.individual_constants)} individual constant(s), "
+            f"{len(tp.clauses)} clause(s)\n"
+        ),
+        lambda: {
             "ok": True,
             "predicates": {p: str(t) for p, t in tp.predicate_decls.items()},
             "functions": {f: str(t) for f, t in tp.function_decls.items()},
@@ -137,23 +170,7 @@ def cmd_check(args) -> int:
 
 def cmd_ground(args) -> int:
     _, g = _load_ground(args)
-    _emit(
-        args,
-        g.to_text(),
-        {
-            "depth": args.depth,
-            "atoms": list(g.atoms),
-            "clauses": [
-                {
-                    "head": g.atoms[c.head],
-                    "pos": [g.atoms[a] for a in c.pos],
-                    "neg": [g.atoms[a] for a in c.neg],
-                }
-                for c in g.clauses
-            ],
-            "notes": list(g.notes),
-        },
-    )
+    _write(args, _ground_json(g, args.depth) if args.format == "json" else g.to_text())
     return EXIT_OK
 
 
@@ -172,37 +189,44 @@ def _model_sort_key(g: GroundProgram, values):
 def cmd_model(args) -> int:
     _, g = _load_ground(args)
     m = engine.minimum_model(g)
-    lines = []
-    if args.trace:
-        for rec in m.trace.stages:
-            ts = ", ".join(sorted(g.atoms[a] for a in rec.newly_true))
-            fs = ", ".join(sorted(g.atoms[a] for a in rec.newly_false))
-            lines.append(f"stage {rec.alpha}: true = {{{ts}}} false = {{{fs}}}")
     order = sorted(range(len(g.atoms)), key=_model_sort_key(g, m.values))
-    lines.extend(f"{g.atoms[a]} = {m.values[a]}" for a in order)
-    lines.append(f"depth = {m.depth}")
-    obj = {
-        "depth": m.depth,
-        "depth_bound": args.depth,
-        "atoms": [
-            {
-                "atom": g.atoms[a],
-                "value": str(m.values[a]),
-                "order": None if m.values[a].is_zero else m.values[a].index,
-            }
-            for a in order
-        ],
-    }
-    if args.trace:
-        obj["trace"] = [
-            {
-                "stage": rec.alpha,
-                "true": sorted(g.atoms[a] for a in rec.newly_true),
-                "false": sorted(g.atoms[a] for a in rec.newly_false),
-            }
-            for rec in m.trace.stages
-        ]
-    _emit(args, "\n".join(lines) + "\n", obj)
+
+    def text() -> str:
+        lines = []
+        if args.trace:
+            for rec in m.trace.stages:
+                ts = ", ".join(sorted(g.atoms[a] for a in rec.newly_true))
+                fs = ", ".join(sorted(g.atoms[a] for a in rec.newly_false))
+                lines.append(f"stage {rec.alpha}: true = {{{ts}}} false = {{{fs}}}")
+        lines.extend(f"{g.atoms[a]} = {m.values[a]}" for a in order)
+        lines.append(f"depth = {m.depth}")
+        return "\n".join(lines) + "\n"
+
+    def record() -> dict:
+        obj = {
+            "depth": m.depth,
+            "depth_bound": args.depth,
+            "atoms": [
+                {
+                    "atom": g.atoms[a],
+                    "value": str(m.values[a]),
+                    "order": None if m.values[a].is_zero else m.values[a].index,
+                }
+                for a in order
+            ],
+        }
+        if args.trace:
+            obj["trace"] = [
+                {
+                    "stage": rec.alpha,
+                    "true": sorted(g.atoms[a] for a in rec.newly_true),
+                    "false": sorted(g.atoms[a] for a in rec.newly_false),
+                }
+                for rec in m.trace.stages
+            ]
+        return obj
+
+    _emit(args, text, record)
     return EXIT_OK
 
 
@@ -210,11 +234,10 @@ def cmd_wf(args) -> int:
     _, g = _load_ground(args)
     wf = classical.wf_oracle(g)
     order = sorted(range(len(g.atoms)), key=lambda a: g.atoms[a])
-    text = "\n".join(f"{g.atoms[a]} = {wf[a]}" for a in order) + "\n"
     _emit(
         args,
-        text,
-        {
+        lambda: "\n".join(f"{g.atoms[a]} = {wf[a]}" for a in order) + "\n",
+        lambda: {
             "depth_bound": args.depth,
             "atoms": [{"atom": g.atoms[a], "value": str(wf[a])} for a in order],
         },
@@ -228,29 +251,36 @@ def cmd_stable(args) -> int:
         models = classical.stable_models(g, args.max_atoms)
     except classical.TooManyAtoms as exc:
         raise _Failure(EXIT_BUDGET, f"stable-model enumeration aborted: {exc}")
-    plan = analysis.compile_extensional(tp, g, args.depth) if args.ext else None
-    lines = []
-    out_models = []
-    for m in models:
-        entry = {"atoms": m.names}
-        line = "{" + ", ".join(m.names) + "}"
-        if args.ext:
-            values = [truth.T0 if a in m else truth.F0 for a in range(len(g.atoms))]
-            report = plan.check(values)
-            entry["extensional"] = report.extensional
-            entry["violations"] = [str(v) for v in report.violations]
-            line += f"  extensional: {'yes' if report.extensional else 'no'}"
-            for v in report.violations:
-                line += f"\n    {v}"
-        lines.append(line)
-        out_models.append(entry)
-    if not models:
-        lines.append("no stable models")
-    _emit(
-        args,
-        "\n".join(lines) + "\n",
-        {"depth_bound": args.depth, "count": len(models), "models": out_models},
-    )
+    reports = [None] * len(models)
+    if args.ext:
+        plan = analysis.compile_extensional(tp, g, args.depth)
+        atoms = range(len(g.atoms))
+        reports = [plan.check([truth.T0 if a in m else truth.F0 for a in atoms]) for m in models]
+
+    def text() -> str:
+        lines = []
+        for m, report in zip(models, reports):
+            line = "{" + ", ".join(m.names) + "}"
+            if report is not None:
+                line += f"  extensional: {'yes' if report.extensional else 'no'}"
+                for v in report.violations:
+                    line += f"\n    {v}"
+            lines.append(line)
+        if not models:
+            lines.append("no stable models")
+        return "\n".join(lines) + "\n"
+
+    def record() -> dict:
+        out_models = []
+        for m, report in zip(models, reports):
+            entry = {"atoms": m.names}
+            if report is not None:
+                entry["extensional"] = report.extensional
+                entry["violations"] = [str(v) for v in report.violations]
+            out_models.append(entry)
+        return {"depth_bound": args.depth, "count": len(models), "models": out_models}
+
+    _emit(args, text, record)
     return EXIT_OK
 
 
@@ -258,24 +288,24 @@ def cmd_stratify(args) -> int:
     tp = _load(args.file)
     result = analysis.check_stratified(tp)
     if isinstance(result, analysis.StrataAssignment):
-        by_level: dict[int, list[str]] = {}
-        for p, lvl in sorted(result.strata.items()):
-            by_level.setdefault(lvl, []).append(p)
-        parts = [
-            f"S{lvl} = {{{', '.join(by_level[lvl])}}}" for lvl in sorted(by_level)
-        ]
-        text = "stratified: yes\n" + "\n".join(parts) + "\n"
+
+        def text() -> str:
+            by_level: dict[int, list[str]] = {}
+            for p, lvl in sorted(result.strata.items()):
+                by_level.setdefault(lvl, []).append(p)
+            parts = [f"S{lvl} = {{{', '.join(by_level[lvl])}}}" for lvl in sorted(by_level)]
+            return "stratified: yes\n" + "\n".join(parts) + "\n"
+
         _emit(
             args,
             text,
-            {"verdict": "stratified", "strata": result.strata, "count": result.count},
+            lambda: {"verdict": "stratified", "strata": result.strata, "count": result.count},
         )
         return EXIT_OK
-    text = "stratified: no\n" + str(result) + "\n"
     _emit(
         args,
-        text,
-        {"verdict": "violation", "cycle": [list(step) for step in result.cycle]},
+        lambda: "stratified: no\n" + str(result) + "\n",
+        lambda: {"verdict": "violation", "cycle": [list(step) for step in result.cycle]},
     )
     return EXIT_VERDICT
 
@@ -284,24 +314,29 @@ def cmd_locstrat(args) -> int:
     _, g = _load_ground(args)
     result = analysis.check_locally_stratified_bounded(g)
     if result.stratified:
-        text = f"locally stratified up to depth {args.depth}: yes\n"
-        obj = {
-            "verdict": "stratified",
-            "depth_bound": args.depth,
-            "strata": result.strata,
-            "count": result.count,
-        }
-    else:
-        text = (
-            f"locally stratified up to depth {args.depth}: no\n"
-            f"{analysis.StratViolation(result.witness)}\n"
+        _emit(
+            args,
+            lambda: f"locally stratified up to depth {args.depth}: yes\n",
+            lambda: {
+                "verdict": "stratified",
+                "depth_bound": args.depth,
+                "strata": result.strata,
+                "count": result.count,
+            },
         )
-        obj = {
-            "verdict": "violation",
-            "depth_bound": args.depth,
-            "cycle": [list(step) for step in result.witness],
-        }
-    _emit(args, text, obj)
+    else:
+        _emit(
+            args,
+            lambda: (
+                f"locally stratified up to depth {args.depth}: no\n"
+                f"{analysis.StratViolation(result.witness)}\n"
+            ),
+            lambda: {
+                "verdict": "violation",
+                "depth_bound": args.depth,
+                "cycle": [list(step) for step in result.witness],
+            },
+        )
     return EXIT_OK
 
 
@@ -309,31 +344,38 @@ def cmd_ext(args) -> int:
     tp, g = _load_ground(args)
     m = engine.minimum_model(g)
     report = analysis.check_extensional(tp, g, list(m.values), args.depth)
-    lines = [f"extensional at depth {args.depth}: {'yes' if report.extensional else 'no'}"]
-    lines.append(f"checked types: {', '.join(report.checked_types)}")
-    if report.skipped_types:
-        lines.append(f"types with empty universes: {', '.join(report.skipped_types)}")
-    for v in report.violations:
-        lines.append(str(v))
-    for typ, a, b in report.vacuous:
-        lines.append(f"note: {a} and {b} related at {typ} only vacuously")
-    obj = {
-        "verdict": "extensional" if report.extensional else "violation",
-        "depth": report.depth,
-        "checked_types": list(report.checked_types),
-        "skipped_types": list(report.skipped_types),
-        "witnesses": [
-            {
-                "type": v.typ,
-                "subject": v.subject,
-                "arguments": [v.arg_left, v.arg_right],
-                "atoms": [{"atom": a, "value": val} for a, val in v.atoms],
-            }
-            for v in report.violations
-        ],
-        "vacuous": [list(entry) for entry in report.vacuous],
-    }
-    _emit(args, "\n".join(lines) + "\n", obj)
+
+    def text() -> str:
+        lines = [f"extensional at depth {args.depth}: {'yes' if report.extensional else 'no'}"]
+        lines.append(f"checked types: {', '.join(report.checked_types)}")
+        if report.skipped_types:
+            lines.append(f"types with empty universes: {', '.join(report.skipped_types)}")
+        for v in report.violations:
+            lines.append(str(v))
+        for typ, a, b in report.vacuous:
+            lines.append(f"note: {a} and {b} related at {typ} only vacuously")
+        return "\n".join(lines) + "\n"
+
+    _emit(
+        args,
+        text,
+        lambda: {
+            "verdict": "extensional" if report.extensional else "violation",
+            "depth": report.depth,
+            "checked_types": list(report.checked_types),
+            "skipped_types": list(report.skipped_types),
+            "witnesses": [
+                {
+                    "type": v.typ,
+                    "subject": v.subject,
+                    "arguments": [v.arg_left, v.arg_right],
+                    "atoms": [{"atom": a, "value": val} for a, val in v.atoms],
+                }
+                for v in report.violations
+            ],
+            "vacuous": [list(entry) for entry in report.vacuous],
+        },
+    )
     return EXIT_OK if report.extensional else EXIT_VERDICT
 
 

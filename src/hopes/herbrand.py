@@ -199,14 +199,6 @@ class GroundClause:
         default=None, compare=False
     )
 
-    @property
-    def pos(self) -> tuple[int, ...]:
-        return tuple(a for negated, a in self.literals if not negated)
-
-    @property
-    def neg(self) -> tuple[int, ...]:
-        return tuple(a for negated, a in self.literals if negated)
-
 
 class _cached:
     """``functools.cached_property``, but stored with ``setattr``.

@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from hopes import analysis, cli, parse_program, typecheck
+from hopes import analysis, classical, cli, parse_program, typecheck
 from hopes.cli import main
-from hopes.herbrand import DEFAULT_BUDGET, _Universe
+from hopes.herbrand import DEFAULT_BUDGET, GroundProgram, _Universe
 from hopes.types import MAX_TYPE_NESTING
 
-from conftest import program_path
+from conftest import load_ground, program_path
 from reference_grounder import reference_count
 
 
@@ -327,6 +327,47 @@ def test_stable_ext_compiles_once(capsys, tmp_path, monkeypatch):
     assert len(compiled) == 1
     assert out.count("extensional: yes") == 2
     assert out.count("extensional: no") == 254
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command",
+    [["check"], ["ground"], ["model"], ["model", "--trace"], ["wf"], ["stable"],
+     ["stable", "--ext"], ["stratify"], ["locstrat"], ["ext"]],
+    ids=" ".join,
+)
+def test_each_command_renders_only_the_asked_shape(capsys, monkeypatch, command, fmt):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"--format {fmt} rendered the other shape")
+
+    emit = cli._emit
+    if fmt == "json":
+        monkeypatch.setattr(GroundProgram, "to_text", forbidden)
+        monkeypatch.setattr(cli, "_emit", lambda args, text, obj: emit(args, forbidden, obj))
+    else:
+        monkeypatch.setattr(json, "dumps", forbidden)
+        monkeypatch.setattr(cli, "_ground_json", forbidden)
+        monkeypatch.setattr(cli, "_emit", lambda args, text, obj: emit(args, text, forbidden))
+    for name in ("choice_pair", "stratified_ho", "unstratified_ho"):
+        path = program_path(name)
+        code, out, err = run(capsys, command[0], path, *command[1:], "--format", fmt)
+        assert code in (0, 1) and out, err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stable_ext_checks_each_model_once(capsys, monkeypatch, fmt):
+    checked = []
+    check = analysis.ExtPlan.check
+
+    def count_check(self, values):
+        checked.append(values)
+        return check(self, values)
+
+    monkeypatch.setattr(analysis.ExtPlan, "check", count_check)
+    path = program_path("choice_pair")
+    code, _, _ = run(capsys, "stable", path, "--depth", "2", "--ext", "--format", fmt)
+    assert code == 0
+    assert len(checked) == len(classical.stable_models(load_ground("choice_pair", 2))) == 4
 
 
 def test_stable_atom_cap(capsys):

@@ -199,8 +199,8 @@ def test_no_ground_atoms_note_only_without_atoms():
 def test_build_helper_round_trip():
     g = GroundProgram.build(["x", "y"], [("x", [], ["y"]), ("y", ["x"], [])])
     assert g.atoms == ("x", "y")
-    assert g.clauses[0].neg == (1,)
-    assert g.clauses[1].pos == (0,)
+    assert g.clauses[0].literals == ((True, 1),)
+    assert g.clauses[1].literals == ((False, 0),)
     assert g.clause_str(g.clauses[0]) == "x :- ~y."
 
 
