@@ -5,7 +5,6 @@ minimum models, classical collapses, and extensionality analysis."""
 from .analysis import (
     ExtRelation,
     ExtReport,
-    LocalStratResult,
     StrataAssignment,
     StratViolation,
     check_extensional,
@@ -28,7 +27,6 @@ from .classical import (
 from .engine import (
     Comparison,
     InfModel,
-    StageTrace,
     UnknownAtom,
     compare_alpha,
     is_model,

@@ -36,6 +36,8 @@ Stratification is checked on two levels:
   dependency graph, which is a finite check of local stratification up
   to the depth bound.
 
+Both levels answer with a ``StrataAssignment`` or a ``StratViolation``.
+
 Both graphs, and the one ``wf_oracle`` solves by, are lists over node
 ids of the (strict, source) pairs of the edges into each node.  A
 violation's witness starts from the strict edge inside a component
@@ -199,7 +201,7 @@ def _stratify_graph(deps: _Deps, names: Sequence[str]) -> tuple[dict[str, int], 
 
 
 # ---------------------------------------------------------------------------
-# source-level stratification
+# source-level and ground-level (bounded local) stratification
 # ---------------------------------------------------------------------------
 
 
@@ -216,6 +218,14 @@ class StratViolation:
     def __str__(self) -> str:
         steps = ", ".join(f"{u} {rel} {v}" for u, rel, v in self.cycle)
         return f"cycle through negation: {steps}"
+
+
+def _stratify(deps: _Deps, names: Sequence[str]) -> StrataAssignment | StratViolation:
+    """``_stratify_graph``'s answer as a result of either level."""
+    result = _stratify_graph(deps, names)
+    if isinstance(result, list):
+        return StratViolation(tuple(result))
+    return StrataAssignment(*result)
 
 
 def check_stratified(tp: TypedProgram) -> StrataAssignment | StratViolation:
@@ -237,33 +247,13 @@ def check_stratified(tp: TypedProgram) -> StrataAssignment | StratViolation:
                 decls = tp.predicate_decls
                 into += [(strict, q) for q, p in enumerate(nodes) if type_geq(decls[p], head.typ)]
 
-    result = _stratify_graph(deps, nodes)
-    if isinstance(result, list):
-        return StratViolation(tuple(result))
-    strata, count = result
-    return StrataAssignment(strata, count)
+    return _stratify(deps, nodes)
 
 
-# ---------------------------------------------------------------------------
-# ground-level (bounded local) stratification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalStratResult:
-    stratified: bool
-    witness: tuple[Edge, ...] | None = None
-    strata: dict[str, int] | None = None
-    count: int = 0
-
-
-def check_locally_stratified_bounded(g: GroundProgram) -> LocalStratResult:
-    """Local stratification of the depth-bounded ground program."""
-    result = _stratify_graph(_dependencies(g), g.atoms)
-    if isinstance(result, list):
-        return LocalStratResult(False, witness=tuple(result))
-    strata, count = result
-    return LocalStratResult(True, strata=strata, count=count)
+def check_locally_stratified_bounded(g: GroundProgram) -> StrataAssignment | StratViolation:
+    """Local stratification of the depth-bounded ground program, over
+    its atoms."""
+    return _stratify(_dependencies(g), g.atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +335,10 @@ class ExtPlan:
     values; text is rendered only for what they report.
     """
 
-    def __init__(self, g: GroundProgram, k: int):
+    def __init__(self, g: GroundProgram):
         store = g.terms
         self.atoms = g.atoms
-        self.k = k
+        self.k = g.depth_bound
         self.ids = store.ids
         self.atom_of = store.atom_of
         self.types = {typ: _Type(typ, ids, store.text) for typ, ids in store.slices.items()}
@@ -373,10 +363,10 @@ class ExtPlan:
             t.table = [[where.get(ids.get((d, e), -1), -1) for e in args] for d in t.ids]
         return t.table
 
-    def check(self, values: list[TruthValue]) -> ExtReport:
+    def check(self, values: Sequence[TruthValue]) -> ExtReport:
         return _Valuation(self, values).report()
 
-    def relation(self, values: list[TruthValue], typ: TypeExpr) -> ExtRelation:
+    def relation(self, values: Sequence[TruthValue], typ: TypeExpr) -> ExtRelation:
         """Raises EmptyUniverse when the slice of the type is empty."""
         # no type outside the closure has a ground term
         t = self.types.get(typ)
@@ -404,7 +394,7 @@ class _Valuation:
     """A compiled plan under one valuation: extensional equality at each
     type, over slice positions, computed once."""
 
-    def __init__(self, plan: ExtPlan, values: list[TruthValue]):
+    def __init__(self, plan: ExtPlan, values: Sequence[TruthValue]):
         self.plan = plan
         self.values = values
         self.padded = [*values, None]  # index -1 is an undefined application
@@ -530,35 +520,27 @@ class _Valuation:
         )
 
 
-def compile_extensional(tp: TypedProgram, g: GroundProgram, k: int) -> ExtPlan:
-    """Compile the extensionality check of ``g``, the ground program of
-    ``tp`` at depth ``k`` as ``ground_instantiate`` built it: its term
-    store holds the slices of every type in the closure."""
-    if g.terms is None or g.depth_bound != k:
-        raise ValueError(f"no term store of a grounding at depth {k} on this ground program")
-    return ExtPlan(g, k)
+def compile_extensional(g: GroundProgram) -> ExtPlan:
+    """Compile the extensionality check of ``g`` as ``ground_instantiate``
+    built it, at its depth bound: its term store holds the slices of
+    every type in the closure."""
+    if g.terms is None:
+        raise ValueError("no term store on this ground program")
+    return ExtPlan(g)
 
 
-def ext_relation(
-    tp: TypedProgram,
-    g: GroundProgram,
-    values: list[TruthValue],
-    rho: TypeExpr,
-    k: int,
-) -> ExtRelation:
+def ext_relation(g: GroundProgram, values: Sequence[TruthValue], rho: TypeExpr) -> ExtRelation:
     """The extensional-equality relation at one argument type.
 
     Raises EmptyUniverse when no ground term of the type exists within
     the bound.
     """
-    return compile_extensional(tp, g, k).relation(values, rho)
+    return compile_extensional(g).relation(values, rho)
 
 
-def check_extensional(
-    tp: TypedProgram, g: GroundProgram, values: list[TruthValue], k: int
-) -> ExtReport:
+def check_extensional(g: GroundProgram, values: Sequence[TruthValue]) -> ExtReport:
     """Reflexivity of extensional equality at every argument type in the
     declarations, with at most one violation per type and term.  It
     implies interchangeability: related predicates applied to related,
     defined argument tuples give equal atom values."""
-    return compile_extensional(tp, g, k).check(values)
+    return compile_extensional(g).check(values)

@@ -61,7 +61,7 @@ def _load(path: str) -> TypedProgram:
         raise _Failure(EXIT_FRONTEND, f"{path}: type error: {exc}")
 
 
-def _load_ground(args) -> tuple[TypedProgram, GroundProgram]:
+def _load_ground(args) -> GroundProgram:
     """Load, type-check and ground the program; print the grounding notes."""
     tp = _load(args.file)
     if args.depth > DEFAULT_BUDGET:
@@ -75,7 +75,7 @@ def _load_ground(args) -> tuple[TypedProgram, GroundProgram]:
     except BudgetExceeded as exc:
         raise _Failure(EXIT_BUDGET, f"grounding budget exceeded: {exc}")
     _warn(g.notes)
-    return tp, g
+    return g
 
 
 def _emit(args, render_text, render_obj) -> None:
@@ -169,7 +169,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    _, g = _load_ground(args)
+    g = _load_ground(args)
     _write(args, _ground_json(g, args.depth) if args.format == "json" else g.to_text())
     return EXIT_OK
 
@@ -187,14 +187,14 @@ def _model_sort_key(g: GroundProgram, values):
 
 
 def cmd_model(args) -> int:
-    _, g = _load_ground(args)
+    g = _load_ground(args)
     m = engine.minimum_model(g)
     order = sorted(range(len(g.atoms)), key=_model_sort_key(g, m.values))
 
     def text() -> str:
         lines = []
         if args.trace:
-            for rec in m.trace.stages:
+            for rec in m.stages:
                 ts = ", ".join(sorted(g.atoms[a] for a in rec.newly_true))
                 fs = ", ".join(sorted(g.atoms[a] for a in rec.newly_false))
                 lines.append(f"stage {rec.alpha}: true = {{{ts}}} false = {{{fs}}}")
@@ -222,7 +222,7 @@ def cmd_model(args) -> int:
                     "true": sorted(g.atoms[a] for a in rec.newly_true),
                     "false": sorted(g.atoms[a] for a in rec.newly_false),
                 }
-                for rec in m.trace.stages
+                for rec in m.stages
             ]
         return obj
 
@@ -231,7 +231,7 @@ def cmd_model(args) -> int:
 
 
 def cmd_wf(args) -> int:
-    _, g = _load_ground(args)
+    g = _load_ground(args)
     wf = classical.wf_oracle(g)
     order = sorted(range(len(g.atoms)), key=lambda a: g.atoms[a])
     _emit(
@@ -246,14 +246,14 @@ def cmd_wf(args) -> int:
 
 
 def cmd_stable(args) -> int:
-    tp, g = _load_ground(args)
+    g = _load_ground(args)
     try:
         models = classical.stable_models(g, args.max_atoms)
     except classical.TooManyAtoms as exc:
         raise _Failure(EXIT_BUDGET, f"stable-model enumeration aborted: {exc}")
     reports = [None] * len(models)
     if args.ext:
-        plan = analysis.compile_extensional(tp, g, args.depth)
+        plan = analysis.compile_extensional(g)
         atoms = range(len(g.atoms))
         reports = [plan.check([truth.T0 if a in m else truth.F0 for a in atoms]) for m in models]
 
@@ -311,9 +311,9 @@ def cmd_stratify(args) -> int:
 
 
 def cmd_locstrat(args) -> int:
-    _, g = _load_ground(args)
+    g = _load_ground(args)
     result = analysis.check_locally_stratified_bounded(g)
-    if result.stratified:
+    if isinstance(result, analysis.StrataAssignment):
         _emit(
             args,
             lambda: f"locally stratified up to depth {args.depth}: yes\n",
@@ -329,21 +329,21 @@ def cmd_locstrat(args) -> int:
             args,
             lambda: (
                 f"locally stratified up to depth {args.depth}: no\n"
-                f"{analysis.StratViolation(result.witness)}\n"
+                f"{result}\n"
             ),
             lambda: {
                 "verdict": "violation",
                 "depth_bound": args.depth,
-                "cycle": [list(step) for step in result.witness],
+                "cycle": [list(step) for step in result.cycle],
             },
         )
     return EXIT_OK
 
 
 def cmd_ext(args) -> int:
-    tp, g = _load_ground(args)
+    g = _load_ground(args)
     m = engine.minimum_model(g)
-    report = analysis.check_extensional(tp, g, list(m.values), args.depth)
+    report = analysis.check_extensional(g, m.values)
 
     def text() -> str:
         lines = [f"extensional at depth {args.depth}: {'yes' if report.extensional else 'no'}"]

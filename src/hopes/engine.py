@@ -58,9 +58,10 @@ the unfounded sets):
   and settle false.
 
 A stage with no events decides nothing and ends the loop.  Each stage
-record keeps only the atoms the stage decided; its ``snapshot``, the
-interpretation the stage hands on, is derived on demand from the final
-values, so the records take linear space in total.
+record in ``InfModel.stages`` keeps only the atoms the stage decided;
+its ``snapshot``, the interpretation the stage hands on, is derived on
+demand from the final values, so the records take linear space in
+total.
 """
 
 from __future__ import annotations
@@ -104,16 +105,11 @@ class StageRecord:
 
 
 @dataclass(frozen=True)
-class StageTrace:
-    stages: tuple[StageRecord, ...]
-
-
-@dataclass(frozen=True)
 class InfModel:
     ground: GroundProgram
     values: tuple[TruthValue, ...]
     depth: int
-    trace: StageTrace
+    stages: tuple[StageRecord, ...]
 
     def value_of(self, atom: str) -> TruthValue:
         if atom not in self.ground.atom_index:
@@ -121,7 +117,7 @@ class InfModel:
         return self.values[self.ground.atom_index[atom]]
 
 
-def body_value(g: GroundProgram, c, interp: Interpretation) -> TruthValue:
+def body_value(c, interp: Interpretation) -> TruthValue:
     """Conjunction of the body under an interpretation; facts give T0."""
     if not c.literals:
         return T0
@@ -132,7 +128,7 @@ def body_value(g: GroundProgram, c, interp: Interpretation) -> TruthValue:
 
 def tp_step(g: GroundProgram, interp: Interpretation) -> Interpretation:
     """One application of the consequence operator."""
-    return [truth.lub(body_value(g, c, interp) for c in clauses) for clauses in g.by_head]
+    return [truth.lub(body_value(c, interp) for c in clauses) for clauses in g.by_head]
 
 
 def minimum_model(g: GroundProgram) -> InfModel:
@@ -237,7 +233,7 @@ def minimum_model(g: GroundProgram) -> InfModel:
 
     final = tuple(v or ZERO for v in value)
     records = tuple(StageRecord(i, t, f, final) for i, (t, f) in enumerate(decided))
-    return InfModel(g, final, alpha, StageTrace(records))
+    return InfModel(g, final, alpha, records)
 
 
 def is_model(
@@ -251,7 +247,7 @@ def is_model(
     violations = [
         (ci, interp[c.head], bv)
         for ci, c in enumerate(g.clauses)
-        if interp[c.head] < (bv := body_value(g, c, interp))
+        if interp[c.head] < (bv := body_value(c, interp))
     ]
     return (not violations, violations)
 
@@ -259,7 +255,6 @@ def is_model(
 class Comparison(Enum):
     EQ_ALPHA = "equal"
     SQSUBSET_ALPHA = "strictly-below"
-    SQSUBSETEQ_ALPHA = "below"
     INCOMPARABLE = "incomparable"
 
 

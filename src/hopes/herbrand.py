@@ -55,6 +55,7 @@ from .ast import (
     PredConst,
     TypedProgram,
     Var,
+    _children,
     expr_vars,
 )
 from .types import IOTA, O, TypeExpr, arity
@@ -288,14 +289,6 @@ def _skip_note(idx: int, name: str, typ: TypeExpr, k: int) -> str:
     )
 
 
-def _subterms(e: Expression) -> tuple[Expression, ...]:
-    if isinstance(e, FunApp):
-        return e.args
-    if isinstance(e, App):
-        return (e.fun, e.arg)
-    raise TypeError(f"not a ground term: {e!r}")
-
-
 class _Terms:
     """Hash-consed ground terms.
 
@@ -370,7 +363,7 @@ class _Terms:
                 out.append((self.node(x.name), True))
             elif not ready:
                 stack.append((x, True))
-                for c in reversed(_subterms(x)):
+                for c in reversed(_children(x)):
                     stack.append((c, False))
             else:
                 symbol = x.symbol if kind is FunApp else None

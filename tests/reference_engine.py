@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from hopes import truth
 from hopes.ast import Eq, Expression, Neg, TypedProgram, expr_to_str, substitute
-from hopes.engine import InfModel, Interpretation, StageTrace
+from hopes.engine import InfModel, Interpretation
 from hopes.herbrand import DEFAULT_BUDGET, GroundProgram
 from hopes.truth import F0, T0, TruthValue, ZERO
 
@@ -109,7 +109,7 @@ def minimum_model(g: GroundProgram) -> InfModel:
     final = tuple(
         v if truth.order(v) < depth else ZERO for v in current
     )
-    return InfModel(g, final, depth, StageTrace(tuple(records)))
+    return InfModel(g, final, depth, tuple(records))
 
 
 def valuate_expression(tp: TypedProgram, m: InfModel, e: Expression) -> TruthValue:

@@ -70,11 +70,10 @@ def test_combinator_grounding():
 def test_extensional_minimum_models():
     started = time.perf_counter()
     for name in CORPUS:
-        tp = load(name)
         for k in (1, 2, 3, 4):
             g = load_ground(name, k)
             m = minimum_model(g)
-            report = check_extensional(tp, g, list(m.values), k)
+            report = check_extensional(g, list(m.values))
             assert report.extensional, (name, k, report.violations)
             assert report.violations == ()
     elapsed = time.perf_counter() - started
@@ -99,7 +98,6 @@ def test_collapse_matches_wellfounded():
 
 
 def test_exclusive_choice_stable_models():
-    tp = load("choice_pair")
     g = load_ground("choice_pair", 2)
     models = stable_models(g)
     names = [sorted(g.atoms[a] for a in m) for m in models]
@@ -115,9 +113,7 @@ def test_exclusive_choice_stable_models():
         ["p(a)", "q(a)", "s(p)", "s(q)"],
     ]
 
-    reports = [
-        check_extensional(tp, g, stable_valuation(g, m), 2) for m in models
-    ]
+    reports = [check_extensional(g, stable_valuation(g, m)) for m in models]
     flags = [r.extensional for r in reports]
     assert flags == [True, False, False, True]
     assert sum(flags) == 2
@@ -129,12 +125,11 @@ def test_exclusive_choice_stable_models():
 
 
 def test_guarded_choice_intensional():
-    tp = load("asymmetric_choice")
     g = load_ground("asymmetric_choice", 2)
     models = stable_models(g)
     assert len(models) >= 1
     for m in models:
-        report = check_extensional(tp, g, stable_valuation(g, m), 2)
+        report = check_extensional(g, stable_valuation(g, m))
         assert not report.extensional
     print("ACCEPTANCE guarded-choice-intensional: PASS")
 
@@ -190,7 +185,7 @@ def test_property_suites():
         g = load_ground(name, 2)
         m = minimum_model(g)
         base = [F0] * len(g.atoms)
-        for rec in m.trace.stages:
+        for rec in m.stages:
             it = list(base)
             for _ in range(20):
                 assert compare_alpha(it, list(rec.snapshot), rec.alpha) in (
@@ -201,8 +196,8 @@ def test_property_suites():
             base = list(rec.snapshot)
 
         # each stage's decisions persist through every later stage
-        for i, early in enumerate(m.trace.stages):
-            for late in m.trace.stages[i:]:
+        for i, early in enumerate(m.stages):
+            for late in m.stages[i:]:
                 assert (
                     compare_alpha(list(early.snapshot), list(late.snapshot), early.alpha)
                     is Comparison.EQ_ALPHA

@@ -480,6 +480,21 @@ def test_locstrat_reports_but_exits_zero(capsys):
     assert out.startswith("locally stratified up to depth 3: yes")
 
 
+def test_stratify_and_locstrat_report_one_cycle(capsys):
+    # p :- ~q. q :- ~p.  Its ground program is the program itself, so
+    # both levels find the same cycle, through one result type
+    path = program_path("even_loop")
+    cycle = "cycle through negation: p < q, q < p\n"
+    assert run(capsys, "stratify", path)[:2] == (1, "stratified: no\n" + cycle)
+    code, out, _ = run(capsys, "locstrat", path)
+    assert (code, out) == (0, "locally stratified up to depth 3: no\n" + cycle)
+
+    source = json.loads(run(capsys, "stratify", path, "--format", "json")[1])
+    local = json.loads(run(capsys, "locstrat", path, "--format", "json")[1])
+    assert source["cycle"] == local["cycle"] == [["p", "<", "q"], ["q", "<", "p"]]
+    assert source["verdict"] == local["verdict"] == "violation"
+
+
 def test_ext_command(capsys):
     code, out, _ = run(capsys, "ext", program_path("choice_pair"), "--depth", "2")
     assert code == 0

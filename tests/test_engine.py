@@ -7,7 +7,6 @@ from hopes.ast import Eq, Neg, expr_to_str, substitute
 from hopes.engine import (
     Comparison,
     InfModel,
-    StageTrace,
     UnknownAtom,
     aleq,
     compare_alpha,
@@ -124,7 +123,7 @@ def test_minimum_model_self_support():
 def test_minimum_model_oscillation_has_no_stages():
     g, m = model_of("even_loop")
     assert m.depth == 0
-    assert m.trace.stages == ()
+    assert m.stages == ()
     assert set(m.values) == {ZERO}
 
 
@@ -166,8 +165,8 @@ def test_facts_take_top_value(name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_every_recorded_stage_decides(name):
     g, m = model_of(name)
-    assert len(m.trace.stages) == m.depth
-    for pos, rec in enumerate(m.trace.stages):
+    assert len(m.stages) == m.depth
+    for pos, rec in enumerate(m.stages):
         assert rec.alpha == pos
         assert rec.newly_true or rec.newly_false
 
@@ -192,7 +191,7 @@ def test_compare_alpha_defaults():
 
 def test_compare_alpha_between_stage_snapshots():
     _, m = model_of("defaults")
-    s0, s1 = (list(rec.snapshot) for rec in m.trace.stages)
+    s0, s1 = (list(rec.snapshot) for rec in m.stages)
     assert compare_alpha(s0, s1, 0) is Comparison.EQ_ALPHA
     assert compare_alpha(s0, s1, 1) is Comparison.SQSUBSET_ALPHA
 
@@ -210,7 +209,7 @@ def test_aleq_orders_bottom_below_model():
 def test_stage_iterates_stay_under_snapshot(name):
     g, m = model_of(name, 2)
     base = [F0] * len(g.atoms)
-    for rec in m.trace.stages:
+    for rec in m.stages:
         it = list(base)
         for _ in range(12):
             assert compare_alpha(it, list(rec.snapshot), rec.alpha) in (
@@ -224,7 +223,7 @@ def test_stage_iterates_stay_under_snapshot(name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_later_stages_preserve_earlier_levels(name):
     _, m = model_of(name)
-    stages = m.trace.stages
+    stages = m.stages
     for i, early in enumerate(stages):
         for late in stages[i:]:
             assert (
@@ -264,7 +263,7 @@ def test_check_model_ho_accepts_minimum_model(name):
 def test_check_model_ho_rejects_bottom():
     tp = load("subset")
     g = load_ground("subset", 3)
-    fake = InfModel(g, tuple([F0] * len(g.atoms)), 0, StageTrace(()))
+    fake = InfModel(g, tuple([F0] * len(g.atoms)), 0, ())
     ok, violations = check_model_ho(tp, fake, 3)
     assert not ok
     head, head_val, body_val = violations[0]

@@ -30,8 +30,8 @@ def assert_same_as_reference(g: GroundProgram) -> None:
     assert got.values == expected.values, g.to_text()
     assert got.depth == expected.depth, g.to_text()
     assert [
-        (r.alpha, r.newly_true, r.newly_false, r.snapshot) for r in got.trace.stages
-    ] == [(r.alpha, r.newly_true, r.newly_false, r.snapshot) for r in expected.trace.stages]
+        (r.alpha, r.newly_true, r.newly_false, r.snapshot) for r in got.stages
+    ] == [(r.alpha, r.newly_true, r.newly_false, r.snapshot) for r in expected.stages]
     assert collapse(got) == wf_oracle(g), g.to_text()
 
 
@@ -132,8 +132,8 @@ def test_shapes_match_reference():
 
 def test_snapshot_is_derived_from_the_final_values():
     m = minimum_model(chain(5))
-    assert [str(v) for v in m.trace.stages[1].snapshot] == ["T0", "F1", "F2", "F2", "F2"]
-    assert all(r.final is m.values for r in m.trace.stages)
+    assert [str(v) for v in m.stages[1].snapshot] == ["T0", "F1", "F2", "F2", "F2"]
+    assert all(r.final is m.values for r in m.stages)
 
 
 # The reference takes 1.4 s and an 84 MB traced peak on the 3200-atom

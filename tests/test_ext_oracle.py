@@ -15,7 +15,7 @@ from hopes import parse_program, typecheck
 from hopes.analysis import check_extensional, compile_extensional, ext_relation
 from hopes.classical import TooManyAtoms, stable_models
 from hopes.engine import minimum_model
-from hopes.herbrand import BudgetExceeded, EmptyUniverse, ground_instantiate
+from hopes.herbrand import BudgetExceeded, EmptyUniverse, GroundProgram, ground_instantiate
 from hopes.truth import F0, T0, ZERO, TruthValue
 from hopes.types import IOTA, O, arrow
 
@@ -44,7 +44,7 @@ def valuations(g, rng, randoms):
 def assert_same_as_reference(tp, g, k, rng, randoms=3) -> list:
     """Compare every valuation under one compiled plan; return the
     reference's reports."""
-    plan = compile_extensional(tp, g, k)
+    plan = compile_extensional(g)
     types = sorted(TermEnumerator(tp).closure, key=str) + [arrow(arrow(IOTA, IOTA), O)]
     reports = []
     for values in valuations(g, rng, randoms):
@@ -76,9 +76,9 @@ def test_entry_points_match_reference(name):
     for k in (1, 2, 3, 4):
         g = ground_instantiate(tp, k)
         values = list(minimum_model(g).values)
-        assert check_extensional(tp, g, values, k) == reference_check_extensional(tp, g, values, k)
+        assert check_extensional(g, values) == reference_check_extensional(tp, g, values, k)
         for typ in sorted(TermEnumerator(tp).closure, key=str):
-            assert relation_or_empty(ext_relation, tp, g, values, typ, k) == relation_or_empty(
+            assert relation_or_empty(ext_relation, g, values, typ) == relation_or_empty(
                 reference_ext_relation, tp, g, values, typ, k
             )
 
@@ -136,7 +136,7 @@ def test_one_definedness_rule():
         g = ground_instantiate(tp, k)
         report = assert_same_as_reference(tp, g, k, random.Random(k))[0]
         assert report.extensional and report.violations == (), k
-        relation = ext_relation(tp, g, list(minimum_model(g).values), typ, k)
+        relation = ext_relation(g, list(minimum_model(g).values), typ)
         if k == 2:
             assert relation.related("p", "q") and relation.vacuous == frozenset()
         if k == 3:
@@ -146,7 +146,7 @@ def test_one_definedness_rule():
 def test_one_plan_serves_every_stable_model():
     tp = load("choice_pair")
     g = ground_instantiate(tp, 2)
-    plan = compile_extensional(tp, g, 2)
+    plan = compile_extensional(g)
     flags = []
     for m in stable_models(g):
         values = [T0 if a in m else F0 for a in range(len(g.atoms))]
@@ -156,8 +156,15 @@ def test_one_plan_serves_every_stable_model():
     assert sorted(flags) == [False, False, True, True]
 
 
-def test_compile_needs_the_grounding_at_its_depth():
-    tp = load("identity")
-    g = ground_instantiate(tp, 2)
+def test_compile_needs_a_term_store():
+    g = GroundProgram.build(["p", "q"], [("p", [], ["q"])], depth_bound=2)
     with pytest.raises(ValueError):
-        compile_extensional(tp, g, 3)
+        compile_extensional(g)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_report_depth_is_the_grounding_depth(name):
+    tp = load(name)
+    for k in (1, 2, 3, 4):
+        g = ground_instantiate(tp, k)
+        assert check_extensional(g, list(minimum_model(g).values)).depth == g.depth_bound == k
