@@ -52,9 +52,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .ast import Eq, Neg, PredConst, TypedProgram, Var, spine
-from .herbrand import EmptyUniverse, GroundProgram
+from .herbrand import GroundProgram
 from .truth import TruthValue
-from .types import IOTA, O, TypeExpr, is_predicate
+from .types import IOTA, TypeExpr, is_predicate
 
 Edge = tuple[str, str, str]  # (source, "<" or "<=", target)
 _Deps = Sequence[Sequence[tuple[bool, int]]]  # per node v, (strict, u) for each edge u -> v
@@ -261,18 +261,6 @@ def check_locally_stratified_bounded(g: GroundProgram) -> StrataAssignment | Str
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExtRelation:
-    typ: TypeExpr
-    depth_bound: int
-    terms: tuple[str, ...]
-    pairs: frozenset[tuple[str, str]]
-    vacuous: frozenset[tuple[str, str]] = frozenset()
-
-    def related(self, a: str, b: str) -> bool:
-        return (a, b) in self.pairs
-
-
 @dataclass(frozen=True)
 class ExtViolation:
     typ: str
@@ -331,8 +319,8 @@ class ExtPlan:
     first use.  An application counts as defined when its result lies
     in its result slice or, at type o, in the atom table; the relation
     and the explanation of a violation read the same tables, so they
-    share this one rule.  ``check`` and ``relation`` then only compare
-    values; text is rendered only for what they report.
+    share this one rule.  ``check`` then only compares values; text is
+    rendered only for what it reports.
     """
 
     def __init__(self, g: GroundProgram):
@@ -365,14 +353,6 @@ class ExtPlan:
 
     def check(self, values: Sequence[TruthValue]) -> ExtReport:
         return _Valuation(self, values).report()
-
-    def relation(self, values: Sequence[TruthValue], typ: TypeExpr) -> ExtRelation:
-        """Raises EmptyUniverse when the slice of the type is empty."""
-        # no type outside the closure has a ground term
-        t = self.types.get(typ)
-        if t is None or not t.ids:
-            raise EmptyUniverse(typ, self.k)
-        return _Valuation(self, values).ext_relation(typ, t)
 
 
 def _agree(a: list, b: list, res: list[set[int]] | None) -> tuple[bool, bool]:
@@ -509,16 +489,6 @@ class _Valuation:
             skipped_types=plan.skipped_types,
         )
 
-    def ext_relation(self, typ: TypeExpr, t: _Type) -> ExtRelation:
-        related, names = self.relation(t), t.names
-        return ExtRelation(
-            typ,
-            self.plan.k,
-            names,
-            frozenset((names[d], names[d2]) for d, mates in enumerate(related) for d2 in mates),
-            frozenset((names[d], names[d2]) for d, d2 in self.vacuous[t]),
-        )
-
 
 def compile_extensional(g: GroundProgram) -> ExtPlan:
     """Compile the extensionality check of ``g`` as ``ground_instantiate``
@@ -527,15 +497,6 @@ def compile_extensional(g: GroundProgram) -> ExtPlan:
     if g.terms is None:
         raise ValueError("no term store on this ground program")
     return ExtPlan(g)
-
-
-def ext_relation(g: GroundProgram, values: Sequence[TruthValue], rho: TypeExpr) -> ExtRelation:
-    """The extensional-equality relation at one argument type.
-
-    Raises EmptyUniverse when no ground term of the type exists within
-    the bound.
-    """
-    return compile_extensional(g).relation(values, rho)
 
 
 def check_extensional(g: GroundProgram, values: Sequence[TruthValue]) -> ExtReport:

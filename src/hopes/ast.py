@@ -171,37 +171,6 @@ def expr_vars(*es: Expression) -> list[Var]:
     return list(seen.values())
 
 
-def substitute(e: Expression, binding: dict[str, Expression]) -> Expression:
-    """Replace variables by name; leaves without a binding are shared."""
-    # post-order: a node is rebuilt once the results of its children,
-    # pushed onto `done` left to right, are all there
-    done: list[Expression] = []
-    stack: list[tuple[Expression, bool]] = [(e, False)]
-    while stack:
-        x, ready = stack.pop()
-        if isinstance(x, Var):
-            done.append(binding.get(x.name, x))
-            continue
-        kids = _children(x)
-        if not kids:
-            done.append(x)
-        elif not ready:
-            stack.append((x, True))
-            stack.extend((c, False) for c in reversed(kids))
-        else:
-            parts = done[len(done) - len(kids):]
-            del done[len(done) - len(kids):]
-            if isinstance(x, FunApp):
-                done.append(FunApp(x.symbol, tuple(parts), x.typ))
-            elif isinstance(x, App):
-                done.append(App(parts[0], parts[1], x.typ))
-            elif isinstance(x, Neg):
-                done.append(Neg(parts[0], x.typ))
-            else:
-                done.append(Eq(parts[0], parts[1], x.typ))
-    return done[0]
-
-
 @dataclass(frozen=True)
 class RawClause:
     """A clause as parsed: arbitrary head term, body of literal expressions."""
@@ -235,12 +204,6 @@ class Clause:
     formals: tuple[Var, ...]
     body: tuple[Expression, ...]
 
-    def head_expr(self) -> Expression:
-        e: Expression = PredConst(self.head_pred)
-        for v in self.formals:
-            e = App(e, v)
-        return e
-
     def __str__(self) -> str:
         head = self.head_pred + "".join(f"({v.name})" for v in self.formals)
         if not self.body:
@@ -257,15 +220,3 @@ class TypedProgram:
     individual_constants: tuple[str, ...]
     clauses: tuple[Clause, ...]
     notes: tuple[str, ...] = ()
-
-
-def program_to_str(p: Program) -> str:
-    """Print a parsed program so that re-parsing gives an equal AST."""
-    lines = []
-    for name, t in p.predicate_decls.items():
-        lines.append(f"#pred {name} : {t}.")
-    for name, t in p.function_decls.items():
-        lines.append(f"#func {name} : {t}.")
-    for c in p.clauses:
-        lines.append(str(c))
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -57,9 +57,8 @@ two constructions can be tested against each other.
   scan for the next free atom resumes after the last decision.
 
 One residual builder (``_residual``) and one linear least-model loop
-(``_least``, Dowling & Gallier 1984) serve all three: ``wf_oracle`` per
-component, ``stable_models`` over the Undef atoms, and ``is_stable``
-over the whole program with every atom inside.
+(``_least``, Dowling & Gallier 1984) serve both: ``wf_oracle`` per
+component and ``stable_models`` over the Undef atoms.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from enum import Enum
 
 from .analysis import _dependencies, _sccs
 from .engine import InfModel
-from .herbrand import GroundClause, GroundProgram
+from .herbrand import GroundProgram
 
 DEFAULT_STABLE_CAP = 24
 
@@ -84,10 +83,6 @@ class Tv3(Enum):
 
 
 TwoValuedInterp = frozenset[int]
-
-
-class HasNegation(Exception):
-    pass
 
 
 class TooManyAtoms(Exception):
@@ -107,39 +102,6 @@ def collapse(m: InfModel) -> list[Tv3]:
         Tv3.TRUE if v.is_true else Tv3.FALSE if v.is_false else Tv3.UNDEF
         for v in m.values
     ]
-
-
-def reduct(g: GroundProgram, i: TwoValuedInterp) -> GroundProgram:
-    """Cancel negation against a guess: drop every clause whose negated
-    atom is in the guess, strip the surviving negative literals."""
-    clauses = tuple(
-        GroundClause(c.head, tuple((False, a) for negated, a in c.literals if not negated))
-        for c in g.clauses
-        if not any(negated and a in i for negated, a in c.literals)
-    )
-    return GroundProgram(g.atoms, clauses, g.depth_bound)
-
-
-def _gl(g: GroundProgram, i: TwoValuedInterp) -> TwoValuedInterp:
-    """Least model of the reduct of ``g`` against the guess ``i``: the
-    residual of the whole program with every atom inside."""
-    n = len(g.atoms)
-    every = range(n)
-    waiting: list[list[int]] = [[] for _ in every]
-    sure, _, heads, counts, ready, negated, _ = _residual(every, g.by_head, [None] * n, waiting)
-    guess = [False] * n
-    for a in i:
-        guess[a] = True
-    out = [False] * n
-    _least(every, sure, heads, counts, ready, negated, [], waiting, guess, out)
-    return frozenset([a for a in every if out[a]])
-
-
-def least_model_positive(g: GroundProgram) -> TwoValuedInterp:
-    """Least model of a negation-free program."""
-    if any(negated for c in g.clauses for negated, _ in c.literals):
-        raise HasNegation("least_model_positive expects a negation-free program")
-    return _gl(g, frozenset())
 
 
 def _residual(atoms, by_head, value: list, waiting: list[list[int]]):
@@ -284,11 +246,6 @@ def _least(
     return count
 
 
-def is_stable(g: GroundProgram, i: TwoValuedInterp) -> bool:
-    """A guess is stable when it is the least model of its own reduct."""
-    return _gl(g, i) == i
-
-
 class _Model(frozenset):
     """A stable model's atom ids, with its atom names sorted in ``names``."""
 
@@ -419,10 +376,10 @@ def stable_models(
                 consistent = assign(undef[free], True, decisions[-1][2])
                 continue
             # a consistent leaf is a supported model of the residual,
-            # stable when the residual is tight; otherwise is_stable:
-            # the least model of the reduct agrees with the well-founded
-            # model on every decided atom, so only its Undef atoms, the
-            # residual's least model, are compared
+            # stable when the residual is tight; otherwise stable when
+            # it is the least model of its own reduct, which agrees with
+            # the well-founded model on every decided atom, so only its
+            # Undef atoms, the residual's least model, are compared
             if not tight:
                 _least(undef, [], heads, counts, ready, negated, [], waiting, value, out)
             if tight or all(out[a] == value[a] for a in undef):

@@ -58,20 +58,18 @@ the unfounded sets):
   and settle false.
 
 A stage with no events decides nothing and ends the loop.  Each stage
-record in ``InfModel.stages`` keeps only the atoms the stage decided;
-its ``snapshot``, the interpretation the stage hands on, is derived on
-demand from the final values, so the records take linear space in
-total.
+record in ``InfModel.stages`` keeps only the atoms the stage decided,
+so the records take linear space in total; the interpretation a stage
+hands on follows from its order and the final values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 from . import truth
 from .herbrand import GroundProgram
-from .truth import T0, TruthValue, ZERO
+from .truth import TruthValue, ZERO
 
 Interpretation = list[TruthValue]
 
@@ -88,20 +86,11 @@ class UnknownAtom(Exception):
 
 @dataclass(frozen=True)
 class StageRecord:
-    """What stage ``alpha`` decided, over the model's final values."""
+    """The atoms that stage ``alpha`` decided."""
 
     alpha: int
     newly_true: frozenset[int]
     newly_false: frozenset[int]
-    final: tuple[TruthValue, ...] = field(repr=False, compare=False)
-
-    @property
-    def snapshot(self) -> tuple[TruthValue, ...]:
-        """The interpretation the stage hands on: every atom of order at
-        most alpha at its final value, every other atom at F_(alpha+1)."""
-        f_alpha, t_alpha = truth.false_at(self.alpha), truth.true_at(self.alpha)
-        parked = truth.false_at(self.alpha + 1)
-        return tuple(v if v <= f_alpha or v >= t_alpha else parked for v in self.final)
 
 
 @dataclass(frozen=True)
@@ -115,20 +104,6 @@ class InfModel:
         if atom not in self.ground.atom_index:
             raise UnknownAtom(atom, self.ground.depth_bound)
         return self.values[self.ground.atom_index[atom]]
-
-
-def body_value(c, interp: Interpretation) -> TruthValue:
-    """Conjunction of the body under an interpretation; facts give T0."""
-    if not c.literals:
-        return T0
-    return min(
-        truth.neg(interp[a]) if negated else interp[a] for negated, a in c.literals
-    )
-
-
-def tp_step(g: GroundProgram, interp: Interpretation) -> Interpretation:
-    """One application of the consequence operator."""
-    return [truth.lub(body_value(c, interp) for c in clauses) for clauses in g.by_head]
 
 
 def minimum_model(g: GroundProgram) -> InfModel:
@@ -232,70 +207,5 @@ def minimum_model(g: GroundProgram) -> InfModel:
                     lost.append(heads[k])
 
     final = tuple(v or ZERO for v in value)
-    records = tuple(StageRecord(i, t, f, final) for i, (t, f) in enumerate(decided))
+    records = tuple(StageRecord(i, t, f) for i, (t, f) in enumerate(decided))
     return InfModel(g, final, alpha, records)
-
-
-def is_model(
-    g: GroundProgram, interp: Interpretation
-) -> tuple[bool, list[tuple[int, TruthValue, TruthValue]]]:
-    """Does every clause hold (head at least the body value)?
-
-    Returns the verdict and the violating (clause index, head value,
-    body value) triples.
-    """
-    violations = [
-        (ci, interp[c.head], bv)
-        for ci, c in enumerate(g.clauses)
-        if interp[c.head] < (bv := body_value(c, interp))
-    ]
-    return (not violations, violations)
-
-
-class Comparison(Enum):
-    EQ_ALPHA = "equal"
-    SQSUBSET_ALPHA = "strictly-below"
-    INCOMPARABLE = "incomparable"
-
-
-def _level_sets(interp: Interpretation, beta: int) -> tuple[frozenset[int], frozenset[int]]:
-    t_beta, f_beta = truth.true_at(beta), truth.false_at(beta)
-    ts = frozenset(a for a, v in enumerate(interp) if v == t_beta)
-    fs = frozenset(a for a, v in enumerate(interp) if v == f_beta)
-    return ts, fs
-
-
-def compare_alpha(i: Interpretation, j: Interpretation, alpha: int) -> Comparison:
-    """Relate two interpretations at order alpha.
-
-    Equal means the true and false sets agree at every order up to and
-    including alpha.  Strictly below means they agree below alpha and at
-    alpha the first interpretation claims fewer truths and more
-    falsehoods, at least one of the two strictly.
-    """
-    for beta in range(alpha):
-        if _level_sets(i, beta) != _level_sets(j, beta):
-            return Comparison.INCOMPARABLE
-    ti, fi = _level_sets(i, alpha)
-    tj, fj = _level_sets(j, alpha)
-    if ti == tj and fi == fj:
-        return Comparison.EQ_ALPHA
-    if ti <= tj and fi >= fj:
-        return Comparison.SQSUBSET_ALPHA
-    return Comparison.INCOMPARABLE
-
-
-def aleq(i: Interpretation, j: Interpretation) -> bool:
-    """The stage ordering: equal, or strictly below at some finite order."""
-    if list(i) == list(j):
-        return True
-    finite = [v.index for v in list(i) + list(j) if not v.is_zero]
-    top = max(finite, default=0) + 1
-    for alpha in range(top + 1):
-        ti, fi = _level_sets(i, alpha)
-        tj, fj = _level_sets(j, alpha)
-        if ti == tj and fi == fj:
-            continue
-        return ti <= tj and fi >= fj
-    return True  # all named levels agree, so the rest is 0 on both sides
-

@@ -33,7 +33,7 @@ never exceed the atom count.  No value is the int 0: all are truthy.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Union
+from typing import Union
 
 OrdinalIndex = Union[int, float]  # a natural number, or math.inf for the middle value
 
@@ -107,11 +107,6 @@ F0 = false_at(0)
 F1 = false_at(1)
 
 
-def cmp(a: TruthValue, b: TruthValue) -> int:
-    """Three-way comparison in the domain order: -1, 0 or +1."""
-    return (a > b) - (a < b)
-
-
 def neg(v: TruthValue) -> TruthValue:
     """Negation-as-failure: flip the sign, weaken by one level."""
     if v.sign == 0:
@@ -122,25 +117,3 @@ def neg(v: TruthValue) -> TruthValue:
 def order(v: TruthValue) -> OrdinalIndex:
     """The level a value lives at; the middle value has infinite order."""
     return math.inf if v.sign == 0 else v.index
-
-
-def lub(values: Iterable[TruthValue]) -> TruthValue:
-    """Least upper bound; the empty bound is F0."""
-    return max(values, default=F0)
-
-
-def conj(values: Iterable[TruthValue]) -> TruthValue:
-    """Conjunction (minimum) of a nonempty collection of values."""
-    vs = list(values)
-    if not vs:
-        raise ValueError("conjunction of no values; empty bodies are handled by the caller")
-    return min(vs)
-
-
-def parse_value(text: str) -> TruthValue:
-    """Inverse of str(): 'T0', 'F3' and 'ZERO' come back as values."""
-    if text == "ZERO":
-        return ZERO
-    if len(text) >= 2 and text[0] in "TF" and text[1:].isdigit():
-        return TruthValue(1 if text[0] == "T" else -1, int(text[1:]))
-    raise ValueError(f"not a truth value: {text!r}")

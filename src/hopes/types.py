@@ -108,22 +108,6 @@ def is_argument(t: TypeExpr) -> bool:
     return t.kind == "iota" or is_predicate(t)
 
 
-def classify_type(t: TypeExpr) -> str:
-    """One of "functional", "predicate", "argument", "invalid".
-
-    The classes overlap (i is both functional and an argument type); the
-    first matching label in the order above is returned, so the result is
-    canonical.
-    """
-    if is_functional(t):
-        return "functional"
-    if is_predicate(t):
-        return "predicate"
-    if is_argument(t):
-        return "argument"
-    return "invalid"
-
-
 def argument_types(pi: TypeExpr) -> list[TypeExpr]:
     """The argument positions rho1..rhon of a predicate type."""
     out = []

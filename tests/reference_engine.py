@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from hopes import truth
-from hopes.ast import Eq, Expression, Neg, TypedProgram, expr_to_str, substitute
+from hopes.ast import Eq, Expression, Neg, TypedProgram, expr_to_str
 from hopes.engine import InfModel, Interpretation
 from hopes.herbrand import DEFAULT_BUDGET, GroundProgram
 from hopes.truth import F0, T0, TruthValue, ZERO
 
 from reference_grounder import normalize_equality, reference_iter_ground_instances
+from reference_paper import head_expr, substitute
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def check_model_ho(
     valued: such an instance may name atoms the grounder never
     interned."""
     violations: list[tuple[str, TruthValue, TruthValue]] = []
-    head_exprs = {i: c.head_expr() for i, c in enumerate(tp.clauses)}
+    head_exprs = {i: head_expr(c) for i, c in enumerate(tp.clauses)}
     for idx, binding, _notes in reference_iter_ground_instances(tp, k, budget):
         if binding is None:
             continue

@@ -13,13 +13,14 @@ it; equal reports show that nothing is lost.
 
 from __future__ import annotations
 
-from hopes.analysis import ExtRelation, ExtReport, ExtViolation
+from hopes.analysis import ExtReport, ExtViolation
 from hopes.ast import TypedProgram, expr_to_str
 from hopes.herbrand import EmptyUniverse, GroundProgram
 from hopes.truth import TruthValue
 from hopes.types import IOTA, O, TypeExpr, is_predicate
 
 from reference_grounder import TermEnumerator
+from reference_paper import ExtRelation
 
 
 class _ExtChecker:

@@ -27,7 +27,6 @@ from hopes.ast import (
     TypedProgram,
     expr_to_str,
     expr_vars,
-    substitute,
 )
 from hopes.herbrand import (
     DEFAULT_BUDGET,
@@ -39,6 +38,8 @@ from hopes.herbrand import (
     _compositions,
 )
 from hopes.types import IOTA, O, TypeExpr, arity
+
+from reference_paper import head_expr, substitute
 
 
 def normalize_equality(lhs: Expression, rhs: Expression) -> bool:
@@ -189,7 +190,7 @@ def reference_ground_instantiate(
 
     clauses: list[GroundClause] = []
     seen: set[tuple[int, tuple[tuple[bool, int], ...]]] = set()
-    head_exprs = {i: c.head_expr() for i, c in enumerate(tp.clauses)}
+    head_exprs = {i: head_expr(c) for i, c in enumerate(tp.clauses)}
 
     for idx, binding, inst_notes in _instances(tp, k, budget):
         notes.extend(n for n in inst_notes if n not in notes)

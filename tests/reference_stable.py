@@ -1,19 +1,31 @@
 """The stable-model search that ``hopes.classical.stable_models`` used to
 run, kept as the reference that the well-founded-seeded search is
-checked against.
+checked against, with the reduct that its leaf check and the
+alternating fixpoint of ``reference_wf`` read.
 
 It ignores the well-founded model: it branches over every atom, caps
 the count of all atoms, and propagates by rescanning every clause of
 every atom until nothing changes.  Its leaf check reads the reduct
-through ``classical.reduct`` and takes the least model by repeated
+through ``reduct`` below and takes the least model by repeated
 forward-chaining sweeps, so it shares no least-model code with the
 search it checks.
 """
 
 from __future__ import annotations
 
-from hopes.classical import DEFAULT_STABLE_CAP, TooManyAtoms, TwoValuedInterp, reduct
-from hopes.herbrand import GroundProgram
+from hopes.classical import DEFAULT_STABLE_CAP, TooManyAtoms, TwoValuedInterp
+from hopes.herbrand import GroundClause, GroundProgram
+
+
+def reduct(g: GroundProgram, i: TwoValuedInterp) -> GroundProgram:
+    """Cancel negation against a guess: drop every clause whose negated
+    atom is in the guess, strip the surviving negative literals."""
+    clauses = tuple(
+        GroundClause(c.head, tuple((False, a) for negated, a in c.literals if not negated))
+        for c in g.clauses
+        if not any(negated and a in i for negated, a in c.literals)
+    )
+    return GroundProgram(g.atoms, clauses, g.depth_bound)
 
 
 def reference_least_model(g: GroundProgram) -> TwoValuedInterp:

@@ -6,16 +6,16 @@ It alternates over the whole program: every round takes two least
 models of reducts of the full program, so a negation chain of n atoms
 costs n/2 rounds of up to quadratic work.  Each least model is taken by
 ``reference_stable.reference_least_model`` over the reduct built by
-``classical.reduct``, so it shares no least-model code with the oracle
-it checks.
+``reference_stable.reduct``, so it shares no least-model code with the
+oracle it checks.
 """
 
 from __future__ import annotations
 
-from hopes.classical import Tv3, TwoValuedInterp, reduct
+from hopes.classical import Tv3, TwoValuedInterp
 from hopes.herbrand import GroundProgram
 
-from reference_stable import reference_least_model
+from reference_stable import reduct, reference_least_model
 
 
 def wf_oracle(g: GroundProgram) -> list[Tv3]:

@@ -17,18 +17,21 @@ from hopes.analysis import (
 )
 from hopes.classical import collapse, stable_models, wf_oracle
 from hopes.cli import main
-from hopes.engine import (
+from hopes.engine import minimum_model
+from hopes.herbrand import GroundProgram
+from hopes.truth import F0, T0, ZERO, neg, order
+
+from conftest import CORPUS, load, load_ground, program_path, random_ground_program
+from reference_paper import (
     Comparison,
     aleq,
     compare_alpha,
     is_model,
-    minimum_model,
+    lub,
+    parse_value,
+    snapshot,
     tp_step,
 )
-from hopes.herbrand import GroundProgram
-from hopes.truth import F0, T0, ZERO, conj, lub, neg, order, parse_value
-
-from conftest import CORPUS, load, load_ground, program_path, random_ground_program
 
 STRATIFIED = ["identity", "subset", "stratified_ho", "self_support"]
 
@@ -173,7 +176,7 @@ def test_property_suites():
             if a < b:
                 assert neg(a) > neg(b)
         assert lub([F0, a]) == a
-        assert conj([a, a]) == a
+        assert min([a, a]) == a
         if not a.is_zero:
             assert order(neg(a)) == order(a) + 1
         else:
@@ -188,22 +191,24 @@ def test_property_suites():
         for rec in m.stages:
             it = list(base)
             for _ in range(20):
-                assert compare_alpha(it, list(rec.snapshot), rec.alpha) in (
+                assert compare_alpha(it, list(snapshot(rec, m.values)), rec.alpha) in (
                     Comparison.EQ_ALPHA,
                     Comparison.SQSUBSET_ALPHA,
                 )
                 it = tp_step(g, it)
-            base = list(rec.snapshot)
+            base = list(snapshot(rec, m.values))
 
         # each stage's decisions persist through every later stage
         for i, early in enumerate(m.stages):
             for late in m.stages[i:]:
                 assert (
-                    compare_alpha(list(early.snapshot), list(late.snapshot), early.alpha)
+                    compare_alpha(
+                        list(snapshot(early, m.values)), list(snapshot(late, m.values)), early.alpha
+                    )
                     is Comparison.EQ_ALPHA
                 )
             assert (
-                compare_alpha(list(early.snapshot), list(m.values), early.alpha)
+                compare_alpha(list(snapshot(early, m.values)), list(m.values), early.alpha)
                 is Comparison.EQ_ALPHA
             )
 

@@ -3,21 +3,12 @@ import random
 
 import pytest
 
-from hopes.classical import (
-    HasNegation,
-    TooManyAtoms,
-    Tv3,
-    collapse,
-    is_stable,
-    least_model_positive,
-    reduct,
-    stable_models,
-    wf_oracle,
-)
+from hopes.classical import TooManyAtoms, Tv3, collapse, stable_models, wf_oracle
 from hopes.engine import minimum_model
 from hopes.herbrand import GroundProgram
 
 from conftest import CORPUS, load_ground, random_ground_program
+from reference_stable import reduct, reference_is_stable, reference_least_model
 
 
 def tv_map(g, tvs):
@@ -100,17 +91,12 @@ def test_reduct_idempotent(name):
 
 def test_least_model_positive():
     g = load_ground("identity", 3)
-    assert least_model_positive(g) == frozenset(range(len(g.atoms)))
+    assert reference_least_model(g) == frozenset(range(len(g.atoms)))
 
     g = GroundProgram.build(
         ["p", "q", "r"], [("p", [], []), ("q", ["p"], []), ("r", ["r"], [])]
     )
-    assert names(g, least_model_positive(g)) == ["p", "q"]
-
-
-def test_least_model_positive_rejects_negation():
-    with pytest.raises(HasNegation):
-        least_model_positive(load_ground("defaults", 3))
+    assert names(g, reference_least_model(g)) == ["p", "q"]
 
 
 def test_stable_even_loop():
@@ -159,7 +145,7 @@ def test_stable_matches_exhaustive_enumeration():
             frozenset(combo)
             for size in range(n + 1)
             for combo in itertools.combinations(range(n), size)
-            if is_stable(g, frozenset(combo))
+            if reference_is_stable(g, frozenset(combo))
         ]
         brute.sort(key=lambda m: tuple(sorted(g.atoms[a] for a in m)))
         assert stable_models(g) == brute
@@ -172,7 +158,7 @@ def test_stable_negation_free_is_least_model():
         g = load_ground(name, 2)
         if any(negated for c in g.clauses for negated, _ in c.literals):
             continue
-        assert stable_models(g) == [least_model_positive(g)]
+        assert stable_models(g) == [reference_least_model(g)]
 
 
 def test_stable_cap():
@@ -237,4 +223,4 @@ def test_stable_models_pass_their_own_check():
     for _ in range(60):
         g = random_ground_program(rng, max_atoms=8, max_clauses=10)
         for m in stable_models(g):
-            assert is_stable(g, m)
+            assert reference_is_stable(g, m)

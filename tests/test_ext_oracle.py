@@ -12,7 +12,7 @@ import random
 import pytest
 
 from hopes import parse_program, typecheck
-from hopes.analysis import check_extensional, compile_extensional, ext_relation
+from hopes.analysis import check_extensional, compile_extensional
 from hopes.classical import TooManyAtoms, stable_models
 from hopes.engine import minimum_model
 from hopes.herbrand import BudgetExceeded, EmptyUniverse, GroundProgram, ground_instantiate
@@ -22,6 +22,7 @@ from hopes.types import IOTA, O, arrow
 from conftest import CORPUS, load
 from reference_ext import _ExtChecker, reference_check_extensional, reference_ext_relation
 from reference_grounder import TermEnumerator
+from reference_paper import ext_relation
 from test_grounder_oracle import random_checked_program
 
 GRADES = [F0, T0, ZERO, TruthValue(1, 1), TruthValue(-1, 1)]
@@ -54,10 +55,10 @@ def assert_same_as_reference(tp, g, k, rng, randoms=3) -> list:
         reference = _ExtChecker(tp, g, values, k)
         for typ in types:
             if reference.slice_of(typ):
-                assert plan.relation(values, typ) == reference.relation(typ), typ
+                assert ext_relation(plan, values, typ) == reference.relation(typ), typ
             else:
                 with pytest.raises(EmptyUniverse):
-                    plan.relation(values, typ)
+                    ext_relation(plan, values, typ)
         reports.append(expected)
     return reports
 
@@ -77,8 +78,9 @@ def test_entry_points_match_reference(name):
         g = ground_instantiate(tp, k)
         values = list(minimum_model(g).values)
         assert check_extensional(g, values) == reference_check_extensional(tp, g, values, k)
+        plan = compile_extensional(g)
         for typ in sorted(TermEnumerator(tp).closure, key=str):
-            assert relation_or_empty(ext_relation, g, values, typ) == relation_or_empty(
+            assert relation_or_empty(ext_relation, plan, values, typ) == relation_or_empty(
                 reference_ext_relation, tp, g, values, typ, k
             )
 
@@ -136,7 +138,7 @@ def test_one_definedness_rule():
         g = ground_instantiate(tp, k)
         report = assert_same_as_reference(tp, g, k, random.Random(k))[0]
         assert report.extensional and report.violations == (), k
-        relation = ext_relation(g, list(minimum_model(g).values), typ)
+        relation = ext_relation(compile_extensional(g), list(minimum_model(g).values), typ)
         if k == 2:
             assert relation.related("p", "q") and relation.vacuous == frozenset()
         if k == 3:

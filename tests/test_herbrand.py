@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from hopes.ast import expr_to_str, substitute
+from hopes.ast import expr_to_str
 from hopes.herbrand import BudgetExceeded, GroundProgram, ground_instantiate
 from hopes.parser import parse_program, parse_term
 from hopes.typecheck import typecheck
@@ -11,6 +11,7 @@ from hopes.types import IOTA, O, arrow
 
 from conftest import CORPUS, load, load_ground
 from reference_grounder import normalize_equality
+from reference_paper import head_expr, substitute
 
 
 def names(tp, typ, k):
@@ -121,7 +122,7 @@ def test_ground_clauses_are_substitution_instances():
     for c in g.clauses:
         idx, binding = c.origin
         clause = tp.clauses[idx]
-        head = substitute(clause.head_expr(), {n: exprs[t] for n, t in binding})
+        head = substitute(head_expr(clause), {n: exprs[t] for n, t in binding})
         assert expr_to_str(head) == g.atoms[c.head]
 
 

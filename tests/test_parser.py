@@ -2,11 +2,12 @@ import time
 
 import pytest
 
-from hopes.ast import App, Eq, Name, Neg, Var, expr_to_str, program_to_str
+from hopes.ast import App, Eq, Name, Neg, Var, expr_to_str
 from hopes.parser import ParseError, parse_program, parse_term
 from hopes.types import IOTA, O, arrow
 
 from conftest import CORPUS, program_path
+from reference_paper import program_to_str
 from test_tokenizer_oracle import scan
 
 

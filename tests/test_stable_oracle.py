@@ -1,6 +1,5 @@
 """The well-founded-seeded stable-model search against the reference
-search it replaced, and the linear least-model routine against repeated
-forward-chaining sweeps.
+search it replaced.
 
 The two searches must give the same models in the same order on the
 corpus, on seeded random programs and on shapes where the well-founded
@@ -17,11 +16,11 @@ import time
 import pytest
 
 from hopes import classical
-from hopes.classical import TooManyAtoms, Tv3, _gl, reduct, stable_models, wf_oracle
+from hopes.classical import TooManyAtoms, Tv3, stable_models, wf_oracle
 from hopes.herbrand import GroundProgram
 
 from conftest import CORPUS, load_ground, random_ground_program
-from reference_stable import reference_least_model, reference_stable_models
+from reference_stable import reference_stable_models
 from reference_wf import wf_oracle as reference_wf
 
 
@@ -92,14 +91,6 @@ def test_random_programs_match_reference():
         shapes[residual_shape(g)] += 1
         assert stable_models(g) == reference_stable_models(g), g.to_text()
     assert shapes["tight"] >= 250 and shapes["non-tight"] >= 100, shapes
-
-
-def test_least_model_matches_reference():
-    rng = random.Random(1729)
-    for _ in range(300):
-        g = random_ground_program(rng, max_atoms=14, max_clauses=24)
-        guess = frozenset(a for a in range(len(g.atoms)) if rng.random() < 0.5)
-        assert _gl(g, guess) == reference_least_model(reduct(g, guess)), g.to_text()
 
 
 def test_unfounded_loop_behind_a_choice():

@@ -10,12 +10,13 @@ from hopes.types import (
     arity,
     arrow,
     arrow_chain,
-    classify_type,
     is_argument,
     is_functional,
     is_predicate,
     type_to_str,
 )
+
+from reference_paper import classify_type
 
 I_TO_O = arrow(IOTA, O)
 
