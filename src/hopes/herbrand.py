@@ -7,13 +7,10 @@ the slice ``U|k`` of a type's universe holds the ground terms built
 from at most k symbol occurrences.  Application nodes are free; only
 constants, predicate names and function symbols count.
 
-Grounding substitutes universe slices for clause variables, normalizes
-ground equalities (identical terms are true, distinct ones false: a
-true equality disappears from the body, a false one kills the whole
-clause instance), and interns every atom it sees.  Atom ids are dense
-integers; the atom table starts with the full type-o slice so that the
-model assigns a value even to atoms no clause derives.  A clause killed
-by a false equality still registers its head atom.
+Grounding substitutes universe slices for clause variables and interns
+every atom it sees.  Atom ids are dense integers; the atom table starts
+with the full type-o slice so that the model assigns a value even to
+atoms no clause derives.
 
 Ground terms are hash-consed: each distinct term gets an integer id,
 keyed on its symbol and the ids of its children, and is printed once,
@@ -21,16 +18,19 @@ when it is first built.  Equality of ground terms is equality of ids.
 Slices are enumerated in the store, each size's terms sorted by their
 text, and a ground clause's origin binds each variable to a term id.
 Only ``_Terms.decode`` turns ids back into typed terms, for readers of
-origins; the grounder never does.  A leading body
-equality ``V = t`` (the shape the type checker gives facts and
-non-variable head arguments) is solved rather than enumerated: V takes
-the id of t's instance, which is live only when that term lies in V's
-slice.  The store of terms stays on the ground
-program, with the slice of every type in the closure, so that the
-extensionality check applies terms to terms by id without enumerating
-anything again.
+origins; the grounder never does.  The store of terms stays on the
+ground program, with the slice of every type in the closure, so that
+the extensionality check applies terms to terms by id without
+enumerating anything again.
 
-The work per clause (substitutions enumerated after solving, and head
+Equality of ground terms over free function symbols is identity, so a
+body's equalities, wherever they stand, are solved once per clause by
+unification.  A clash kills every instance; otherwise only the
+variables the unifier leaves free are enumerated, and a bound variable
+takes its term's instance, live only if that term lies in its slice.
+A killed instance interns no body atom but still registers its head.
+
+The work per clause (substitutions left after unification, and head
 tuples registered) is counted from the slice sizes and checked against
 a budget before any term is built, and so is the number of terms in
 all the slices together; exceeding it raises ``BudgetExceeded`` rather
@@ -396,35 +396,46 @@ def _constant(regs: list[int], value: int) -> int:
     return len(regs) - 1
 
 
-def _solve_leading(clause: Clause) -> tuple[int, dict[str, Expression], list[Eq]]:
-    """Split the leading equalities of a clause body into solved ones and
-    tests.  Returns the length of the leading block, the solved variables
-    with their terms in solving order, and the equalities left to test.
-
-    ``V = t`` is solved when the variable V is not solved already and
-    occurs neither in t nor in the term of an earlier solved equality,
-    so t mentions only enumerated variables and ones solved before V.
-    """
-    lead = 0
-    while lead < len(clause.body) and isinstance(clause.body[lead], Eq):
-        lead += 1
-    solved: dict[str, Expression] = {}
-    tests: list[Eq] = []
-    in_terms: set[str] = set()
-    for eq in clause.body[:lead]:
-        v = eq.lhs
-        t_vars = {x.name for x in expr_vars(eq.rhs)}
-        if (
-            isinstance(v, Var)
-            and v.name not in solved
-            and v.name not in in_terms
-            and v.name not in t_vars
-        ):
-            solved[v.name] = eq.rhs
-            in_terms |= t_vars
-        else:
-            tests.append(eq)
-    return lead, solved, tests
+def _unify(clause: Clause) -> dict[str, Expression] | None:
+    """The most general unifier of a body's equalities (Martelli and
+    Montanari), or None on a clash or an occurs failure.  It is
+    triangular: a bound term names bound variables listed before it and
+    is never expanded, so ``X1 = g(X0, X0), X2 = g(X1, X1)`` stays linear."""
+    bound: dict[str, Expression] = {}
+    if Eq not in map(type, clause.body):
+        return bound
+    uses: dict[str, set[str]] = {}  # the variables a bound term names, bound ones followed
+    pairs = [(lit.lhs, lit.rhs) for lit in clause.body if type(lit) is Eq]
+    while pairs:
+        s, t = pairs.pop()
+        while type(s) is Var and s.name in bound:
+            s = bound[s.name]
+        while type(t) is Var and t.name in bound:
+            t = bound[t.name]
+        if type(t) is Var:
+            s, t = t, s
+        if type(s) is Var:
+            if type(t) is not Var or t.name != s.name:
+                names = seen = {x.name for x in expr_vars(t)}
+                while names:  # the occurs check, following each bound variable once
+                    names = set().union(*[uses.get(n, ()) for n in names]) - seen
+                    seen = seen | names
+                if s.name in seen:
+                    return None
+                bound[s.name] = t
+                uses[s.name] = seen
+        elif type(s) is FunApp and type(t) is FunApp and s.symbol == t.symbol:
+            pairs += zip(s.args, t.args)
+        elif s != t:  # equality is over individuals: constants meet here
+            return None
+    if len(bound) < 2:
+        return bound
+    ordered: dict[str, Expression] = {}
+    while len(ordered) < len(bound):  # each pass orders at least one
+        for v, t in bound.items():
+            if v not in ordered and all(x in ordered or x not in bound for x in uses[v]):
+                ordered[v] = t
+    return ordered
 
 
 class _Grounder:
@@ -470,27 +481,27 @@ class _Grounder:
     def plan(self, idx: int, clause: Clause):
         """Check a clause's work against the budget from slice sizes.
         Returns None when a variable's slice is empty (noted), else the
-        variables' types, the leading block and whether to walk heads."""
+        variables' types, the unifier (None on a clash) and whether to walk heads."""
         types = _clause_variables(clause)
         if not types:
             if 1 > self.budget:
                 raise BudgetExceeded(str(clause), 1, self.budget)
-            return types, None, False
+            return types, _unify(clause), False
         size = self.universe.total.get
         sizes = [size(t, 0) for t in types.values()]
         if 0 in sizes:
             name = list(types)[sizes.index(0)]
             self.notes.append(_skip_note(idx, name, types[name], self.k))
             return None
-        leading = _solve_leading(clause)
-        count = math.prod([s for n, s in zip(types, sizes) if n not in leading[1]])
+        bound = _unify(clause)
+        count = 0 if bound is None else math.prod([s for n, s in zip(types, sizes) if n not in bound])
         walk = clause.head_pred not in self.registered
         if walk:
             count = max(count, math.prod(sizes[: len(clause.formals)]))
         if count > self.budget:
             raise BudgetExceeded(str(clause), count, self.budget)
         self.registered.add(clause.head_pred)
-        return types, leading, walk
+        return types, bound, walk
 
     def ground(self) -> GroundProgram:
         # every clause, then the slices, pass the budget before any term is built
@@ -515,57 +526,47 @@ class _Grounder:
             terms,
         )
 
-    def variable_free(self, idx: int, clause: Clause) -> None:
+    def variable_free(self, idx: int, clause: Clause, live: bool) -> None:
         """The single instance of a clause without variables."""
         term, atom = self.terms.term, self.atom
         head = atom(self.terms.node(clause.head_pred))
+        if not live:
+            return
         literals: list[tuple[bool, int]] = []
         for lit in clause.body:
             kind = type(lit)
-            if kind is Eq:
-                if term(lit.lhs) != term(lit.rhs):
-                    return
-            elif kind is Neg:
+            if kind is Neg:
                 literals.append((True, atom(term(lit.inner))))
-            else:
+            elif kind is not Eq:
                 literals.append((False, atom(term(lit))))
         self.add(idx, head, literals, ())
 
-    def clause(self, idx: int, clause: Clause, types: dict[str, TypeExpr], leading, walk: bool) -> None:
+    def clause(self, idx: int, clause: Clause, types: dict[str, TypeExpr], bound, walk: bool) -> None:
         if not types:
-            return self.variable_free(idx, clause)
+            return self.variable_free(idx, clause, bound is not None)
         names = list(types)
         slices = {n: self.terms.slices[t] for n, t in types.items()}
         nf = len(clause.formals)
-        lead, solved, tests = leading
+        solved = bound or {}
         enumerated = [n for n in names if n not in solved]
 
         # Registers: the enumerated variables, then constants and the
-        # nodes the code builds.  A solved variable lives in the register
-        # of its term, so the leading code binds it.
+        # nodes the code builds.  A bound variable lives in the register
+        # of its term, so its own code binds it.
         terms = self.terms
         slot = {n: i for i, n in enumerate(enumerated)}
         regs = [-1] * len(slot)
-        lead_code: list = []
-        solve = []
+        solve = []  # each bound variable's code, register and slice positions
         for v, t in solved.items():
-            slot[v] = terms.compile(t, slot, regs, lead_code)
-            solve.append((slot[v], self.pos(types[v])))
-        checks = [
-            (terms.compile(eq.lhs, slot, regs, lead_code), terms.compile(eq.rhs, slot, regs, lead_code))
-            for eq in tests
-        ]
+            code: list = []
+            slot[v] = terms.compile(t, slot, regs, code)
+            solve.append((code, slot[v], self.pos(types[v])))
         body_code: list = []
-        body: list[tuple[bool | None, int, int]] = []  # (negated, register, register); None: equality
-        for lit in clause.body[lead:]:
-            if isinstance(lit, Eq):
-                body.append(
-                    (None, terms.compile(lit.lhs, slot, regs, body_code), terms.compile(lit.rhs, slot, regs, body_code))
-                )
-            elif isinstance(lit, Neg):
-                body.append((True, terms.compile(lit.inner, slot, regs, body_code), 0))
-            else:
-                body.append((False, terms.compile(lit, slot, regs, body_code), 0))
+        body = [  # (negated, register)
+            (type(x) is Neg, terms.compile(x.inner if type(x) is Neg else x, slot, regs, body_code))
+            for x in clause.body
+            if type(x) is not Eq
+        ]
         formal_slots = [slot[n] for n in names[:nf]]
         binding = [(n, slot[n]) for n in names]
         pred = terms.node(clause.head_pred)
@@ -581,18 +582,12 @@ class _Grounder:
 
         def emit(h: int, env: list[int]) -> None:
             run(body_code, env)
-            literals: list[tuple[bool, int]] = []
-            for negated, a, b in body:
-                if negated is None:
-                    if env[a] != env[b]:
-                        return  # the literals before it stay interned
-                else:
-                    literals.append((negated, atom(env[a])))
+            literals = [(negated, atom(env[r])) for negated, r in body]
             self.add(idx, h, literals, tuple([(n, env[s]) for n, s in binding]))
 
         # Live instances, keyed by their index in the product over all
         # variables: the order in which generate-and-test visits them.
-        # Without solved variables the enumeration is that order.
+        # Without bound variables the enumeration is that order.
         strides: list[tuple[int, dict[int, int], int]] = []
         stride = 1
         for n in reversed(names if solved else ()):
@@ -600,11 +595,14 @@ class _Grounder:
             stride *= len(slices[n])
         tail = regs[len(enumerated):]
         live: list[tuple[int, list[int]]] = []
-        for i, combo in enumerate(itertools.product(*[slices[n] for n in enumerated])):
+        combos = itertools.product(*[slices[n] for n in enumerated]) if bound is not None else ()
+        for i, combo in enumerate(combos):
             env = [*combo, *tail]
-            if lead_code:
-                run(lead_code, env)
-            if all(env[r] in pos for r, pos in solve) and all(env[a] == env[b] for a, b in checks):
+            for code, r, pos in solve:  # a term outside its slice is not extended
+                run(code, env)
+                if env[r] not in pos:
+                    break
+            else:
                 live.append((sum(pos[env[s]] * st for s, pos, st in strides) if solved else i, env))
         if solved:
             live.sort(key=lambda entry: entry[0])

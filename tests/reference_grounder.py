@@ -5,10 +5,12 @@ instance enumerator also drives ``reference_engine.check_model_ho``.
 ``TermEnumerator`` builds every slice as AST nodes, size by size, and
 sorts each size's terms by their rendered text; the enumerator in
 ``hopes.herbrand`` builds the same slices as term ids.  The grounder
-enumerates every clause variable over its whole slice, renders both
-sides of each equality to text to compare them, and interns atoms by
-their text.  Its budget bounds the full product of each clause's
-slices, and the terms of all the slices together.
+enumerates every clause variable over its whole slice and interns each
+instance's head.  It then renders both sides of every equality of the
+body to text to compare them, and only when all of them hold does it
+intern the body's atoms, by their text.  Its budget bounds the full
+product of each clause's slices, and the terms of all the slices
+together.
 """
 
 from __future__ import annotations
@@ -198,20 +200,20 @@ def reference_ground_instantiate(
             continue
         clause = tp.clauses[idx]
         head_id = intern(substitute(head_exprs[idx], binding))
+        # the body is a conjunction: a false equality anywhere kills the
+        # instance before any body atom is interned, and a true one
+        # contributes nothing
+        equalities = [lit for lit in clause.body if isinstance(lit, Eq)]
+        if not all(
+            normalize_equality(substitute(e.lhs, binding), substitute(e.rhs, binding)) for e in equalities
+        ):
+            continue
         literals: list[tuple[bool, int]] = []
-        dead = False
         for lit in clause.body:
-            if isinstance(lit, Eq):
-                if not normalize_equality(substitute(lit.lhs, binding), substitute(lit.rhs, binding)):
-                    dead = True
-                    break
-                continue  # a true equality contributes nothing
             if isinstance(lit, Neg):
                 literals.append((True, intern(substitute(lit.inner, binding))))
-            else:
+            elif not isinstance(lit, Eq):
                 literals.append((False, intern(substitute(lit, binding))))
-        if dead:
-            continue
         key = (head_id, tuple(literals))
         if key in seen:
             continue

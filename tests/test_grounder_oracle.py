@@ -7,15 +7,17 @@ budget, so must the grounder under test.  The slices enumerated as term
 ids must equal the reference's AST slices, term for term and in order.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from hopes import ground_instantiate, parse_program, typecheck
-from hopes.ast import expr_to_str
+from hopes import ground_instantiate, minimum_model, parse_program, typecheck
+from hopes.ast import Program, expr_to_str
 from hopes.herbrand import BudgetExceeded, EmptyUniverse
+from hopes.typecheck import TypeCheckError
 
-from conftest import CORPUS, load, random_checked_program
+from conftest import CORPUS, load, random_checked_program, random_typed_program
 from reference_grounder import (
     TermEnumerator,
     reference_count,
@@ -47,6 +49,13 @@ def test_corpus_matches_reference(name):
         assert_same_grounding(tp, k)
 
 
+# at depth 1 the instance X = b is killed, and q(f(b)) is not interned
+LATE_EQUALITY = (
+    "#func f : i -> i.\n#pred p : i -> o.\n#pred q : i -> o.\n#pred r : i -> o.\n"
+    "r(b).\np(X) :- q(f(X)), X = a.\n"
+)
+EARLY_EQUALITY = LATE_EQUALITY.replace("q(f(X)), X = a", "X = a, q(f(X))")
+
 SHAPES = [
     # the solved formal comes first, so live instances leave the
     # enumeration out of product order
@@ -64,8 +73,25 @@ SHAPES = [
     # the same formal twice, a formal in its own term, a reversed equality
     "#pred p : i -> o.\np(X) :- X = a, X = b.\np(X) :- X = a, X = a.\nq(b).\n#pred q : i -> o.\n",
     "#func f : i -> i.\n#pred p : i -> o.\np(X) :- X = f(X).\np(X) :- X = X.\np(X) :- a = X.\n",
-    # equalities after other literals stay generate-and-test
+    # an equality after other literals is solved with the leading ones
     "#pred p : i -> o.\n#pred q : i -> o.\nq(a). q(b).\np(X) :- q(X), X = a, ~q(X).\n",
+    # a killed instance interns no body atom, whatever the conjunct order
+    LATE_EQUALITY,
+    EARLY_EQUALITY,
+    # In the shapes below, a literal before the equalities names atoms
+    # outside the slices, which only a killed instance would intern.
+    # A clash after a literal: no instance is live, every head registered.
+    "#func f : i -> i.\n#func g : i -> i -> i.\n#pred p : i -> o.\n#pred q : i -> o.\n"
+    "q(a). q(b).\np(X) :- q(f(Y)), f(X) = g(Y, Y).\n",
+    # a decomposition into A = f(C) and B = D
+    "#func f : i -> i.\n#func g : i -> i -> i.\n#pred p : i -> i -> o.\n#pred q : i -> o.\n"
+    "q(a). q(f(a)).\np(A, B) :- q(f(B)), g(A, B) = g(f(C), D), ~q(C), q(D).\n",
+    # an equality after a predicate-variable literal
+    "#func f : i -> i.\n#pred p : (i -> o) -> i -> o.\n#pred q : i -> o.\n#pred r : i -> o.\n"
+    "q(a). r(f(a)).\np(P, X) :- P(f(Y)), ~P(X), X = f(Y).\n",
+    # a triangular chain, whose expanded terms would double at each link
+    "#func f : i -> i.\n#func g : i -> i -> i.\n#pred p : i -> o.\n#pred q : i -> o.\nq(a).\n"
+    "p(X3) :- q(f(X0)), X1 = g(X0, X0), X2 = g(X1, X1), X3 = g(X2, X2).\n",
 ]
 
 
@@ -74,6 +100,23 @@ def test_equality_shapes_match_reference(text):
     tp = typecheck(parse_program(text))
     for k in (1, 2, 3, 4):
         assert_same_grounding(tp, k)
+
+
+def test_killed_instance_interns_no_body_atom():
+    for text in (LATE_EQUALITY, EARLY_EQUALITY):
+        g = ground_instantiate(typecheck(parse_program(text)), 1)
+        assert "q(f(a))" in g.atoms
+        assert "q(f(b))" not in g.atoms
+
+
+def test_long_triangular_chain_stays_linear():
+    # X40 expanded would hold 2**40 - 1 symbols; each bound term keeps
+    # its own two, and at depth 1 no instance is live
+    links = ", ".join(f"X{i + 1} = g(X{i}, X{i})" for i in range(40))
+    text = f"#func g : i -> i -> i.\n#pred p : i -> o.\np(X40) :- {links}.\n"
+    tp = typecheck(parse_program(text))
+    assert_same_grounding(tp, 1)
+    assert ground_instantiate(tp, 1).clauses == ()
 
 
 def test_random_programs_match_reference():
@@ -89,6 +132,48 @@ def test_random_programs_match_reference():
                 assert_same_grounding(tp, k, budget)
                 compared += 1
     assert compared > 400
+
+
+def test_body_order_does_not_change_the_model():
+    # a body is a conjunction: reversing every body leaves each
+    # grounding's atom -> value map as it was
+    rng = random.Random(20170131)
+    compared = 0
+    for _ in range(400):
+        program = parse_program(random_typed_program(rng))
+        reversed_program = Program(
+            program.predicate_decls,
+            program.function_decls,
+            [dataclasses.replace(c, body=c.body[::-1]) for c in program.clauses],
+        )
+        try:
+            tp = typecheck(program)
+        except TypeCheckError:
+            continue
+        tp_reversed = typecheck(reversed_program)
+        for k in (1, 2):
+            try:
+                g = ground_instantiate(tp, k, 20_000)
+            except BudgetExceeded:
+                with pytest.raises(BudgetExceeded):
+                    ground_instantiate(tp_reversed, k, 20_000)
+                continue
+            g_reversed = ground_instantiate(tp_reversed, k, 20_000)
+            values = dict(zip(g.atoms, minimum_model(g).values))
+            assert dict(zip(g_reversed.atoms, minimum_model(g_reversed).values)) == values, k
+            compared += 1
+    assert compared >= 600
+
+
+def test_budget_counts_substitutions_after_unification():
+    # the clause's 16 substitutions clash, so it costs its 4 heads
+    text = (
+        "#func f : i -> i.\n#func g : i -> i -> i.\n#pred p : i -> o.\n#pred q : i -> o.\n"
+        "q(a). q(b).\np(X) :- q(Y), f(X) = g(Y, Y).\n"
+    )
+    g = ground_instantiate(typecheck(parse_program(text)), 2, budget=12)
+    assert {"p(a)", "p(b)", "p(f(a))", "p(f(b))"} <= set(g.atoms)
+    assert g.to_text() == "q(a).\nq(b).\n"
 
 
 def test_budget_refuses_only_what_the_reference_refuses():
