@@ -38,12 +38,12 @@ Stratification is checked on two levels:
 
 Both levels answer with a ``StrataAssignment`` or a ``StratViolation``.
 
-Both graphs, and the one ``wf_oracle`` solves by, are lists over node
-ids of the (strict, source) pairs of the edges into each node.  A
-violation's witness starts from the strict edge inside a component
-whose (source name, target name) comes first, and is closed by the
-shortest path back from its target to its source: a breadth-first
-search inside the component that tries successors in name order.
+Both graphs are lists over node ids of the (strict, source) pairs of
+the edges into each node.  A violation's witness starts from the
+strict edge inside a component whose (source name, target name) comes
+first, and is closed by the shortest path back from its target to its
+source: a breadth-first search inside the component that tries
+successors in name order.
 """
 
 from __future__ import annotations
@@ -75,12 +75,6 @@ def type_geq(pi: TypeExpr, other: TypeExpr) -> bool:
 # dependency graphs: per node, the (strict, source) pairs of the edges into
 # it; strongly connected components by iterative Tarjan, dependencies first
 # ---------------------------------------------------------------------------
-
-
-def _dependencies(g: GroundProgram) -> list[list[tuple[bool, int]]]:
-    """The atom dependency graph of ``g``: per atom, the (negated, atom)
-    literals of its clauses, in program order."""
-    return [[lit for c in cs for lit in c.literals] for cs in g.by_head]
 
 
 def _sccs(deps: _Deps) -> list[list[int]]:
@@ -252,8 +246,9 @@ def check_stratified(tp: TypedProgram) -> StrataAssignment | StratViolation:
 
 def check_locally_stratified_bounded(g: GroundProgram) -> StrataAssignment | StratViolation:
     """Local stratification of the depth-bounded ground program, over
-    its atoms."""
-    return _stratify(_dependencies(g), g.atoms)
+    its atoms: the edges into an atom are the (negated, atom) literals
+    of its clauses, in program order."""
+    return _stratify([[lit for c in cs for lit in c.literals] for cs in g.by_head], g.atoms)
 
 
 # ---------------------------------------------------------------------------

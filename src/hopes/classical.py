@@ -1,28 +1,12 @@
 """Classical readings of a ground program.
 
-This module deliberately re-derives everything from first principles:
-the well-founded model below is computed by an alternating fixpoint
-over two-valued reducts and never consults the staged engine, so the
-two constructions can be tested against each other.
-
 * ``collapse`` maps a refined model onto three values: every graded
   truth becomes True, every graded falsity becomes False, the middle
   value becomes Undef.
-* ``wf_oracle`` computes the well-founded model directly, one strongly
-  connected component of the atom dependency graph at a time, in the
-  order Tarjan's algorithm emits them: dependencies first.  The
-  well-founded semantics is modular over these components (the
-  splitting property), so when a component is solved the atoms of
-  earlier components have their final values.  A clause with a
-  literal false over them is dropped, a literal true over them is
-  removed, and a literal over an Undef atom lets its clause fire in
-  the upper (non-false) pass but never in the lower (true) pass.  Only
-  the literals inside the component alternate: from an empty lower
-  estimate, the least model of the reduct against the lower estimate
-  is the upper one, and the least model against the upper estimate is
-  the next lower one, until the lower estimate stops growing.  Each
-  clause is visited as often as its own component alternates, so
-  chains and acyclic programs take linear time.
+* ``wf_oracle`` is the well-founded model, read off as the collapse of
+  the graded minimum model, as the paper's semantics gives it.  The
+  alternating fixpoint it is checked against, computed without the
+  engine, is kept with the tests (``tests/reference_wf.py``).
 * ``stable_models`` enumerates the two-valued stable models: total
   assignments that reproduce themselves as the least model of their
   own reduct.  Every stable model extends the well-founded model, so
@@ -56,9 +40,8 @@ two constructions can be tested against each other.
   atom before a decision's place in that order is already set, so the
   scan for the next free atom resumes after the last decision.
 
-One residual builder (``_residual``) and one linear least-model loop
-(``_least``, Dowling & Gallier 1984) serve both: ``wf_oracle`` per
-component and ``stable_models`` over the Undef atoms.
+The search builds the residual with ``_residual`` and takes its
+least models with one linear loop (``_least``, Dowling & Gallier 1984).
 """
 
 from __future__ import annotations
@@ -66,8 +49,8 @@ from __future__ import annotations
 from bisect import bisect
 from enum import Enum
 
-from .analysis import _dependencies, _sccs
-from .engine import InfModel
+from .analysis import _sccs
+from .engine import InfModel, minimum_model
 from .herbrand import GroundProgram
 
 DEFAULT_STABLE_CAP = 24
@@ -104,48 +87,36 @@ def collapse(m: InfModel) -> list[Tv3]:
     ]
 
 
+def wf_oracle(g: GroundProgram) -> list[Tv3]:
+    """The well-founded model: the collapse of the minimum model."""
+    return collapse(minimum_model(g))
+
+
 def _residual(atoms, by_head, value: list, waiting: list[list[int]]):
     """The clauses of ``atoms`` over the atoms inside, those whose
-    ``value`` is None.  Each other atom has its final value: a clause
-    with a literal false over one is dropped, a literal true over one is
-    removed, and a literal over an Undef one is removed but marks its
-    clause uncertain.
+    ``value`` is None.  Each other atom is decided, True or False: a
+    clause with a literal false over one is dropped, a literal true over
+    one is removed.
 
-    Returns the heads of the clauses with no literal left inside,
-    certain (``sure``) and uncertain (``maybe``), and for the others:
-    per clause its head and its count of positive literals inside, the
-    clauses with none (``ready``), the negated atoms inside of each
-    clause that has one, and the uncertain clauses (``undef``).  Each
-    atom inside gets, in ``waiting``, the clauses with it as a positive
-    literal."""
-    TRUE, UNDEF = Tv3.TRUE, Tv3.UNDEF  # enum lookups are slow
-    sure: list[int] = []
-    maybe: list[int] = []
+    Returns per clause its head and its count of positive literals
+    inside, the clauses with none (``ready``), and the negated atoms
+    inside of each clause that has one.  Each atom inside gets, in
+    ``waiting``, the clauses with it as a positive literal."""
     heads: list[int] = []
     counts: list[int] = []
     ready: list[int] = []
     negated: list[tuple[int, list[int]]] = []
-    undef: list[int] = []
     for a in atoms:
         for c in by_head[a]:
             pos: list[int] = []
             neg: list[int] = []
-            certain = True
             for is_neg, b in c.literals:
                 v = value[b]
                 if v is None:  # inside
-                    if is_neg:
-                        neg.append(b)
-                    else:
-                        pos.append(b)
-                elif v is UNDEF:
-                    certain = False
-                elif (v is TRUE) == is_neg:
+                    (neg if is_neg else pos).append(b)
+                elif v == is_neg:
                     break
             else:
-                if not pos and not neg:
-                    (sure if certain else maybe).append(a)
-                    continue
                 k = len(heads)
                 heads.append(a)
                 counts.append(len(pos))
@@ -155,95 +126,42 @@ def _residual(atoms, by_head, value: list, waiting: list[list[int]]):
                     ready.append(k)
                 if neg:
                     negated.append((k, neg))
-                if not certain:
-                    undef.append(k)
-    return sure, maybe, heads, counts, ready, negated, undef
-
-
-def wf_oracle(g: GroundProgram) -> list[Tv3]:
-    """The well-founded model, solved one component of the atom
-    dependency graph at a time, dependencies first (Dix, Fundamenta
-    Informaticae 1995), each by the alternating fixpoint of Van Gelder
-    (PODS 1989) over the literals inside it."""
-    TRUE, FALSE, UNDEF = Tv3.TRUE, Tv3.FALSE, Tv3.UNDEF  # enum lookups are slow
-    by_head = g.by_head
-    value: list = [None] * len(by_head)  # None until its component is solved
-    # per atom of the component being solved: its lower (true) and
-    # upper (non-false) estimate, and the clauses of the component
-    # waiting on it as a positive literal
-    lower = [False] * len(by_head)
-    upper = [False] * len(by_head)
-    waiting: list[list[int]] = [[] for _ in by_head]
-    for comp in _sccs(_dependencies(g)):
-        sure, maybe, heads, counts, ready, negated, undef = _residual(comp, by_head, value, waiting)
-        if not heads:  # no literal left inside: the clauses settle it
-            for a in comp:
-                value[a] = FALSE
-            for a in maybe:
-                value[a] = UNDEF
-            for a in sure:
-                value[a] = TRUE
-            continue
-        # lower grows and upper shrinks from round to round, so an
-        # unchanged count of lower atoms is the fixpoint; without a
-        # negated literal inside, the guess is never read
-        settled = 0
-        while True:
-            _least(comp, sure + maybe, heads, counts, ready, negated, [], waiting, lower, upper)
-            count = _least(comp, sure, heads, counts, ready, negated, undef, waiting, upper, lower)
-            if count == settled or not negated:
-                break
-            settled = count
-        for a in comp:
-            value[a] = TRUE if lower[a] else UNDEF if upper[a] else FALSE
-    return value
+    return heads, counts, ready, negated
 
 
 def _least(
-    comp,
-    seeds: list[int],
+    atoms,
     heads: list[int],
     counts: list[int],
     ready: list[int],
     negated: list[tuple[int, list[int]]],
-    dead: list[int],
     waiting: list[list[int]],
     guess: list,
     out: list[bool],
-) -> int:
+) -> None:
     """Least model of a residual program (Dowling & Gallier 1984): the
-    seeds are true, and so is the head of every clause whose positive
-    literals are, once the clauses with a negated atom in the guess and
-    the ``dead`` ones are dropped.  Written into ``out`` for the atoms
-    ``comp`` inside; returns their count of true atoms."""
+    head of every clause whose positive literals are true is true, once
+    the clauses with a negated atom in the guess are dropped.  Written
+    into ``out`` for the ``atoms`` inside."""
     pending = counts.copy()
     for k, neg in negated:
         for b in neg:
             if guess[b]:
                 pending[k] = -1  # dead: never counts down to zero
                 break
-    for k in dead:
-        pending[k] = -1
-    for a in comp:
+    for a in atoms:
         out[a] = False
     stack = []
-    for a in seeds:
-        if not out[a]:
-            out[a] = True
-            stack.append(a)
     for k in ready:
         if not pending[k] and not out[heads[k]]:
             out[heads[k]] = True
             stack.append(heads[k])
-    count = len(stack)
     while stack:
         for k in waiting[stack.pop()]:
             pending[k] -= 1
             if not pending[k] and not out[heads[k]]:
                 out[heads[k]] = True
                 stack.append(heads[k])
-                count += 1
-    return count
 
 
 class _Model(frozenset):
@@ -287,15 +205,14 @@ def stable_models(
     wf_true = [a for a, v in enumerate(wf) if v is Tv3.TRUE]
 
     # The residual program over the Undef atoms, whose value None means
-    # unassigned.  Every other atom is decided, so no clause is
-    # uncertain, and none has every literal true, or its head would be
-    # true.  For the search, pending counts the literals of each clause
-    # not yet true and falsified those already false (it is dead while
-    # that is above zero); live counts the clauses of each atom that are
-    # not dead.
-    value: list = [None if v is Tv3.UNDEF else v for v in wf]
+    # unassigned.  Every other atom is decided, True or False, and no
+    # clause has every literal true, or its head would be true.  For the
+    # search, pending counts the literals of each clause not yet true and
+    # falsified those already false (it is dead while that is above
+    # zero); live counts the clauses of each atom that are not dead.
+    value: list = [None if v is Tv3.UNDEF else v is Tv3.TRUE for v in wf]
     waiting: list[list[int]] = [[] for _ in wf]
-    _, _, heads, counts, ready, negated, _ = _residual(undef, g.by_head, value, waiting)
+    heads, counts, ready, negated = _residual(undef, g.by_head, value, waiting)
     occurs = [[(k, False) for k in ks] for ks in waiting]
     pending = counts.copy()
     for k, neg in negated:
@@ -381,7 +298,7 @@ def stable_models(
             # the well-founded model on every decided atom, so only its
             # Undef atoms, the residual's least model, are compared
             if not tight:
-                _least(undef, [], heads, counts, ready, negated, [], waiting, value, out)
+                _least(undef, heads, counts, ready, negated, waiting, value, out)
             if tight or all(out[a] == value[a] for a in undef):
                 own = [a for a in undef if value[a]]
                 names = shared.copy()

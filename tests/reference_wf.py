@@ -1,13 +1,15 @@
-"""The alternating fixpoint that ``hopes.classical.wf_oracle`` used to
-run, kept as the reference that the per-component fixpoint is checked
-against.
+"""The well-founded model computed independently of the graded engine,
+by the alternating fixpoint of Van Gelder (PODS 1989).  The package has
+no second well-founded algorithm: ``hopes.classical.wf_oracle`` is the
+collapse of ``hopes.engine.minimum_model``, and this module is what
+that collapse is checked against.
 
 It alternates over the whole program: every round takes two least
 models of reducts of the full program, so a negation chain of n atoms
 costs n/2 rounds of up to quadratic work.  Each least model is taken by
 ``reference_stable.reference_least_model`` over the reduct built by
-``reference_stable.reduct``, so it shares no least-model code with the
-oracle it checks.
+``reference_stable.reduct``, so it shares no code with the engine it
+checks.
 """
 
 from __future__ import annotations

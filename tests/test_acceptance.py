@@ -15,7 +15,7 @@ from hopes.analysis import (
     check_extensional,
     check_stratified,
 )
-from hopes.classical import collapse, stable_models, wf_oracle
+from hopes.classical import collapse, stable_models
 from hopes.cli import main
 from hopes.engine import minimum_model
 from hopes.herbrand import GroundProgram
@@ -32,6 +32,7 @@ from reference_paper import (
     snapshot,
     tp_step,
 )
+from reference_wf import wf_oracle as reference_wf_oracle
 
 STRATIFIED = ["identity", "subset", "stratified_ho", "self_support"]
 
@@ -89,12 +90,12 @@ def test_collapse_matches_wellfounded():
     for name in CORPUS:
         for k in (2, 3):
             g = load_ground(name, k)
-            if collapse(minimum_model(g)) != wf_oracle(g):
+            if collapse(minimum_model(g)) != reference_wf_oracle(g):
                 mismatches += 1
     rng = random.Random(20260816)
     for _ in range(1000):
         g = random_ground_program(rng, max_atoms=10, max_clauses=15)
-        if collapse(minimum_model(g)) != wf_oracle(g):
+        if collapse(minimum_model(g)) != reference_wf_oracle(g):
             mismatches += 1
     assert mismatches == 0
     print("ACCEPTANCE collapse-matches-wellfounded: PASS")

@@ -17,13 +17,14 @@ import tracemalloc
 import pytest
 
 from hopes import cli
-from hopes.classical import collapse, wf_oracle
+from hopes.classical import collapse
 from hopes.engine import minimum_model
 from hopes.herbrand import GroundProgram
 
 from conftest import CORPUS, load_ground, random_ground_program
 from reference_engine import minimum_model as reference_minimum_model
 from reference_paper import snapshot
+from reference_wf import wf_oracle as reference_wf_oracle
 
 
 def assert_same_as_reference(g: GroundProgram) -> None:
@@ -33,7 +34,7 @@ def assert_same_as_reference(g: GroundProgram) -> None:
     assert [
         (r.alpha, r.newly_true, r.newly_false, snapshot(r, got.values)) for r in got.stages
     ] == [(r.alpha, r.newly_true, r.newly_false, r.snapshot) for r in expected.stages]
-    assert collapse(got) == wf_oracle(g), g.to_text()
+    assert collapse(got) == reference_wf_oracle(g), g.to_text()
 
 
 def random_program(rng: random.Random, n: int, clauses: int, neg_rate: float, loops: int = 0):

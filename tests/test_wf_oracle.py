@@ -1,10 +1,11 @@
-"""The per-component well-founded oracle against the whole-program
-alternating fixpoint it replaced.
+"""The well-founded model that ``wf_oracle`` reads off the graded
+engine, as the collapse of the minimum model, against the independent
+alternating fixpoint of ``tests/reference_wf.py``.
 
-The full three-valued list must equal that of ``tests/reference_wf.py``
-on the corpus, on seeded random ground programs, on negation-heavy
-programs whose Undef components feed higher components, and on the
-benchmark's evaluation shapes.  The scaling guards at the end bound the
+The full three-valued list must equal the reference's on the corpus,
+on seeded random ground programs, on negation-heavy programs whose
+Undef components feed higher components, and on the benchmark's
+evaluation shapes.  The scaling guards at the end bound the
 time of the negation chain, on which the reference grows quadratically.
 """
 
