@@ -199,13 +199,13 @@ def _stratify_graph(deps: _Deps, names: Sequence[str]) -> tuple[dict[str, int], 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StrataAssignment:
     strata: dict[str, int]
     count: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StratViolation:
     cycle: tuple[Edge, ...]
 
@@ -256,7 +256,7 @@ def check_locally_stratified_bounded(g: GroundProgram) -> StrataAssignment | Str
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExtViolation:
     typ: str
     subject: str

@@ -10,6 +10,11 @@ The parser cannot tell an individual constant from a predicate constant
 before declarations are consulted, so it emits ``Name`` nodes for every
 lowercase identifier; the type checker resolves them into ``IndConst``,
 ``PredConst`` or ``FunApp`` spines.
+
+Nodes are compared and hashed by class and fields.  They are not
+frozen: the checker sets the types of the nodes it builds before
+``typecheck`` returns, and no code changes a node after that, which is
+what hashing them by their fields depends on.
 """
 
 from __future__ import annotations
@@ -26,52 +31,52 @@ class Expression:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Name(Expression):
     """An unresolved lowercase identifier (pre-typecheck only)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IndConst(Expression):
     name: str
     typ: Optional[TypeExpr] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PredConst(Expression):
     name: str
     typ: Optional[TypeExpr] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(Expression):
     name: str
     typ: Optional[TypeExpr] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FunApp(Expression):
     symbol: str
     args: tuple[Expression, ...]
     typ: Optional[TypeExpr] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class App(Expression):
     fun: Expression
     arg: Expression
     typ: Optional[TypeExpr] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Neg(Expression):
     inner: Expression
     typ: Optional[TypeExpr] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Eq(Expression):
     lhs: Expression
     rhs: Expression
@@ -171,7 +176,7 @@ def expr_vars(*es: Expression) -> list[Var]:
     return list(seen.values())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RawClause:
     """A clause as parsed: arbitrary head term, body of literal expressions."""
 
@@ -196,7 +201,7 @@ class Program:
     clauses: list[RawClause] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Clause:
     """A checked clause: p(V1)...(Vn) :- L1, ..., Lm with typed trees."""
 
@@ -211,7 +216,7 @@ class Clause:
         return f"{head} :- {', '.join(expr_to_str(b) for b in self.body)}."
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TypedProgram:
     """A checked program; every clause is well-typed and head-normalized."""
 

@@ -84,7 +84,7 @@ class UnknownAtom(Exception):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StageRecord:
     """The atoms that stage ``alpha`` decided."""
 
@@ -93,7 +93,7 @@ class StageRecord:
     newly_false: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InfModel:
     ground: GroundProgram
     values: tuple[TruthValue, ...]

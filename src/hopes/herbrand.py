@@ -191,7 +191,7 @@ class _Universe:
         return {t: tuple(itertools.chain.from_iterable(b)) for t, b in buckets.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GroundClause:
     head: int
     literals: tuple[tuple[bool, int], ...]  # (negated, atom id), in source order

@@ -22,9 +22,9 @@ Each clause gets one typed tree, built once while its names resolve.
 A constant or a predicate is one node shared by the whole program, and
 a variable one node per clause.  The nodes whose type follows from a
 variable's (the variable's own, and each application it heads) are
-stamped in place once the clause's variable types are resolved.  Every
-other node is typed when it is built, and a name whose declared type
-is the expected one takes no unifier round.
+given it by plain assignment once the clause's variable types are
+resolved.  Every other node is typed when it is built, and a name
+whose declared type is the expected one takes no unifier round.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class TypeCheckError(Exception):
         super().__init__(f"{where}{message}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class _Meta:
     """A type metavariable awaiting unification."""
 
@@ -290,8 +290,8 @@ class _Checker:
         return Clause(pred, tuple(formals), tuple(body))
 
     def resolve_types(self) -> None:
-        """Resolve every variable's type and stamp the nodes that wait
-        for it: the variable's own, and the applications it heads."""
+        """Resolve every variable's type and assign it to the nodes that
+        wait for it: the variable's own, and the applications it heads."""
         for name, t in self.var_types.items():
             resolved = self.uni.resolve(t)
             if resolved is None:
@@ -304,12 +304,12 @@ class _Checker:
                 )
             if not is_argument(resolved):
                 raise self.fail(f"variable {name} has type {resolved}, which is not an argument type")
-            object.__setattr__(self.var_nodes[name], "typ", resolved)
+            self.var_nodes[name].typ = resolved
         for name, apps in self.var_spines:
             t = self.var_nodes[name].typ
             for node in apps:
                 t = t.right
-                object.__setattr__(node, "typ", t)
+                node.typ = t
         self.uni.bindings.clear()
 
 

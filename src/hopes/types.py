@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TypeExpr:
     kind: str  # "iota" | "o" | "arrow"
     left: Optional["TypeExpr"] = None
@@ -29,7 +29,7 @@ class TypeExpr:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.kind, self.left, self.right)))
+        self._hash = hash((self.kind, self.left, self.right))
 
     def __hash__(self) -> int:
         return self._hash

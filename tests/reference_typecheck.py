@@ -287,8 +287,8 @@ class _ClauseChecker:
 
 
 def _arrow_meta(left: object, right: object) -> TypeExpr:
-    # TypeExpr is frozen but tolerates metavariables in its fields; they
-    # never escape the checker.
+    # TypeExpr tolerates metavariables in its fields; they never escape
+    # the checker.
     return TypeExpr("arrow", left, right)
 
 

@@ -198,3 +198,27 @@ def test_front_end_scales_on_propositional_clauses():
             gc.enable()
     assert len(g.clauses) == n
     assert min(times) < 0.5, times
+
+
+def test_front_end_scales_on_facts():
+    """Parsing, type checking and grounding 20,000 facts at depth 1.
+
+    On a shared 2-vCPU host the best of three runs took 0.72-0.87 s
+    here (five runs), against 0.73-1.29 s when every tree node was a
+    frozen dataclass.  Parsing took 0.13-0.17 s of that, type checking
+    0.08-0.15 s and grounding the rest.  The bound leaves room
+    for the host's speed, which drifts by up to a factor of two.  The
+    collector is off while timing, as above."""
+    n = 20_000
+    text = "#pred p : i -> o.\n" + "".join(f"p(c{i}).\n" for i in range(n))
+    times = []
+    for _ in range(3):
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            g = ground_instantiate(typecheck(parse_program(text)), 1)
+            times.append(time.perf_counter() - started)
+        finally:
+            gc.enable()
+    assert len(g.clauses) == n
+    assert min(times) < 1.5, times

@@ -65,3 +65,14 @@ def test_equal_types_built_apart_hash_and_look_up_equal():
     assert unpickled == built and hash(unpickled) == hash(built)
     assert hash(arrow(IOTA, O)) != hash(arrow(O, IOTA))
     assert repr(built) == "(i -> o) -> i -> o"
+
+
+def test_equal_types_built_apart_are_one_key():
+    def build():
+        return [TypeExpr("iota"), TypeExpr("o"), arrow(arrow(TypeExpr("iota"), TypeExpr("o")), TypeExpr("o"))]
+
+    for x, y in zip(build(), build()):
+        assert x is not y and x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1 and {x: 1}[y] == 1
+    assert len({*build(), IOTA, O, arrow(I_TO_O, O)}) == 3
+    assert arrow(IOTA, O) != arrow(O, IOTA) and TypeExpr("iota") != TypeExpr("o")
