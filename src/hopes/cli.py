@@ -19,11 +19,17 @@ unwritable --out file, parse or type error, --depth below 1 or negative
 --max-atoms; 3 resource budget exceeded (grounding too large, a --depth
 above the grounding budget, or too many atoms left Undef by the
 well-founded model for stable-model enumeration).  Diagnostics go to stderr.
+
+`main` builds the argument parser once per process, on its first call,
+and reuses it on every later call.  Each parse returns a new namespace,
+so `main` is re-entrant: only the parser object carries from one call
+to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -382,6 +388,7 @@ def cmd_ext(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopes",

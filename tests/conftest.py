@@ -71,10 +71,12 @@ VARS = {"i": ["X", "Y", "Z"], "i -> o": ["P", "Q"], "(i -> o) -> o": ["R"]}
 
 
 def random_typed_program(rng: random.Random) -> str:
-    """A random well-typed program: function symbols, facts and
+    """The text of a random program: function symbols, facts and
     non-variable head arguments, user equalities in any body position,
     higher-order variables applied and passed, and argument types whose
-    universes may be empty."""
+    universes may be empty.  Variables are typed by name, but the draw
+    may still fail `typecheck` (29 of seeds 0-99 do);
+    `random_checked_program` draws until one passes."""
     consts = rng.sample(["a", "b", "c"], rng.randint(0, 3))
     arities = {"f": 1, "g": 2}
     funcs = [f for f in arities if rng.random() < 0.5]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hopes.cli import main
 from hopes.herbrand import DEFAULT_BUDGET, GroundProgram, _Universe
 from hopes.types import MAX_TYPE_NESTING
 
-from conftest import load_ground, program_path
+from conftest import PROGRAMS, load_ground, program_path
 from reference_grounder import reference_count
 
 
@@ -551,9 +552,16 @@ def test_out_writes_file(capsys, tmp_path):
     assert obj["depth"] == 2
 
 
-def test_module_entry_point():
+def module_env(**extra: str) -> dict[str, str]:
+    """The environment of a `python -m hopes` subprocess that imports
+    this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_module_entry_point():
+    env = module_env()
     proc = subprocess.run(
         [sys.executable, "-m", "hopes", "model", str(program_path("defaults"))],
         capture_output=True,
@@ -567,12 +575,7 @@ def test_module_entry_point():
 def test_unencodable_output_is_a_front_end_failure(tmp_path):
     accented = tmp_path / "accent.hop"
     accented.write_text("#pred p\u00e9 : o.\np\u00e9.\n", encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-        PYTHONIOENCODING="ascii:strict",
-    )
+    env = module_env(PYTHONIOENCODING="ascii:strict")
     for command in ("model", "ground", "stable"):
         proc = subprocess.run(
             [sys.executable, "-m", "hopes", command, str(accented)], capture_output=True, env=env
@@ -600,8 +603,7 @@ def _nested_fact(depth: int) -> str:
 def test_deep_terms_end_without_traceback(tmp_path, command, depth):
     deep = tmp_path / "deep.hop"
     deep.write_text(_nested_fact(depth))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = module_env()
     proc = subprocess.run(
         [sys.executable, "-m", "hopes", command, str(deep)], capture_output=True, text=True, env=env
     )
@@ -653,6 +655,7 @@ def _deep_types(n: int) -> dict[str, str]:
 
 
 COMMANDS = ("check", "ground", "model", "wf", "stable", "stratify", "locstrat", "ext")
+DEPTHLESS = ("check", "stratify")
 
 
 def test_type_nesting_limit(capsys, tmp_path):
@@ -680,3 +683,106 @@ def test_deep_types_end_without_traceback(capsys, tmp_path, command):
     # redundant parentheses add no depth to the type
     parens.write_text("#pred p : " + "(" * 600 + "i -> o" + ")" * 600 + ".\np(a).\n")
     assert run(capsys, command, parens)[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# re-entrancy: main builds its parser once per process and reuses it
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_arg_parser.cache_clear()
+    for _ in range(10):
+        assert run(capsys, "model", program_path("defaults"))[0] == 0
+    assert progs.count("hopes") == 1
+    assert len(progs) == 1 + len(COMMANDS)  # and one parser per command
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+USAGE_ARGVS = {
+    "help": ["--help"],
+    "stable_help": ["stable", "--help"],
+    "no_arguments": [],
+    "no_file": ["model"],
+    "bad_format": ["model", str(program_path("defaults")), "--format", "xml"],
+    "unknown_command": ["frobnicate", str(program_path("defaults"))],
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ARGVS)
+def test_help_and_usage_errors_repeat_in_process(capsys, monkeypatch, case):
+    # the terminal width is read when help or an error is formatted
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = USAGE_ARGVS[case]
+    cli.build_arg_parser.cache_clear()
+    first = _in_process(capsys, argv)
+    assert _in_process(capsys, argv) == first
+    assert first[2] == (0 if "--help" in argv else 2)
+    env = module_env()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopes", *argv], capture_output=True, text=True, env=env
+    )
+    assert (proc.stdout, proc.stderr, proc.returncode) == first
+
+
+@pytest.mark.parametrize(
+    "name, command, flags",
+    [
+        ("defaults", "model", ["--trace"]),
+        ("choice_pair", "stable", ["--ext"]),
+        ("defaults", "model", ["--format", "json"]),
+        ("naturals", "model", ["--depth", "1"]),
+    ],
+)
+def test_flags_do_not_carry_over(capsys, name, command, flags):
+    path = program_path(name)
+    plain = run(capsys, command, path)
+    flagged = run(capsys, command, path, *flags)
+    assert flagged != plain
+    assert run(capsys, command, path) == plain
+
+
+def test_out_does_not_carry_over(capsys, tmp_path):
+    path, target = program_path("defaults"), tmp_path / "model.txt"
+    code, out, _ = run(capsys, "model", path, "--out", target)
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, "model", path)
+    assert code == 0 and out == target.read_text()
+
+
+def corpus_argvs() -> list[list[str]]:
+    """Every corpus file, broken.hop too, under every command, at depths
+    1-4 where the command takes one, in text and JSON."""
+    argvs = []
+    for path in sorted(PROGRAMS.glob("*.hop")):
+        for command in COMMANDS:
+            depths = [None] if command in DEPTHLESS else [1, 2, 3, 4]
+            for k in depths:
+                for fmt in ("text", "json"):
+                    argv = [command, str(path), "--format", fmt]
+                    argvs.append(argv if k is None else argv + ["--depth", str(k)])
+    return argvs
+
+
+def test_corpus_forwards_and_in_reverse_give_the_same_bytes(capsys):
+    argvs = corpus_argvs()
+    forwards = [_in_process(capsys, argv) for argv in argvs]
+    backwards = [_in_process(capsys, argv) for argv in reversed(argvs)]
+    assert len(forwards) == 572
+    for argv, first, again in zip(argvs, forwards, reversed(backwards)):
+        assert again == first, argv

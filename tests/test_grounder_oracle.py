@@ -15,9 +15,8 @@ import pytest
 from hopes import ground_instantiate, minimum_model, parse_program, typecheck
 from hopes.ast import Program, expr_to_str
 from hopes.herbrand import BudgetExceeded, EmptyUniverse
-from hopes.typecheck import TypeCheckError
 
-from conftest import CORPUS, load, random_checked_program, random_typed_program
+from conftest import CORPUS, load, random_checked_program
 from reference_grounder import (
     TermEnumerator,
     reference_count,
@@ -140,16 +139,13 @@ def test_body_order_does_not_change_the_model():
     rng = random.Random(20170131)
     compared = 0
     for _ in range(400):
-        program = parse_program(random_typed_program(rng))
+        text, tp = random_checked_program(rng)
+        program = parse_program(text)
         reversed_program = Program(
             program.predicate_decls,
             program.function_decls,
             [dataclasses.replace(c, body=c.body[::-1]) for c in program.clauses],
         )
-        try:
-            tp = typecheck(program)
-        except TypeCheckError:
-            continue
         tp_reversed = typecheck(reversed_program)
         for k in (1, 2):
             try:
@@ -162,7 +158,7 @@ def test_body_order_does_not_change_the_model():
             values = dict(zip(g.atoms, minimum_model(g).values))
             assert dict(zip(g_reversed.atoms, minimum_model(g_reversed).values)) == values, k
             compared += 1
-    assert compared >= 600
+    assert compared >= 800, compared  # every draw grounds at k = 1 and 2
 
 
 def test_budget_counts_substitutions_after_unification():
