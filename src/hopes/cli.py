@@ -15,21 +15,35 @@ stdout.  JSON output is byte-stable across runs.
 
 Exit codes: 0 success; 1 analysis verdict negative (stratification or
 extensionality violation); 2 unreadable file (missing, or not UTF-8),
-unwritable --out file, parse or type error, --depth below 1 or negative
---max-atoms; 3 resource budget exceeded (grounding too large, a --depth
-above the grounding budget, or too many atoms left Undef by the
-well-founded model for stable-model enumeration).  Diagnostics go to stderr.
+unwritable --out file, a stdout that cannot take the output (closed, a
+broken pipe, or an encoding that cannot hold it), parse or type error,
+--depth below 1 or negative --max-atoms; 3 resource budget exceeded
+(grounding too large, a --depth above the grounding budget, or too many
+atoms left Undef by the well-founded model for stable-model
+enumeration).  Diagnostics go to stderr.
 
 `main` builds the argument parser once per process, on its first call,
 and reuses it on every later call.  Each parse returns a new namespace,
 so `main` is re-entrant: only the parser object carries from one call
 to the next.
+
+A call runs with the cyclic garbage collector's automatic collection
+off, and gives the caller back its setting on every exit (a return, an
+error, argparse's `SystemExit`, any exception).  Grounding and the
+graded model allocate long-lived objects per clause instance, which
+the collector would rescan again and again to free nothing: no stage
+makes a reference cycle.  What a call does leave for the collector is
+bounded by a constant, not by the input (`tests/test_garbage.py`), and
+a later collection takes it.  The setting is the interpreter's, so in
+a multi-threaded host the collector is off for the whole process while
+a call runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -97,10 +111,13 @@ def _write(args, out: str) -> None:
                 fh.write(out)
         except OSError as exc:
             raise _Failure(EXIT_FRONTEND, f"cannot write {args.out}: {exc}")
+    elif sys.stdout is None:  # started with standard output closed
+        raise _Failure(EXIT_FRONTEND, "cannot write the output: standard output is closed")
     else:
         try:
             sys.stdout.write(out)
-        except UnicodeEncodeError as exc:
+            sys.stdout.flush()  # fail here, not in the interpreter's flush at exit
+        except (OSError, UnicodeEncodeError) as exc:  # a broken pipe, say
             raise _Failure(EXIT_FRONTEND, f"cannot write the output: {exc}")
 
 
@@ -449,6 +466,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     args = build_arg_parser().parse_args(argv)
     if getattr(args, "depth", None) is not None and args.depth < 1:
         _print_diagnostic("error: --depth must be at least 1")

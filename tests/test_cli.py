@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hopes import analysis, classical, cli, parse_program, typecheck
+from hopes import analysis, classical, cli, engine, parse_program, typecheck
 from hopes.cli import main
 from hopes.herbrand import DEFAULT_BUDGET, GroundProgram, _Universe
 from hopes.types import MAX_TYPE_NESTING
@@ -594,6 +595,48 @@ def test_unencodable_output_is_a_front_end_failure(tmp_path):
     assert "caf\\xe9.hop" in proc.stderr.decode("ascii")
 
 
+def negation_chain(n: int) -> str:
+    """The clauses `a<i> :- ~a<i+1>.` for i below n, over n + 1 atoms."""
+    decls = [f"#pred a{i} : o." for i in range(n + 1)]
+    return "\n".join(decls + [f"a{i} :- ~a{i + 1}." for i in range(n)]) + "\n"
+
+
+@pytest.mark.parametrize("clauses", [1, 2000])
+def test_broken_pipe_is_a_front_end_failure(tmp_path, clauses):
+    # the reader of the pipe is gone before hopes starts; a one-clause
+    # model fits in the output buffer and fails when flushed, the model
+    # of 2,000 clauses does not and fails in the write itself
+    path = tmp_path / "chain.hop"
+    path.write_text(negation_chain(clauses))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopes", "model", str(path), "--depth", "1"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=module_env(),
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == "error: cannot write the output: [Errno 32] Broken pipe"
+    # nothing is reported when the interpreter flushes stdout at exit
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_closed_stdout_is_a_front_end_failure():
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m hopes wf "$1" >&-', sys.executable, str(program_path("subset"))],
+        capture_output=True,
+        text=True,
+        env=module_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write the output: standard output is closed\n"
+
+
 def _nested_fact(depth: int) -> str:
     return "#func s : i -> i.\n#pred nat : i -> o.\nnat(" + "s(" * depth + "z" + ")" * depth + ").\n"
 
@@ -763,6 +806,66 @@ def test_out_does_not_carry_over(capsys, tmp_path):
     assert (code, out) == (0, "")
     code, out, _ = run(capsys, "model", path)
     assert code == 0 and out == target.read_text()
+
+
+# ---------------------------------------------------------------------------
+# the collector: main runs each call with automatic collection off, and
+# gives the caller back its setting on every exit
+
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector(request):
+    """The caller's collector setting during the test; the setting from
+    before the test is put back after it."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+COLLECTOR_EXITS = {
+    "ok": (["model", str(program_path("defaults"))], 0),
+    "verdict": (["stratify", str(program_path("unstratified_ho"))], 1),
+    "front_end": (["model", str(program_path("broken"))], 2),
+    "budget": (["model", str(program_path("even_loop")), "--depth", str(10**8)], 3),
+    "usage_error": (["model"], 2),
+    "help": (["--help"], 0),
+}
+
+
+@pytest.mark.parametrize("case", COLLECTOR_EXITS)
+def test_main_restores_the_collector(capsys, collector, case):
+    argv, code = COLLECTOR_EXITS[case]
+    threshold = gc.get_threshold()
+    assert _in_process(capsys, argv)[2] == code
+    assert gc.isenabled() is collector
+    assert gc.get_threshold() == threshold
+
+
+def test_main_restores_the_collector_after_an_exception(monkeypatch, collector):
+    def fail(args):
+        raise RuntimeError("inside a command")
+
+    monkeypatch.setitem(cli._COMMANDS, "model", fail)
+    threshold = gc.get_threshold()
+    with pytest.raises(RuntimeError, match="inside a command"):
+        main(["model", str(program_path("defaults"))])
+    assert gc.isenabled() is collector
+    assert gc.get_threshold() == threshold
+
+
+def test_commands_run_with_the_collector_off(capsys, monkeypatch, collector):
+    seen = []
+    minimum_model = engine.minimum_model
+
+    def recording(g):
+        seen.append(gc.isenabled())
+        return minimum_model(g)
+
+    monkeypatch.setattr(engine, "minimum_model", recording)
+    assert run(capsys, "model", program_path("defaults"))[0] == 0
+    assert seen == [False]
+    assert gc.isenabled() is collector
 
 
 def corpus_argvs() -> list[list[str]]:
