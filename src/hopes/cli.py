@@ -45,6 +45,7 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -491,4 +492,23 @@ def _run(argv: list[str] | None) -> int:
 
 
 def script_main() -> None:
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        _drop_unwritable_output()
+
+
+def _drop_unwritable_output() -> None:
+    """Where stdout cannot take what is left in its buffer (a broken
+    pipe keeps it there), point its descriptor at the null device, so
+    that the interpreter's flush at exit writes it there and reports
+    nothing.  The console script does this, not `main`: an in-process
+    caller keeps its own descriptors."""
+    if sys.stdout is None:
+        return
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)

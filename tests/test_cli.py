@@ -601,29 +601,50 @@ def negation_chain(n: int) -> str:
     return "\n".join(decls + [f"a{i} :- ~a{i + 1}." for i in range(n)]) + "\n"
 
 
-@pytest.mark.parametrize("clauses", [1, 2000])
-def test_broken_pipe_is_a_front_end_failure(tmp_path, clauses):
-    # the reader of the pipe is gone before hopes starts; a one-clause
-    # model fits in the output buffer and fails when flushed, the model
-    # of 2,000 clauses does not and fails in the write itself
-    path = tmp_path / "chain.hop"
-    path.write_text(negation_chain(clauses))
+def run_into_broken_pipe(argv: list[str], unbuffered: str) -> subprocess.CompletedProcess:
+    """`python -m hopes` with a stdout whose reader is gone before it
+    starts; `unbuffered` is the PYTHONUNBUFFERED value, "" for a
+    buffered stdout."""
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "hopes", "model", str(path), "--depth", "1"],
+        return subprocess.run(
+            [sys.executable, "-m", "hopes", *argv],
             stdout=write,
             stderr=subprocess.PIPE,
             text=True,
-            env=module_env(),
+            env=env,
         )
     finally:
         os.close(write)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("clauses", [1, 2000])
+def test_broken_pipe_is_a_front_end_failure(tmp_path, clauses, unbuffered):
+    # a buffered stdout keeps a one-clause model in its buffer, which
+    # fails when flushed and would fail again at exit; the model of
+    # 2,000 clauses, or any output to an unbuffered stdout, fails in
+    # the write itself
+    path = tmp_path / "chain.hop"
+    path.write_text(negation_chain(clauses))
+    proc = run_into_broken_pipe(["model", str(path), "--depth", "1"], unbuffered)
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[-1] == "error: cannot write the output: [Errno 32] Broken pipe"
     # nothing is reported when the interpreter flushes stdout at exit
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_help_into_a_broken_pipe_is_quiet():
+    # the help text waits in the buffer, and argparse exits 0 before it
+    # is flushed; an unbuffered stdout is left out, as argparse before
+    # Python 3.11 lets the failed write of the help text through
+    proc = run_into_broken_pipe(["--help"], "")
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_closed_stdout_is_a_front_end_failure():

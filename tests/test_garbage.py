@@ -6,9 +6,10 @@ collection afterwards must find nothing unreachable.  A reference cycle
 (a self-recursive nested function, say) would keep a stage's whole
 state alive until the next full collection, and raise peak memory.
 `cli.main` is checked the same way with every command at depths 1-3,
-and on every exit-2 and exit-3 path; it builds its argument parser,
-which is full of cycles, once per process, so a warm-up call outside
-the check builds it first.
+with `stable --ext` and `model --trace`, which do work per model and
+per stage, and on every exit-2 and exit-3 path; it builds its argument
+parser, which is full of cycles, once per process, so a warm-up call
+outside the check builds it first.
 
 Two standard-library paths leave cycles on every call, so there the
 check is that the count does not grow with the input: `--format json`
@@ -89,6 +90,10 @@ def test_cli_main_leaves_no_cyclic_garbage(name):
     for command in COMMANDS:
         for k in [None] if command in DEPTHLESS else [1, 2, 3]:
             call(cli.main, [command, path] if k is None else [command, path, "--depth", str(k)])
+    for k in (1, 2, 3):
+        # the flags that do work per model and per stage
+        call(cli.main, ["stable", path, "--depth", str(k), "--ext"])
+        call(cli.main, ["model", path, "--depth", str(k), "--trace"])
     call(cli.main, ["ground", path, "--format", "json"])  # written without json.dumps
 
 
