@@ -287,10 +287,11 @@ class _Type:
     """A type of the closure in a compiled plan: its slice as term ids,
     with each id's position, the terms' text and the positions in text
     order; at an arrow type, the applications of the slice to the
-    argument slice are filled in on first use."""
+    argument slice are filled in on first use, and so is the support.
+    ``memo`` is what the last valuation compared here gave."""
 
     __slots__ = ("name", "kind", "left", "right", "ids", "positions", "names", "by_text",
-                 "table")
+                 "table", "support", "memo")
 
     def __init__(self, typ: TypeExpr, ids: tuple[int, ...], text: list[str]):
         self.name = str(typ)
@@ -302,6 +303,25 @@ class _Type:
         self.names = tuple([text[t] for t in ids])
         self.by_text = sorted(range(len(ids)), key=self.names.__getitem__)
         self.table: list[list[int]] | None = None
+        self.support: tuple[int, ...] | None = None
+        self.memo: _Memo | None = None
+
+
+class _Memo:
+    """Extensional equality at one type under one valuation, kept with
+    that valuation's values on the type's support: the relation and its
+    vacuous pairs, and, filled in on first use, the argument pairs and
+    the type's report entries (vacuous notes, violations)."""
+
+    __slots__ = ("key", "related", "vacuous", "pairs", "notes", "violations")
+
+    def __init__(self, key: tuple, related: list[set[int]], vacuous: set[tuple[int, int]]):
+        self.key = key
+        self.related = related
+        self.vacuous = vacuous
+        self.pairs: list[tuple[int, int]] | None = None
+        self.notes: list[tuple[str, str, str]] = []
+        self.violations: list[ExtViolation] | None = None
 
 
 class ExtPlan:
@@ -316,6 +336,16 @@ class ExtPlan:
     and the explanation of a violation read the same tables, so they
     share this one rule.  ``check`` then only compares values; text is
     rendered only for what it reports.
+
+    The relation at a type reads the values of its *support* only: no
+    atom at i, the atoms of the slice at o, and at an arrow type the
+    argument type's support with the atoms of its table when the result
+    is o, or else with the result type's support.  Each type keeps the
+    last valuation's relation, argument pairs and report entries, and a
+    valuation that agrees with it on the support reuses them: of many
+    valuations checked in turn, such as every stable model, only those
+    that change a value in a type's support compare it again.  One
+    entry per type is kept, whatever the number of valuations.
     """
 
     def __init__(self, g: GroundProgram):
@@ -346,6 +376,23 @@ class ExtPlan:
             t.table = [[where.get(ids.get((d, e), -1), -1) for e in args] for d in t.ids]
         return t.table
 
+    def support(self, t: _Type) -> tuple[int, ...]:
+        """The atom ids whose values extensional equality at t reads, in
+        id order."""
+        if t.support is None:
+            if t.kind == "iota":
+                atoms = set()
+            elif t.kind == "o":
+                atoms = {self.atom_of[x] for x in t.ids if x in self.atom_of}
+            else:
+                atoms = set(self.support(t.left))
+                if t.right.kind == "o":
+                    atoms.update(a for row in self.table(t) for a in row if a >= 0)
+                else:
+                    atoms.update(self.support(t.right))
+            t.support = tuple(sorted(atoms))
+        return t.support
+
     def check(self, values: Sequence[TruthValue]) -> ExtReport:
         return _Valuation(self, values).report()
 
@@ -367,20 +414,32 @@ def _agree(a: list, b: list, res: list[set[int]] | None) -> tuple[bool, bool]:
 
 class _Valuation:
     """A compiled plan under one valuation: extensional equality at each
-    type, over slice positions, computed once."""
+    type, over slice positions, taken from the type's memo when the
+    valuation agrees with it on the support and computed otherwise."""
 
     def __init__(self, plan: ExtPlan, values: Sequence[TruthValue]):
         self.plan = plan
         self.values = values
         self.padded = [*values, None]  # index -1 is an undefined application
-        self.relations: dict[_Type, list[set[int]]] = {}
-        self.vacuous: dict[_Type, set[tuple[int, int]]] = {}
-        self.pairs: dict[_Type, list[tuple[int, int]]] = {}
+        self.memos: dict[_Type, _Memo] = {}
+
+    def memo(self, t: _Type) -> _Memo:
+        """t's entry under this valuation, kept on t for the next one."""
+        memo = self.memos.get(t)
+        if memo is None:
+            key = tuple(map(self.values.__getitem__, self.plan.support(t)))
+            memo = t.memo
+            if memo is None or memo.key != key:
+                memo = t.memo = _Memo(key, *self.compare(t))
+            self.memos[t] = memo
+        return memo
 
     def relation(self, t: _Type) -> list[set[int]]:
         """For each slice position, the positions related to it."""
-        if t in self.relations:
-            return self.relations[t]
+        return self.memo(t).related
+
+    def compare(self, t: _Type) -> tuple[list[set[int]], set[tuple[int, int]]]:
+        """The relation at t and its vacuous pairs, from the values."""
         n = len(t.ids)
         vacuous: set[tuple[int, int]] = set()
         if t.kind == "iota":
@@ -416,22 +475,17 @@ class _Valuation:
                         if not checked:
                             vacuous.add((d, d2))
                 related.append(mates)
-        self.relations[t] = related
-        self.vacuous[t] = vacuous
-        return related
+        return related, vacuous
 
     def argument_pairs(self, t: _Type) -> list[tuple[int, int]]:
         """The related pairs at an argument type: in slice order, or in
         the order of their text at an arrow type."""
-        if t not in self.pairs:
-            if t.kind == "iota":
-                pairs = [(d, d) for d in range(len(t.ids))]
-            else:
-                related = self.relation(t)
-                order = t.by_text if t.kind == "arrow" else range(len(t.ids))
-                pairs = [(d, d2) for d in order for d2 in order if d2 in related[d]]
-            self.pairs[t] = pairs
-        return self.pairs[t]
+        memo = self.memo(t)
+        if memo.pairs is None:
+            related = memo.related
+            order = t.by_text if t.kind == "arrow" else range(len(t.ids))
+            memo.pairs = [(d, d2) for d in order for d2 in order if d2 in related[d]]
+        return memo.pairs
 
     def drill(self, d1: int, d2: int, t: _Type) -> tuple[str, str, tuple]:
         """Explain why d1 and d2 fail to be related at an arrow type:
@@ -455,6 +509,25 @@ class _Valuation:
             return t.left.names[e], t.left.names[e2], found
         return "?", "?", ()
 
+    def findings(self, t: _Type) -> _Memo:
+        """t's entry with its report entries: the vacuous pairs in text
+        order, and each term not related to itself with its drill."""
+        memo = self.memo(t)
+        if memo.violations is None:
+            if memo.vacuous:
+                memo.notes = [
+                    (t.name, t.names[d], t.names[d2])
+                    for d in t.by_text
+                    for d2 in t.by_text
+                    if (d, d2) in memo.vacuous
+                ]
+            memo.violations = [
+                ExtViolation(t.name, t.names[d], *self.drill(d, d, t))
+                for d, mates in enumerate(memo.related)
+                if d not in mates
+            ]
+        return memo
+
     def report(self) -> ExtReport:
         plan = self.plan
         violations: list[ExtViolation] = []
@@ -462,18 +535,9 @@ class _Valuation:
         for t in plan.checked:
             if t.kind != "arrow":
                 continue  # reflexive by definition: identity, equal values
-            related = self.relation(t)
-            if self.vacuous[t]:
-                vacuous += [
-                    (t.name, t.names[d], t.names[d2])
-                    for d in t.by_text
-                    for d2 in t.by_text
-                    if (d, d2) in self.vacuous[t]
-                ]
-            for d, mates in enumerate(related):
-                if d not in mates:
-                    e, e2, atoms = self.drill(d, d, t)
-                    violations.append(ExtViolation(t.name, t.names[d], e, e2, atoms))
+            memo = self.findings(t)
+            vacuous += memo.notes
+            violations += memo.violations
 
         return ExtReport(
             extensional=not violations,

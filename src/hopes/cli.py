@@ -154,9 +154,17 @@ def _ground_json(g: GroundProgram, depth: int) -> str:
 
 
 def _print_diagnostic(line: str) -> None:
-    """A diagnostic line on stderr, escaped where stderr cannot encode it."""
+    """A diagnostic line on stderr, escaped where stderr cannot encode
+    it.  It is dropped where there is no stderr to take it: None when
+    descriptor 2 was closed at start, or a descriptor that cannot be
+    written."""
+    if sys.stderr is None:
+        return
     encoding = sys.stderr.encoding or "utf-8"
-    print(line.encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
+    try:
+        print(line.encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _warn(notes) -> None:

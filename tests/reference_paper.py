@@ -241,12 +241,11 @@ def ext_relation(plan: ExtPlan, values: Sequence[TruthValue], typ: TypeExpr) -> 
     t = plan.types.get(typ)
     if t is None or not t.ids:
         raise EmptyUniverse(typ, plan.k)
-    valuation = _Valuation(plan, values)
-    related, names = valuation.relation(t), t.names
+    memo, names = _Valuation(plan, values).memo(t), t.names
     return ExtRelation(
         typ,
         plan.k,
         names,
-        frozenset((names[d], names[d2]) for d, mates in enumerate(related) for d2 in mates),
-        frozenset((names[d], names[d2]) for d, d2 in valuation.vacuous[t]),
+        frozenset((names[d], names[d2]) for d, mates in enumerate(memo.related) for d2 in mates),
+        frozenset((names[d], names[d2]) for d, d2 in memo.vacuous),
     )

@@ -372,6 +372,26 @@ def test_stable_ext_checks_each_model_once(capsys, monkeypatch, fmt):
     assert len(checked) == len(classical.stable_models(load_ground("choice_pair", 2))) == 4
 
 
+def test_stable_ext_compares_shared_types_once(capsys, tmp_path, monkeypatch):
+    # every stable model of choice(8) agrees on the facts qj(a), which
+    # are all that the relation at i -> o reads; the relation at
+    # (i -> o) -> o reads r(qj) and s(qj), which differ between models
+    path = tmp_path / "choice.hop"
+    path.write_text(choice_program(8))
+    compared = []
+    compare = analysis._Valuation.compare
+
+    def count_compare(self, t):
+        compared.append(t.name)
+        return compare(self, t)
+
+    monkeypatch.setattr(analysis._Valuation, "compare", count_compare)
+    code, out, _ = run(capsys, "stable", path, "--depth", "2", "--ext")
+    assert code == 0 and out.count("extensional: ") == 256
+    assert compared.count("i -> o") == 1
+    assert compared.count("(i -> o) -> o") == 256
+
+
 def test_stable_atom_cap(capsys):
     code, out, err = run(
         capsys, "stable", program_path("choice_pair"), "--depth", "2", "--max-atoms", "2"
@@ -593,6 +613,33 @@ def test_unencodable_output_is_a_front_end_failure(tmp_path):
     )
     assert proc.returncode == 2
     assert "caf\\xe9.hop" in proc.stderr.decode("ascii")
+
+
+def test_no_stderr_drops_diagnostics(capsys, monkeypatch):
+    # Python sets sys.stderr to None when descriptor 2 is closed at start
+    code, full, err = run(capsys, "model", program_path("even_loop"))
+    assert (code, err.startswith("note: ")) == (0, True)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert run(capsys, "model", program_path("even_loop")) == (0, full, "")
+    assert run(capsys, "model", program_path("no_such_file")) == (2, "", "")
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+def test_no_stderr_keeps_output_and_exit_codes(redirect):
+    # a closed descriptor 2 makes sys.stderr None; a read-only one
+    # fails each write
+    def hopes(path):
+        return subprocess.run(
+            ["sh", "-c", f'exec "$0" -m hopes model "$1" {redirect}', sys.executable, str(path)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=module_env(),
+        )
+
+    proc = hopes(program_path("even_loop"))
+    assert (proc.returncode, proc.stdout) == (0, "p = ZERO\nq = ZERO\ndepth = 0\n")
+    proc = hopes(program_path("no_such_file"))
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 def negation_chain(n: int) -> str:

@@ -4,9 +4,13 @@ One plan is compiled per ground program and checked under many
 valuations: the minimum model, every stable model and seeded random
 valuations.  Each report must equal the reference's in every field
 (verdict, violations in order, vacuous pairs, checked and skipped
-types), and so must the relation at every type of the closure.
+types), and so must the relation at every type of the closure.  The
+plan keeps each type's relation from one valuation to the next where
+they agree on the atoms it reads, so the order of the valuations is
+part of what is tested.
 """
 
+import itertools
 import random
 
 import pytest
@@ -45,10 +49,15 @@ def valuations(g, rng, randoms):
 def assert_same_as_reference(tp, g, k, rng, randoms=3) -> list:
     """Compare every valuation under one compiled plan; return the
     reference's reports."""
-    plan = compile_extensional(g)
+    return assert_plan_matches_reference(tp, g, k, compile_extensional(g), valuations(g, rng, randoms))
+
+
+def assert_plan_matches_reference(tp, g, k, plan, sequence) -> list:
+    """Check each valuation of `sequence` in turn under `plan`; return
+    the reference's reports."""
     types = sorted(TermEnumerator(tp).closure, key=str) + [arrow(arrow(IOTA, IOTA), O)]
     reports = []
-    for values in valuations(g, rng, randoms):
+    for values in sequence:
         expected = reference_check_extensional(tp, g, values, k)
         assert plan.check(values) == expected
         # every relation, from one reference checker per valuation
@@ -156,6 +165,51 @@ def test_one_plan_serves_every_stable_model():
         assert report == reference_check_extensional(tp, g, values, 2)
         flags.append(report.extensional)
     assert sorted(flags) == [False, False, True, True]
+
+
+def forwards_and_back(g, rng) -> list:
+    """Every stable model forwards and then backwards, with the minimum
+    model and a random valuation in between.  The way from the minimum
+    model to the random valuation changes one atom at a time, in random
+    order, so that an atom missing from what a type's relation reads
+    leaves a stale relation."""
+    try:
+        models = stable_models(g, cap=10)
+    except TooManyAtoms:
+        models = []
+    atoms = range(len(g.atoms))
+    forwards = [[T0 if a in m else F0 for a in atoms] for m in models]
+    values = list(minimum_model(g).values)
+    target = [rng.choice(GRADES) for _ in atoms]
+    middle = [values]
+    for a in rng.sample(atoms, len(atoms)):
+        values = values.copy()
+        values[a] = target[a]
+        middle.append(values)
+    return forwards + middle + forwards[::-1]
+
+
+def test_memo_follows_each_valuation():
+    # one plan per ground program, never compiled again, so each check
+    # may meet the relations that the previous valuation left on a type
+    rng = random.Random(20011)
+    agree = differ = 0  # consecutive valuations, per type of the closure
+    programs = [load("choice_pair")] + [random_checked_program(rng)[1] for _ in range(60)]
+    for tp, k in itertools.product(programs, (1, 2, 3)):
+        try:
+            g = ground_instantiate(tp, k, budget=2000)
+        except BudgetExceeded:
+            continue
+        plan = compile_extensional(g)
+        sequence = forwards_and_back(g, rng)
+        assert_plan_matches_reference(tp, g, k, plan, sequence)
+        for before, after in zip(sequence, sequence[1:]):
+            for t in plan.types.values():
+                if all(before[a] == after[a] for a in plan.support(t)):
+                    agree += 1
+                else:
+                    differ += 1
+    assert agree >= 1000 and differ >= 500
 
 
 def test_compile_needs_a_term_store():
