@@ -157,7 +157,8 @@ def _print_diagnostic(line: str) -> None:
     """A diagnostic line on stderr, escaped where stderr cannot encode
     it.  It is dropped where there is no stderr to take it: None when
     descriptor 2 was closed at start, or a descriptor that cannot be
-    written."""
+    written, where a buffered stderr keeps the line until
+    `script_main` drops it."""
     if sys.stderr is None:
         return
     encoding = sys.stderr.encoding or "utf-8"
@@ -507,16 +508,17 @@ def script_main() -> None:
 
 
 def _drop_unwritable_output() -> None:
-    """Where stdout cannot take what is left in its buffer (a broken
-    pipe keeps it there), point its descriptor at the null device, so
-    that the interpreter's flush at exit writes it there and reports
-    nothing.  The console script does this, not `main`: an in-process
-    caller keeps its own descriptors."""
-    if sys.stdout is None:
-        return
-    try:
-        sys.stdout.flush()
-    except OSError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    """Where stdout or stderr cannot take what is left in its buffer (a
+    broken pipe or a read-only descriptor keeps it there), point its
+    descriptor at the null device, so that the interpreter's flush at
+    exit writes it there and reports nothing.  The console script does
+    this, not `main`: an in-process caller keeps its own descriptors."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:
+            continue
+        try:
+            stream.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)

@@ -624,16 +624,24 @@ def test_no_stderr_drops_diagnostics(capsys, monkeypatch):
     assert run(capsys, "model", program_path("no_such_file")) == (2, "", "")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
-def test_no_stderr_keeps_output_and_exit_codes(redirect):
+def test_no_stderr_keeps_output_and_exit_codes(redirect, unbuffered):
     # a closed descriptor 2 makes sys.stderr None; a read-only one
-    # fails each write
+    # fails each write, and a buffered stderr keeps the failed line in
+    # its buffer, where the interpreter's flush at exit would fail on
+    # it again and turn the exit code into 120
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+
     def hopes(path):
         return subprocess.run(
             ["sh", "-c", f'exec "$0" -m hopes model "$1" {redirect}', sys.executable, str(path)],
             stdout=subprocess.PIPE,
             text=True,
-            env=module_env(),
+            env=env,
         )
 
     proc = hopes(program_path("even_loop"))
