@@ -13,32 +13,46 @@
   the search fixes the atoms that model makes true or false and
   branches only on its Undef atoms, over the residual program: each
   clause of an Undef atom with no literal false under the well-founded
-  model, keeping only its Undef literals.  Per-clause counters of
-  pending and false literals, and per-atom counts of live clauses,
-  propagate each assignment through the clauses the atom occurs in (a
-  clause with every literal true makes its head true, an atom with
-  every clause dead is false).  A leaf that this propagation leaves
-  consistent is a supported model of the residual: each true atom has
-  a clause with every literal true, and no false atom has one.  Each
-  total candidate lies between the well-founded model's true and
-  non-false atoms, and the reduct operator is antimonotone, so the
-  least model of its reduct agrees with the well-founded model on every
-  decided atom, and the candidate is stable exactly when its Undef
-  atoms are a stable model of the residual.  When the residual is tight
-  (no cycle through positive literals, self-loops included, in its
-  graph over the Undef atoms, decided once per run), every supported
-  model of it is stable (Fages 1994; Erdem & Lifschitz, TPLP 2003), so
-  each consistent leaf is accepted as it stands.  Otherwise the leaf
-  check compares the residual's least model with the candidate on the
-  Undef atoms.  The count of Undef atoms is capped, since the search
-  is meant for desk-sized programs.  The well-founded true atoms, which
-  every model shares, are frozen and named once; a model adds only its
-  own true Undef atoms to both.  The search decides the Undef atoms in
-  the order of their names, True before False, so the models come out
-  in the order of their sorted names and are never sorted afterwards
-  (no stable model contains another; see ``stable_models``).  Every
-  atom before a decision's place in that order is already set, so the
-  scan for the next free atom resumes after the last decision.
+  model, keeping only its Undef literals.  Each total candidate lies
+  between the well-founded model's true and non-false atoms, and the
+  reduct operator is antimonotone, so the least model of its reduct
+  agrees with the well-founded model on every decided atom, and the
+  candidate is stable exactly when its Undef atoms are a stable model
+  of the residual.  The count of Undef atoms is capped, since the
+  search is meant for desk-sized programs; the cap counts all of them,
+  however they split.
+
+  The residual splits into components: a union-find over its clauses
+  joins each clause's head with every literal inside, positive and
+  negated.  No clause spans two components, so the stable models of
+  the residual are the unions of one stable model of each (the
+  splitting-set theorem, Lifschitz & Turner 1994), and each component
+  is searched once, depth-first over its own atoms in name order, True
+  before False.  A component with no model leaves the program with
+  none.  Per-clause counters of pending and false literals, and
+  per-atom counts of live clauses, propagate each assignment through
+  the clauses the atom occurs in (a clause with every literal true
+  makes its head true, an atom with every clause dead is false), and
+  never leave the component.  A leaf that this propagation leaves
+  consistent is a supported model of the component: each true atom has
+  a clause with every literal true, and no false atom has one.  When
+  the component is tight (it holds no cycle of the residual's graph
+  through positive literals, self-loops included, whose strongly
+  connected components are found once per run), every supported model
+  of it is stable (Fages 1994; Erdem & Lifschitz, TPLP 2003), so each
+  consistent leaf is accepted as it stands.  Otherwise the leaf check
+  compares the least model of the component's clauses with the
+  candidate on the component's atoms.
+
+  A model of a component is an int mask over the Undef atoms in name
+  order, the first of them the most significant bit; the program's
+  models are the sums of one mask per component, sorted in descending
+  order.  That is the order of the models' sorted names (no stable
+  model contains another; see ``stable_models``), and the order in
+  which one search over the whole residual, deciding the Undef atoms
+  in name order and True first, would find them.  The well-founded
+  true atoms, which every model shares, are frozen and named once; a
+  model adds only its own true Undef atoms to both.
 
 The search builds the residual with ``_residual`` and takes its
 least models with one linear loop (``_least``, Dowling & Gallier 1984).
@@ -99,12 +113,11 @@ def _residual(atoms, by_head, value: list, waiting: list[list[int]]):
     one is removed.
 
     Returns per clause its head and its count of positive literals
-    inside, the clauses with none (``ready``), and the negated atoms
-    inside of each clause that has one.  Each atom inside gets, in
-    ``waiting``, the clauses with it as a positive literal."""
+    inside, and the negated atoms inside of each clause that has one.
+    Each atom inside gets, in ``waiting``, the clauses with it as a
+    positive literal."""
     heads: list[int] = []
     counts: list[int] = []
-    ready: list[int] = []
     negated: list[tuple[int, list[int]]] = []
     for a in atoms:
         for c in by_head[a]:
@@ -122,18 +135,16 @@ def _residual(atoms, by_head, value: list, waiting: list[list[int]]):
                 counts.append(len(pos))
                 for b in pos:
                     waiting[b].append(k)
-                if not pos:
-                    ready.append(k)
                 if neg:
                     negated.append((k, neg))
-    return heads, counts, ready, negated
+    return heads, counts, negated
 
 
 def _least(
     atoms,
+    clauses: list[int],
     heads: list[int],
     counts: list[int],
-    ready: list[int],
     negated: list[tuple[int, list[int]]],
     waiting: list[list[int]],
     guess: list,
@@ -141,9 +152,11 @@ def _least(
 ) -> None:
     """Least model of a residual program (Dowling & Gallier 1984): the
     head of every clause whose positive literals are true is true, once
-    the clauses with a negated atom in the guess are dropped.  Written
-    into ``out`` for the ``atoms`` inside."""
-    pending = counts.copy()
+    the clauses with a negated atom in the guess are dropped.  Reads
+    only ``clauses``, with ``negated`` among them, whose heads are
+    ``atoms`` and whose literals are inside them, and writes into
+    ``out`` for those ``atoms``."""
+    pending = {k: counts[k] for k in clauses}
     for k, neg in negated:
         for b in neg:
             if guess[b]:
@@ -152,7 +165,7 @@ def _least(
     for a in atoms:
         out[a] = False
     stack = []
-    for k in ready:
+    for k in clauses:
         if not pending[k] and not out[heads[k]]:
             out[heads[k]] = True
             stack.append(heads[k])
@@ -177,26 +190,39 @@ def stable_models(
     model carries as ``names``.  ``TooManyAtoms`` when the well-founded
     model leaves more than ``cap`` atoms Undef.
 
-    Every model is the well-founded true atoms, frozen and named once,
-    plus its own true Undef atoms, whose names are inserted into the
-    shared sorted names.  The models need no sort: stable models are
-    minimal models (Gelfond & Lifschitz 1988, Theorem 1), so none
-    contains another, and of two models the one that holds the first
-    name at which their own atoms differ sorts first by all its names
-    (the other holds a later name in that place, not none).  That name
-    is the first Undef atom, by name, that the two disagree on, so the
-    search decides the Undef atoms in the order of their names and
-    tries True first: at the decision that splits the two, every
-    earlier atom is set, and the decided atom is that name.  The scan
-    for the next free atom therefore resumes after the last decision.
+    The residual program over the Undef atoms falls into components:
+    the classes of the Undef atoms linked by sharing a residual clause,
+    as its head or in one of its literals, positive or negated.  No
+    clause spans two components, so by the splitting-set theorem
+    (Lifschitz & Turner, "Splitting a logic program", ICLP 1994) the
+    stable models of the residual are exactly the unions of one stable
+    model of each component.  Each component is searched once, and a
+    component with no model leaves the program with none.
 
-    A consistent leaf of the search is a supported model of the
-    residual program.  If the residual's positive graph has no cycle
-    (it is tight), supported models are stable (Fages, "Consistency of
+    A consistent leaf of a component's search is a supported model of
+    the component.  If the component's positive graph has no cycle (it
+    is tight), supported models are stable (Fages, "Consistency of
     Clark's completion and existence of stable models", 1994; Erdem &
     Lifschitz, "Tight logic programs", TPLP 2003), and every such leaf
     is a model; otherwise each leaf is checked against the least model
-    of its reduct over the residual."""
+    of its reduct over the component's clauses.  Every cycle of the
+    residual's positive graph lies inside one component, so the
+    components without one are tight.
+
+    Every model is the well-founded true atoms, frozen and named once,
+    plus its own true Undef atoms, whose names are inserted into the
+    shared sorted names.  Stable models are minimal models (Gelfond &
+    Lifschitz 1988, Theorem 1), so none contains another, and of two
+    models the one that holds the first name at which their own atoms
+    differ sorts first by all its names (the other holds a later name
+    in that place, not none).  That name is the first Undef atom, by
+    name, that the two disagree on.  So, with the Undef atoms in name
+    order and a model's own atoms read as a bit mask whose most
+    significant bit is the first of them, the models sorted by their
+    names are the masks sorted in descending order: the order in which
+    one search over all the Undef atoms, deciding them in name order
+    and trying True first, would find them.  The combined models are
+    kept as masks, one int each, until that sort."""
     atoms = g.atoms
     wf = wf_oracle(g)
     undef = sorted([a for a, v in enumerate(wf) if v is Tv3.UNDEF], key=atoms.__getitem__)
@@ -212,7 +238,7 @@ def stable_models(
     # zero); live counts the clauses of each atom that are not dead.
     value: list = [None if v is Tv3.UNDEF else v is Tv3.TRUE for v in wf]
     waiting: list[list[int]] = [[] for _ in wf]
-    heads, counts, ready, negated = _residual(undef, g.by_head, value, waiting)
+    heads, counts, negated = _residual(undef, g.by_head, value, waiting)
     occurs = [[(k, False) for k in ks] for ks in waiting]
     pending = counts.copy()
     for k, neg in negated:
@@ -223,14 +249,47 @@ def stable_models(
     live = [0] * len(wf)
     for a in heads:
         live[a] += 1
-    # Tight: the residual's positive graph, an edge from each positive
-    # literal to its clause's head, has no cycle, not even a self-loop;
-    # given to _sccs reversed, as lists of heads, with the same cycles.
-    tight = True
-    if undef:
-        number = {a: i for i, a in enumerate(undef)}
-        heads_of = [[(False, number[heads[k]]) for k in waiting[a]] for a in undef]
-        tight = all(len(c) == 1 and (False, c[0]) not in heads_of[c[0]] for c in _sccs(heads_of))
+
+    # The components, by union-find over the positions in undef: each
+    # clause joins its head with every literal inside, positive (the
+    # clauses in waiting) and negated.
+    number = {a: i for i, a in enumerate(undef)}
+    root = list(range(len(undef)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    def join(a: int, b: int) -> None:
+        root[find(number[a])] = find(number[b])
+
+    for a in undef:
+        for k in waiting[a]:
+            join(a, heads[k])
+    for k, neg in negated:
+        for b in neg:
+            join(b, heads[k])
+    part = {a: find(i) for i, a in enumerate(undef)}
+    orders: dict[int, list[int]] = {}  # each component's atoms, in name order
+    for a in undef:
+        orders.setdefault(part[a], []).append(a)
+    clauses: dict[int, list[int]] = {p: [] for p in orders}
+    for k, a in enumerate(heads):
+        clauses[part[a]].append(k)
+    negated_in: dict[int, list[tuple[int, list[int]]]] = {p: [] for p in orders}
+    for k, neg in negated:
+        negated_in[part[heads[k]]].append((k, neg))
+    # A component is tight when its positive graph, an edge from each
+    # positive literal to its clause's head, has no cycle, not even a
+    # self-loop.  The graph of the whole residual, given to _sccs
+    # reversed, as lists of heads, has the same cycles, and each lies
+    # inside one component.
+    heads_of = [[(False, number[heads[k]]) for k in waiting[a]] for a in undef]
+    cyclic = {
+        part[undef[c[0]]] for c in _sccs(heads_of) if len(c) > 1 or (False, c[0]) in heads_of[c[0]]
+    }
 
     def assign(atom: int, v: bool, trail: list[int]) -> bool:
         """Set atom to v and every atom that forces: the head of a clause
@@ -270,49 +329,66 @@ def stable_models(
                         live[heads[k]] += 1
             value[atom] = None
 
-    # Depth-first over the Undef atoms, True before False, with an
-    # explicit stack of decisions: (position in undef, on its second
-    # branch, atoms it set).  Every atom before a decision's position is
-    # set, so the scan for the next free atom resumes after it.  An
-    # accepted model is the shared true atoms and their sorted names,
+    # Depth-first over each component's atoms, True before False, with
+    # an explicit stack of decisions: (position in the component's
+    # order, on its second branch, atoms it set).  Every atom before a
+    # decision's position is set, so the scan for the next free atom
+    # resumes after it.  Propagation never leaves the component, and the
+    # search ends with every atom of it unset again.  A model of the
+    # component is the mask of its true atoms, with bit
+    # len(undef) - 1 - i for undef[i].
+    bit = {a: 1 << (len(undef) - 1 - i) for i, a in enumerate(undef)}
+    out = [False] * len(wf)
+    masks = [0]
+    for p, order in orders.items():
+        found: list[int] = []
+        decisions: list[tuple[int, bool, list[int]]] = []
+        consistent = True
+        tight = p not in cyclic
+        while True:
+            if consistent:
+                free = decisions[-1][0] + 1 if decisions else 0
+                while free < len(order) and value[order[free]] is not None:
+                    free += 1
+                if free < len(order):
+                    decisions.append((free, False, []))
+                    consistent = assign(order[free], True, decisions[-1][2])
+                    continue
+                # a consistent leaf is a supported model of the
+                # component, stable when the component is tight;
+                # otherwise stable when it is the least model of its own
+                # reduct, which agrees with the well-founded model on
+                # every decided atom, so only the component's atoms, its
+                # least model, are compared
+                if not tight:
+                    _least(order, clauses[p], heads, counts, negated_in[p], waiting, value, out)
+                if tight or all(out[a] == value[a] for a in order):
+                    found.append(sum(bit[a] for a in order if value[a]))
+            while decisions and decisions[-1][1]:
+                undo(decisions.pop()[2])
+            if not decisions:
+                break
+            pos, _, trail = decisions.pop()
+            undo(trail)
+            decisions.append((pos, True, []))
+            consistent = assign(order[pos], False, decisions[-1][2])
+        if not found:
+            return []
+        masks = [m + f for m in masks for f in found]
+    masks.sort(reverse=True)
+
+    # An accepted model is the shared true atoms and their sorted names,
     # each Undef atom true in it added at its place among them.
     base = frozenset(wf_true)
     shared = sorted([atoms[a] for a in wf_true])
     place = {a: bisect(shared, atoms[a]) for a in undef}
     models: list[_Model] = []
-    out = [False] * len(wf)
-    decisions: list[tuple[int, bool, list[int]]] = []
-    consistent = True
-    while True:
-        if consistent:
-            free = decisions[-1][0] + 1 if decisions else 0
-            while free < len(undef) and value[undef[free]] is not None:
-                free += 1
-            if free < len(undef):
-                decisions.append((free, False, []))
-                consistent = assign(undef[free], True, decisions[-1][2])
-                continue
-            # a consistent leaf is a supported model of the residual,
-            # stable when the residual is tight; otherwise stable when
-            # it is the least model of its own reduct, which agrees with
-            # the well-founded model on every decided atom, so only its
-            # Undef atoms, the residual's least model, are compared
-            if not tight:
-                _least(undef, heads, counts, ready, negated, waiting, value, out)
-            if tight or all(out[a] == value[a] for a in undef):
-                own = [a for a in undef if value[a]]
-                names = shared.copy()
-                for a in reversed(own):  # from the last place back
-                    names.insert(place[a], atoms[a])
-                m = _Model(base.union(own))
-                m.names = tuple(names)
-                models.append(m)
-        while decisions and decisions[-1][1]:
-            undo(decisions.pop()[2])
-        if not decisions:
-            break
-        pos, _, trail = decisions.pop()
-        undo(trail)
-        decisions.append((pos, True, []))
-        consistent = assign(undef[pos], False, decisions[-1][2])
+    for mask in masks:
+        own = [a for a in undef if mask & bit[a]]
+        names = shared.copy()
+        for a in reversed(own):  # from the last place back
+            names.insert(place[a], atoms[a])
+        m = _Model(base.union(own))
+        m.names = tuple(names)
+        models.append(m)
     return models

@@ -415,9 +415,24 @@ def cmd_ext(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        """Drop a help or usage text that cannot be written (a broken
+        pipe, a closed or read-only descriptor), so that the exit code
+        stays 0 for help and 2 for a usage error.  argparse does this
+        itself from Python 3.11 on; before, the failed write escapes
+        `parse_args` as a traceback and exit code 1."""
+        if message:
+            file = file or sys.stderr
+            try:
+                file.write(message)
+            except (AttributeError, OSError):
+                pass
+
+
 @functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hopes",
         description="Higher-order logic programs with negation: checking, "
         "grounding, graded models, and extensionality analysis.",

@@ -636,9 +636,9 @@ def test_no_stderr_keeps_output_and_exit_codes(redirect, unbuffered):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
 
-    def hopes(path):
+    def hopes(*argv):
         return subprocess.run(
-            ["sh", "-c", f'exec "$0" -m hopes model "$1" {redirect}', sys.executable, str(path)],
+            ["sh", "-c", f'exec "$0" -m hopes model "$@" {redirect}', sys.executable, *map(str, argv)],
             stdout=subprocess.PIPE,
             text=True,
             env=env,
@@ -648,6 +648,9 @@ def test_no_stderr_keeps_output_and_exit_codes(redirect, unbuffered):
     assert (proc.returncode, proc.stdout) == (0, "p = ZERO\nq = ZERO\ndepth = 0\n")
     proc = hopes(program_path("no_such_file"))
     assert (proc.returncode, proc.stdout) == (2, "")
+    # a usage error, whose message argparse writes itself (the usage
+    # line to stdout where sys.stderr is None)
+    assert hopes().returncode == 2
 
 
 def negation_chain(n: int) -> str:
@@ -695,11 +698,12 @@ def test_broken_pipe_is_a_front_end_failure(tmp_path, clauses, unbuffered):
 
 
 def test_help_into_a_broken_pipe_is_quiet():
-    # the help text waits in the buffer, and argparse exits 0 before it
-    # is flushed; an unbuffered stdout is left out, as argparse before
-    # Python 3.11 lets the failed write of the help text through
-    proc = run_into_broken_pipe(["--help"], "")
-    assert (proc.returncode, proc.stderr) == (0, "")
+    # a buffered stdout keeps the help text until the flush at exit; an
+    # unbuffered one fails in argparse's own write, which argparse
+    # before Python 3.11 does not catch
+    for unbuffered in ("", "1"):
+        proc = run_into_broken_pipe(["--help"], unbuffered)
+        assert (proc.returncode, proc.stderr) == (0, ""), unbuffered
 
 
 def test_closed_stdout_is_a_front_end_failure():

@@ -3,11 +3,13 @@
 Every stage record (alpha, newly true, newly false and the derived
 snapshot), the values and the depth must equal those of
 ``tests/reference_engine.py``, and the three-valued collapse must equal
-the independently computed well-founded model, on the corpus, on
-seeded random ground programs and on the benchmark's evaluation shapes
-(negation chains, layered DAGs, random programs with negative cycles).
-The scaling guards at the end bound the time and memory of the shapes
-on which the reference grows quadratically.
+the independently computed well-founded model of
+``tests/reference_wf.py``, on the corpus, on seeded random ground
+programs, on negation-heavy programs whose Undef components feed
+higher components, and on the benchmark's evaluation shapes (negation
+chains, layered DAGs, random programs with negative cycles).  The
+scaling guards at the end bound the time and memory of the shapes on
+which the references grow quadratically.
 """
 
 import random
@@ -17,7 +19,7 @@ import tracemalloc
 import pytest
 
 from hopes import cli
-from hopes.classical import collapse
+from hopes.classical import Tv3, collapse, wf_oracle
 from hopes.engine import minimum_model
 from hopes.herbrand import GroundProgram
 
@@ -27,14 +29,17 @@ from reference_paper import snapshot
 from reference_wf import wf_oracle as reference_wf_oracle
 
 
-def assert_same_as_reference(g: GroundProgram) -> None:
+def assert_same_as_reference(g: GroundProgram) -> list[Tv3]:
+    """The checks above; returns the well-founded model."""
     got, expected = minimum_model(g), reference_minimum_model(g)
     assert got.values == expected.values, g.to_text()
     assert got.depth == expected.depth, g.to_text()
     assert [
         (r.alpha, r.newly_true, r.newly_false, snapshot(r, got.values)) for r in got.stages
     ] == [(r.alpha, r.newly_true, r.newly_false, r.snapshot) for r in expected.stages]
-    assert collapse(got) == reference_wf_oracle(g), g.to_text()
+    wf = collapse(got)
+    assert wf == reference_wf_oracle(g), g.to_text()
+    return wf
 
 
 def random_program(rng: random.Random, n: int, clauses: int, neg_rate: float, loops: int = 0):
@@ -101,26 +106,83 @@ def test_corpus_matches_reference(name):
 
 
 def test_random_programs_match_reference():
-    rng = random.Random(20240607)
-    for _ in range(1000):
-        assert_same_as_reference(random_ground_program(rng))
+    for seed, count in ((20240607, 1000), (19890329, 2000)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            assert_same_as_reference(random_ground_program(rng))
 
 
 @pytest.mark.parametrize("neg_rate", [0.2, 0.5, 0.8])
 def test_random_programs_with_loops_match_reference(neg_rate):
-    rng = random.Random(f"loops {neg_rate}")
-    deep = 0
-    for _ in range(400):
-        n = rng.randint(1, 24)
-        g = random_program(rng, n, rng.randint(0, 2 * n), neg_rate, loops=rng.randint(0, 3))
-        assert_same_as_reference(g)
-        deep += minimum_model(g).depth >= 3
-    assert deep >= 20  # enough programs that need several stages
+    deep = {}
+    for seed, count in ((f"loops {neg_rate}", 400), (f"wf loops {neg_rate}", 300)):
+        rng = random.Random(seed)
+        deep[seed] = 0
+        for _ in range(count):
+            n = rng.randint(1, 24)
+            g = random_program(rng, n, rng.randint(0, 2 * n), neg_rate, loops=rng.randint(0, 3))
+            assert_same_as_reference(g)
+            deep[seed] += minimum_model(g).depth >= 3
+    assert deep[f"loops {neg_rate}"] >= 20  # enough programs that need several stages
+
+
+def undef_fed_program(rng: random.Random) -> GroundProgram:
+    """Even loops (u0 :- ~u1, u1 :- ~u0) and odd loops (a lone v :- ~v
+    or a negative three-cycle) whose atoms are Undef, a few facts and
+    atoms with no clause, and above them a layer of random clauses that
+    read the loops through positive and negated literals.  The upper
+    layer also holds a negation chain closed into one component by a
+    back edge whose clause is dropped (it reads ~t for a fact t), so
+    that component needs several alternating rounds."""
+    specs = []
+    base = []
+    for i in range(rng.randint(1, 3)):
+        u = [f"e{i}_0", f"e{i}_1"]
+        specs += [(u[0], [], [u[1]]), (u[1], [], [u[0]])]
+        base += u
+    for i in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            specs.append((f"o{i}", [], [f"o{i}"]))
+            base.append(f"o{i}")
+        else:
+            o = [f"o{i}_{j}" for j in range(3)]
+            specs += [(o[j], [], [o[(j + 1) % 3]]) for j in range(3)]
+            base += o
+    facts = [f"f{i}" for i in range(rng.randint(0, 2))]
+    specs += [(f, [], []) for f in facts]
+    empty = [f"z{i}" for i in range(rng.randint(0, 2))]
+    base += facts + empty
+    upper = [f"h{i:02d}" for i in range(rng.randint(1, 12))]
+    for _ in range(rng.randint(1, 2 * len(upper))):
+        pos, neg = [], []
+        for _ in range(rng.randint(1, 4)):
+            b = rng.choice(base + upper)
+            (neg if rng.random() < 0.5 else pos).append(b)
+        specs.append((rng.choice(upper), pos, neg))
+    length = rng.randint(2, 8)
+    links = [f"c{i}" for i in range(length)]
+    specs += [(links[i], [], [links[i - 1]]) for i in range(1, length)]
+    specs += [("t", [], []), (links[0], [links[-1]], ["t"])]
+    specs.append((rng.choice(upper), [rng.choice(links)], [rng.choice(base)]))
+    atoms = sorted({a for head, pos, neg in specs for a in [head, *pos, *neg]} | set(base))
+    return GroundProgram.build(atoms, specs)
+
+
+def test_undef_components_feeding_higher_ones_match_reference():
+    rng = random.Random(1995)
+    fed = 0
+    for _ in range(1500):
+        g = undef_fed_program(rng)
+        values = assert_same_as_reference(g)
+        fed += any(
+            values[g.atom_index[a]] is Tv3.UNDEF for a in g.atoms if a.startswith("h")
+        )
+    assert fed >= 300  # enough programs where an upper atom inherits Undef
 
 
 def test_shapes_match_reference():
     rng = random.Random(43)
-    for g in (
+    shapes = [
         chain(1),
         chain(2),
         chain(200),
@@ -128,7 +190,17 @@ def test_shapes_match_reference():
         layered_dag(rng, 3, 200),
         cyclic_program(rng, 300),
         cyclic_program(rng, 40),
-    ):
+    ]
+    rng = random.Random(211)
+    shapes += [
+        chain(400),
+        layered_dag(rng, 8, 200),
+        layered_dag(rng, 3, 200),
+        cyclic_program(rng, 300),
+        cyclic_program(rng, 300),
+        cyclic_program(rng, 40),
+    ]
+    for g in shapes:
         assert_same_as_reference(g)
 
 
@@ -137,9 +209,11 @@ def test_snapshot_is_derived_from_the_final_values():
     assert [str(v) for v in snapshot(m.stages[1], m.values)] == ["T0", "F1", "F2", "F2", "F2"]
 
 
-# The reference takes 1.4 s and an 84 MB traced peak on the 3200-atom
-# chain, and the CLI 1.5 s on it; the bounds leave room for a slow host,
-# not for quadratic growth.
+# The reference engine takes 1.4 s and an 84 MB traced peak on the
+# 3200-atom chain, and the CLI 1.5 s on it; the reference well-founded
+# model takes 0.8-1 s, since it needs 1600 alternating rounds over the
+# whole program, and `hopes wf` about 0.05 s more.  The bounds leave
+# room for a slow host, not for quadratic growth.
 
 
 def test_chain_scales():
@@ -157,6 +231,13 @@ def test_chain_scales():
     assert peak < 16 * 2**20
 
 
+def test_wf_chain_scales():
+    started = time.perf_counter()
+    values = wf_oracle(chain(3200))
+    assert time.perf_counter() - started < 0.25
+    assert values == [Tv3.TRUE, Tv3.FALSE] * 1600
+
+
 def test_layered_dag_scales():
     g = layered_dag(random.Random(8), 8, 400)
     started = time.perf_counter()
@@ -164,13 +245,19 @@ def test_layered_dag_scales():
     assert time.perf_counter() - started < 0.5
 
 
-def test_cli_trace_on_long_chain(tmp_path, capsys):
-    n = 3200
+def chain_file(tmp_path, n: int):
+    """``chain(n)`` as a source file, with a ``#pred`` line per atom."""
     atoms = [f"a{i:04d}" for i in range(n)]
     lines = [f"#pred {a} : o." for a in atoms] + [f"{atoms[0]}."]
     lines += [f"{atoms[i]} :- ~{atoms[i - 1]}." for i in range(1, n)]
     path = tmp_path / "chain.hop"
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_cli_trace_on_long_chain(tmp_path, capsys):
+    n = 3200
+    path = chain_file(tmp_path, n)
     started = time.perf_counter()
     code = cli.main(["model", str(path), "--trace"])
     elapsed = time.perf_counter() - started
@@ -178,3 +265,15 @@ def test_cli_trace_on_long_chain(tmp_path, capsys):
     assert code == 0
     assert elapsed < 1.0
     assert sum(line.startswith("stage ") for line in out.splitlines()) == n
+
+
+def test_cli_wf_on_long_chain(tmp_path, capsys):
+    n = 3200
+    path = chain_file(tmp_path, n)
+    started = time.perf_counter()
+    code = cli.main(["wf", str(path)])
+    elapsed = time.perf_counter() - started
+    out = capsys.readouterr().out
+    assert code == 0
+    assert elapsed < 0.5
+    assert len(out.splitlines()) == n

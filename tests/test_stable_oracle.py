@@ -7,7 +7,11 @@ seed matters: a choice that leaves a supported but unfounded loop,
 pure unfounded cycles, and programs whose well-founded model is total.
 The search accepts the leaves of a tight residual without a least-model
 pass, so the seeded programs must cover tight and non-tight residuals,
-and a supported model that is not stable must still be refused.
+and a supported model that is not stable must still be refused.  It
+searches each independent component of the residual once and combines
+their models, so programs of several components, whose atoms interleave
+in name order, must come out in the reference's order, and a component
+with no model must leave the program with none.
 """
 
 import random
@@ -54,21 +58,37 @@ def negation_heavy_program(rng: random.Random) -> GroundProgram:
     return GroundProgram.build(atoms, clauses)
 
 
-def residual_shape(g: GroundProgram) -> str:
-    """``total`` when the well-founded model leaves no atom Undef, else
-    whether the residual program is ``tight``: its positive graph, from
-    each Undef positive literal of a clause of an Undef atom with no
-    literal false to the clause's head, has no cycle."""
+def residual_components(g: GroundProgram) -> list[tuple[set[int], bool]]:
+    """The components of the residual program, each with whether it is
+    tight.  The residual is every clause of an atom the well-founded
+    model leaves Undef with no literal false, over its Undef literals.
+    Two Undef atoms are in one component when a chain of such clauses,
+    each holding two of them as head or literal of either sign, links
+    them.  A component is tight when its positive graph, from each
+    Undef positive literal of a clause to the clause's head, has no
+    cycle."""
     wf = reference_wf(g)
     undef = {a for a, v in enumerate(wf) if v is Tv3.UNDEF}
-    if not undef:
-        return "total"
+    linked = {a: set() for a in undef}
     succ = {a: [] for a in undef}
     for c in g.clauses:
         if c.head in undef and not any(wf[a] is (Tv3.TRUE if neg else Tv3.FALSE) for neg, a in c.literals):
             for neg, a in c.literals:
-                if not neg and a in undef:
-                    succ[a].append(c.head)
+                if a in undef:
+                    linked[a].add(c.head)
+                    linked[c.head].add(a)
+                    if not neg:
+                        succ[a].append(c.head)
+    components: list[set[int]] = []
+    for a in sorted(undef):
+        if any(a in comp for comp in components):
+            continue
+        comp, todo = {a}, [a]
+        while todo:
+            for b in linked[todo.pop()] - comp:
+                comp.add(b)
+                todo.append(b)
+        components.append(comp)
     state = {}  # on the DFS path (True) or finished (False)
 
     def cyclic(a) -> bool:
@@ -79,7 +99,16 @@ def residual_shape(g: GroundProgram) -> str:
         state[a] = False
         return False
 
-    return "non-tight" if any(a not in state and cyclic(a) for a in sorted(undef)) else "tight"
+    return [(comp, not any(a not in state and cyclic(a) for a in sorted(comp))) for comp in components]
+
+
+def residual_shape(g: GroundProgram) -> str:
+    """``total`` when the well-founded model leaves no atom Undef, else
+    whether the residual program is ``tight``: every component is."""
+    parts = residual_components(g)
+    if not parts:
+        return "total"
+    return "tight" if all(tight for _, tight in parts) else "non-tight"
 
 
 def test_random_programs_match_reference():
@@ -91,6 +120,78 @@ def test_random_programs_match_reference():
         shapes[residual_shape(g)] += 1
         assert stable_models(g) == reference_stable_models(g), g.to_text()
     assert shapes["tight"] >= 250 and shapes["non-tight"] >= 100, shapes
+
+
+# Blocks of clauses over the letters of their own atoms: an even loop
+# (tight, two models), the non-tight gadget of a positive loop that a
+# choice can leave unfounded (two models), a three-way choice (three
+# models) and a lone odd loop (no model).
+BLOCKS = {
+    "even": [("x", [], ["y"]), ("y", [], ["x"])],
+    "gadget": [("p", ["q"], []), ("q", ["p"], []), ("p", [], ["x"]), ("x", [], ["y"]), ("y", [], ["x"])],
+    "triple": [("a", [], ["b", "c"]), ("b", [], ["a", "c"]), ("c", [], ["a", "b"])],
+    "odd": [("x", [], ["x"])],
+}
+
+
+def multi_component_program(rng: random.Random) -> GroundProgram:
+    """Three to five blocks over disjoint atoms, each a block of
+    ``BLOCKS`` or a random negation-heavy one, beside three atoms that
+    the well-founded model decides: the fact ``f``, ``n`` with no
+    clause and ``t :- ~n``.  Block b's atoms are named by letter and b
+    (``x0``, ``y0``, ``x1``), so the blocks interleave in name order,
+    and numbered block by block.  A block's clauses may also read the
+    decided atoms, mostly through a literal that is true (which the
+    residual drops), now and then through one that is false (which
+    drops the clause): those shared atoms must not join two blocks."""
+    atoms = ["f", "n", "t"]
+    specs = [("f", [], []), ("t", [], ["n"])]
+    for b in range(rng.randint(3, 5)):
+        kind = rng.choices(["even", "gadget", "triple", "odd", "random"], [4, 4, 2, 1, 2])[0]
+        if kind == "random":
+            letters = "abcd"[: rng.randint(2, 4)]
+            block = []
+            for _ in range(rng.randint(2, 6)):
+                pos, neg = [], []
+                for _ in range(rng.randint(1, 3)):
+                    (neg if rng.random() < 0.7 else pos).append(rng.choice(letters))
+                block.append((rng.choice(letters), pos, neg))
+        else:
+            block = BLOCKS[kind]
+            letters = sorted({a for head, pos, neg in block for a in [head, *pos, *neg]})
+        atoms += [f"{x}{b}" for x in letters]
+        for head, pos, neg in block:
+            pos, neg = [f"{x}{b}" for x in pos], [f"{x}{b}" for x in neg]
+            r = rng.random()
+            if r < 0.3:
+                sign, a = rng.choice([(pos, "f"), (pos, "t"), (neg, "n")])
+                sign.append(a)
+            elif r < 0.35:
+                sign, a = rng.choice([(pos, "n"), (neg, "f"), (neg, "t")])
+                sign.append(a)
+            specs.append((f"{head}{b}", pos, neg))
+    return GroundProgram.build(atoms, specs)
+
+
+def test_multi_component_programs_match_reference():
+    """Same models, in the same order, with the same names, as the
+    reference, on residuals of several components, with floors on each
+    kind of program the split must get right."""
+    rng = random.Random(1994)
+    kinds = dict.fromkeys(["three or more", "non-tight beside tight", "shared true atoms", "no model"], 0)
+    for _ in range(400):
+        g = multi_component_program(rng)
+        got, expected = stable_models(g), reference_stable_models(g)
+        assert got == expected, g.to_text()
+        assert [list(m.names) for m in got] == names(g, expected), g.to_text()
+        parts = residual_components(g)
+        shared = {g.atom_index["f"], g.atom_index["t"]}
+        kinds["three or more"] += len(parts) >= 3
+        kinds["non-tight beside tight"] += any(t for _, t in parts) and not all(t for _, t in parts)
+        kinds["shared true atoms"] += len(parts) >= 2 and len(got) >= 2 and all(shared <= m for m in got)
+        kinds["no model"] += len(parts) >= 2 and not got
+    assert kinds["three or more"] >= 250 and kinds["non-tight beside tight"] >= 200, kinds
+    assert kinds["shared true atoms"] >= 150 and kinds["no model"] >= 120, kinds
 
 
 def test_unfounded_loop_behind_a_choice():
@@ -142,6 +243,35 @@ def test_tight_residual_needs_no_least_model_pass(monkeypatch):
     assert len(stable_models(loops)) == 4096
     assert count(stable_models, loops) == 0
     assert count(stable_models, supported_not_stable()) > 0
+
+
+def gadgets(n: int) -> GroundProgram:
+    """n copies of ``supported_not_stable``'s program, which the
+    well-founded model leaves wholly Undef: a residual of n non-tight
+    components of four atoms each."""
+    atoms, clauses = [], []
+    for i in range(n):
+        p, q, x, y = (f"{a}{i}" for a in "pqxy")
+        atoms += [p, q, x, y]
+        clauses += [(p, [q], []), (q, [p], []), (p, [], [x]), (x, [], [y]), (y, [], [x])]
+    return GroundProgram.build(atoms, clauses)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_each_component_is_searched_once(monkeypatch, n):
+    """Counted: each copy of the gadget is searched on its own, and its
+    search has three consistent leaves, {p, q, x} (supported, not
+    stable), {p, q, y} and {x}, each with one least-model pass, so n
+    copies take 3n passes for their 2^n models (one search over the
+    whole residual takes 3^n, 6,561 at n = 8)."""
+    calls = []
+    least = classical._least
+    monkeypatch.setattr(classical, "_least", lambda *args: calls.append(1) or least(*args))
+    g = gadgets(n)
+    models = stable_models(g, cap=4 * n)
+    assert len(calls) == 3 * n
+    assert len(models) == 2**n
+    assert models == reference_stable_models(g, cap=4 * n)
 
 
 def test_pure_unfounded_cycles():
