@@ -106,24 +106,21 @@ def test_corpus_matches_reference(name):
 
 
 def test_random_programs_match_reference():
-    for seed, count in ((20240607, 1000), (19890329, 2000)):
-        rng = random.Random(seed)
-        for _ in range(count):
-            assert_same_as_reference(random_ground_program(rng))
+    rng = random.Random(20240607)
+    for _ in range(1000):
+        assert_same_as_reference(random_ground_program(rng))
 
 
 @pytest.mark.parametrize("neg_rate", [0.2, 0.5, 0.8])
 def test_random_programs_with_loops_match_reference(neg_rate):
-    deep = {}
-    for seed, count in ((f"loops {neg_rate}", 400), (f"wf loops {neg_rate}", 300)):
-        rng = random.Random(seed)
-        deep[seed] = 0
-        for _ in range(count):
-            n = rng.randint(1, 24)
-            g = random_program(rng, n, rng.randint(0, 2 * n), neg_rate, loops=rng.randint(0, 3))
-            assert_same_as_reference(g)
-            deep[seed] += minimum_model(g).depth >= 3
-    assert deep[f"loops {neg_rate}"] >= 20  # enough programs that need several stages
+    rng = random.Random(f"loops {neg_rate}")
+    deep = 0
+    for _ in range(400):
+        n = rng.randint(1, 24)
+        g = random_program(rng, n, rng.randint(0, 2 * n), neg_rate, loops=rng.randint(0, 3))
+        assert_same_as_reference(g)
+        deep += minimum_model(g).depth >= 3
+    assert deep >= 20  # enough programs that need several stages
 
 
 def undef_fed_program(rng: random.Random) -> GroundProgram:
@@ -182,7 +179,7 @@ def test_undef_components_feeding_higher_ones_match_reference():
 
 def test_shapes_match_reference():
     rng = random.Random(43)
-    shapes = [
+    for g in (
         chain(1),
         chain(2),
         chain(200),
@@ -190,17 +187,7 @@ def test_shapes_match_reference():
         layered_dag(rng, 3, 200),
         cyclic_program(rng, 300),
         cyclic_program(rng, 40),
-    ]
-    rng = random.Random(211)
-    shapes += [
-        chain(400),
-        layered_dag(rng, 8, 200),
-        layered_dag(rng, 3, 200),
-        cyclic_program(rng, 300),
-        cyclic_program(rng, 300),
-        cyclic_program(rng, 40),
-    ]
-    for g in shapes:
+    ):
         assert_same_as_reference(g)
 
 
