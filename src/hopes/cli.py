@@ -224,13 +224,20 @@ def cmd_model(args) -> int:
     m = engine.minimum_model(g)
     order = sorted(range(len(g.atoms)), key=_model_sort_key(g, m.values))
 
+    def stages() -> list[tuple[list[str], list[str]]]:
+        """Per stage alpha, the atoms of value T_alpha and F_alpha, by name."""
+        decided = [([], []) for _ in range(m.depth)]
+        for a in order:
+            v = m.values[a]
+            if not v.is_zero:
+                decided[v.index][0 if v.is_true else 1].append(g.atoms[a])
+        return decided
+
     def text() -> str:
         lines = []
         if args.trace:
-            for rec in m.stages:
-                ts = ", ".join(sorted(g.atoms[a] for a in rec.newly_true))
-                fs = ", ".join(sorted(g.atoms[a] for a in rec.newly_false))
-                lines.append(f"stage {rec.alpha}: true = {{{ts}}} false = {{{fs}}}")
+            for alpha, (ts, fs) in enumerate(stages()):
+                lines.append(f"stage {alpha}: true = {{{', '.join(ts)}}} false = {{{', '.join(fs)}}}")
         lines.extend(f"{g.atoms[a]} = {m.values[a]}" for a in order)
         lines.append(f"depth = {m.depth}")
         return "\n".join(lines) + "\n"
@@ -250,12 +257,7 @@ def cmd_model(args) -> int:
         }
         if args.trace:
             obj["trace"] = [
-                {
-                    "stage": rec.alpha,
-                    "true": sorted(g.atoms[a] for a in rec.newly_true),
-                    "false": sorted(g.atoms[a] for a in rec.newly_false),
-                }
-                for rec in m.stages
+                {"stage": alpha, "true": ts, "false": fs} for alpha, (ts, fs) in enumerate(stages())
             ]
         return obj
 
@@ -428,6 +430,12 @@ class _ArgumentParser(argparse.ArgumentParser):
                 file.write(message)
             except (AttributeError, OSError):
                 pass
+
+    def error(self, message):
+        # print_usage would take a None stderr (descriptor 2 closed) for stdout
+        if sys.stderr is None:
+            self.exit(2)
+        super().error(message)
 
 
 @functools.cache

@@ -57,10 +57,10 @@ the unfounded sets):
   those that no clause supports again form the greatest unfounded set
   and settle false.
 
-A stage with no events decides nothing and ends the loop.  Each stage
-record in ``InfModel.stages`` keeps only the atoms the stage decided,
-so the records take linear space in total; the interpretation a stage
-hands on follows from its order and the final values.
+A stage with no events decides nothing and ends the loop.  The atoms
+that stage alpha decided are exactly those of value T_alpha or F_alpha,
+so no record of a stage is kept: ``model --trace`` reads each stage off
+the final values, and so does the interpretation a stage hands on.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ from dataclasses import dataclass
 from . import truth
 from .herbrand import GroundProgram
 from .truth import TruthValue, ZERO
-
-Interpretation = list[TruthValue]
 
 
 class UnknownAtom(Exception):
@@ -85,20 +83,10 @@ class UnknownAtom(Exception):
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class StageRecord:
-    """The atoms that stage ``alpha`` decided."""
-
-    alpha: int
-    newly_true: frozenset[int]
-    newly_false: frozenset[int]
-
-
-@dataclass(slots=True, unsafe_hash=True)
 class InfModel:
     ground: GroundProgram
     values: tuple[TruthValue, ...]
     depth: int
-    stages: tuple[StageRecord, ...]
 
     def value_of(self, atom: str) -> TruthValue:
         if atom not in self.ground.atom_index:
@@ -124,7 +112,6 @@ def minimum_model(g: GroundProgram) -> InfModel:
     source = [-1] * n  # the clause that supports an undecided atom
     ready = [heads[k] for k, p in enumerate(pending) if not p]
     lost: list[int] = list(range(n))  # at stage 0 no atom has a source yet
-    decided: list[tuple[frozenset[int], frozenset[int]]] = []
     alpha = 0
     while ready or lost:
         t_val, f_val = truth.true_at(alpha), truth.false_at(alpha)
@@ -188,7 +175,6 @@ def minimum_model(g: GroundProgram) -> InfModel:
             value[a] = f_val
             for k in pos_in[a]:
                 blocking[k] += 1
-        decided.append((frozenset(newly_true), frozenset(unfounded)))
         alpha += 1
 
         # events of the next stage: a negative literal is satisfied, or
@@ -206,6 +192,4 @@ def minimum_model(g: GroundProgram) -> InfModel:
                 if source[heads[k]] == k:
                     lost.append(heads[k])
 
-    final = tuple(v or ZERO for v in value)
-    records = tuple(StageRecord(i, t, f) for i, (t, f) in enumerate(decided))
-    return InfModel(g, final, alpha, records)
+    return InfModel(g, tuple(v or ZERO for v in value), alpha)

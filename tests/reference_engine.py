@@ -5,7 +5,9 @@ the model condition checked on the source program.
 Each stage rescans every undecided atom to a least fixpoint of new
 truths and a greatest fixpoint of new falsities, and each stage record
 stores a full copy of the interpretation it hands on, so time and
-memory both grow quadratically on a negation chain.
+memory both grow quadratically on a negation chain.  The engine keeps
+no records: the tests compare these with the stages that
+``reference_paper.stages`` reads off the engine's values.
 
 ``check_model_ho`` tests a model against every clause instance of the
 source program at depth k, as Bezem's condition asks, not against the
@@ -19,12 +21,12 @@ from dataclasses import dataclass
 
 from hopes import truth
 from hopes.ast import Eq, Expression, Neg, TypedProgram, expr_to_str
-from hopes.engine import InfModel, Interpretation
+from hopes.engine import InfModel
 from hopes.herbrand import DEFAULT_BUDGET, GroundProgram
 from hopes.truth import F0, T0, TruthValue, ZERO
 
 from reference_grounder import normalize_equality, reference_iter_ground_instances
-from reference_paper import head_expr, substitute
+from reference_paper import Interpretation, head_expr, substitute
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,9 @@ def stage_fixpoint(
     return frozenset(true_set), frozenset(false_set)
 
 
-def minimum_model(g: GroundProgram) -> InfModel:
-    """Run stages until one decides nothing; undecided atoms become 0."""
+def minimum_model(g: GroundProgram) -> tuple[InfModel, tuple[StageRecord, ...]]:
+    """Run stages until one decides nothing; undecided atoms become 0.
+    Returns the model and the record of each stage."""
     n = len(g.atoms)
     current: Interpretation = [F0] * n
     records: list[StageRecord] = []
@@ -110,7 +113,7 @@ def minimum_model(g: GroundProgram) -> InfModel:
     final = tuple(
         v if truth.order(v) < depth else ZERO for v in current
     )
-    return InfModel(g, final, depth, tuple(records))
+    return InfModel(g, final, depth), tuple(records)
 
 
 def valuate_expression(tp: TypedProgram, m: InfModel, e: Expression) -> TruthValue:

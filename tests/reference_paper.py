@@ -4,11 +4,11 @@ results against them.
 None of these is on a path the CLI runs: the one-step consequence
 operator T_P and the model condition over ground clauses, the stage
 order between interpretations (equal or strictly below at order
-alpha, and the ordering built from it), the interpretation a stage
-hands on, least upper bounds and the text form of truth values,
-substitution into source expressions and the printing of parsed
-programs, the classes of simple types, and extensional equality at
-one type as a relation between terms.
+alpha, and the ordering built from it), the atoms each stage decided
+and the interpretation it hands on, least upper bounds and the text
+form of truth values, substitution into source expressions and the
+printing of parsed programs, the classes of simple types, and
+extensional equality at one type as a relation between terms.
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ from enum import Enum
 from hopes import truth
 from hopes.analysis import ExtPlan, _Valuation
 from hopes.ast import App, Clause, Eq, Expression, FunApp, Neg, PredConst, Program, Var, _children
-from hopes.engine import Interpretation, StageRecord
+from hopes.engine import InfModel
 from hopes.herbrand import EmptyUniverse, GroundProgram
 from hopes.truth import F0, T0, TruthValue, ZERO
 from hopes.types import TypeExpr, is_argument, is_functional, is_predicate
+
+Interpretation = list[TruthValue]  # a value per atom, by atom id
 
 # ---------------------------------------------------------------------------
 # truth values
@@ -79,12 +81,23 @@ def is_model(
     return (not violations, violations)
 
 
-def snapshot(rec: StageRecord, values: Sequence[TruthValue]) -> tuple[TruthValue, ...]:
-    """The interpretation stage ``rec.alpha`` hands on, given the
-    model's final ``values``: every atom of order at most alpha at its
-    final value, every other atom at F_(alpha+1)."""
-    f_alpha, t_alpha = truth.false_at(rec.alpha), truth.true_at(rec.alpha)
-    parked = truth.false_at(rec.alpha + 1)
+def stages(m: InfModel) -> list[tuple[int, frozenset[int], frozenset[int]]]:
+    """``(alpha, newly_true, newly_false)`` for each stage alpha below
+    ``m.depth``, read off the final values: stage alpha decided exactly
+    the atoms of value T_alpha and F_alpha."""
+    decided: list[tuple[set[int], set[int]]] = [(set(), set()) for _ in range(m.depth)]
+    for a, v in enumerate(m.values):
+        if not v.is_zero:
+            decided[v.index][0 if v.is_true else 1].add(a)
+    return [(alpha, frozenset(t), frozenset(f)) for alpha, (t, f) in enumerate(decided)]
+
+
+def snapshot(alpha: int, values: Sequence[TruthValue]) -> tuple[TruthValue, ...]:
+    """The interpretation stage alpha hands on, given the model's final
+    ``values``: every atom of order at most alpha at its final value,
+    every other atom at F_(alpha+1)."""
+    f_alpha, t_alpha = truth.false_at(alpha), truth.true_at(alpha)
+    parked = truth.false_at(alpha + 1)
     return tuple(v if v <= f_alpha or v >= t_alpha else parked for v in values)
 
 

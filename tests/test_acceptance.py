@@ -189,27 +189,27 @@ def test_property_suites():
         g = load_ground(name, 2)
         m = minimum_model(g)
         base = [F0] * len(g.atoms)
-        for rec in m.stages:
+        for alpha in range(m.depth):
             it = list(base)
             for _ in range(20):
-                assert compare_alpha(it, list(snapshot(rec, m.values)), rec.alpha) in (
+                assert compare_alpha(it, list(snapshot(alpha, m.values)), alpha) in (
                     Comparison.EQ_ALPHA,
                     Comparison.SQSUBSET_ALPHA,
                 )
                 it = tp_step(g, it)
-            base = list(snapshot(rec, m.values))
+            base = list(snapshot(alpha, m.values))
 
         # each stage's decisions persist through every later stage
-        for i, early in enumerate(m.stages):
-            for late in m.stages[i:]:
+        for early in range(m.depth):
+            for late in range(early, m.depth):
                 assert (
                     compare_alpha(
-                        list(snapshot(early, m.values)), list(snapshot(late, m.values)), early.alpha
+                        list(snapshot(early, m.values)), list(snapshot(late, m.values)), early
                     )
                     is Comparison.EQ_ALPHA
                 )
             assert (
-                compare_alpha(list(snapshot(early, m.values)), list(m.values), early.alpha)
+                compare_alpha(list(snapshot(early, m.values)), list(m.values), early)
                 is Comparison.EQ_ALPHA
             )
 

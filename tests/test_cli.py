@@ -622,6 +622,9 @@ def test_no_stderr_drops_diagnostics(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stderr", None)
     assert run(capsys, "model", program_path("even_loop")) == (0, full, "")
     assert run(capsys, "model", program_path("no_such_file")) == (2, "", "")
+    assert _in_process(capsys, ["model"]) == ("", "", 2)  # a usage error
+    out, err, code = _in_process(capsys, ["--help"])  # help goes to stdout
+    assert (out.startswith("usage: hopes"), err, code) == (True, "", 0)
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -648,9 +651,8 @@ def test_no_stderr_keeps_output_and_exit_codes(redirect, unbuffered):
     assert (proc.returncode, proc.stdout) == (0, "p = ZERO\nq = ZERO\ndepth = 0\n")
     proc = hopes(program_path("no_such_file"))
     assert (proc.returncode, proc.stdout) == (2, "")
-    # a usage error, whose message argparse writes itself (the usage
-    # line to stdout where sys.stderr is None)
-    assert hopes().returncode == 2
+    proc = hopes()  # a usage error, whose message argparse writes itself
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 def negation_chain(n: int) -> str:

@@ -24,6 +24,7 @@ from reference_paper import (
     is_model,
     parse_value,
     snapshot,
+    stages,
     substitute,
     tp_step,
 )
@@ -124,7 +125,7 @@ def test_minimum_model_self_support():
 def test_minimum_model_oscillation_has_no_stages():
     g, m = model_of("even_loop")
     assert m.depth == 0
-    assert m.stages == ()
+    assert stages(m) == []
     assert set(m.values) == {ZERO}
 
 
@@ -166,10 +167,9 @@ def test_facts_take_top_value(name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_every_recorded_stage_decides(name):
     g, m = model_of(name)
-    assert len(m.stages) == m.depth
-    for pos, rec in enumerate(m.stages):
-        assert rec.alpha == pos
-        assert rec.newly_true or rec.newly_false
+    assert all(v.is_zero or v.index < m.depth for v in m.values)
+    for _, newly_true, newly_false in stages(m):
+        assert newly_true or newly_false
 
 
 def test_value_of_unknown_atom():
@@ -192,7 +192,7 @@ def test_compare_alpha_defaults():
 
 def test_compare_alpha_between_stage_snapshots():
     _, m = model_of("defaults")
-    s0, s1 = (list(snapshot(rec, m.values)) for rec in m.stages)
+    s0, s1 = (list(snapshot(alpha, m.values)) for alpha in range(m.depth))
     assert compare_alpha(s0, s1, 0) is Comparison.EQ_ALPHA
     assert compare_alpha(s0, s1, 1) is Comparison.SQSUBSET_ALPHA
 
@@ -210,31 +210,30 @@ def test_aleq_orders_bottom_below_model():
 def test_stage_iterates_stay_under_snapshot(name):
     g, m = model_of(name, 2)
     base = [F0] * len(g.atoms)
-    for rec in m.stages:
+    for alpha in range(m.depth):
         it = list(base)
         for _ in range(12):
-            assert compare_alpha(it, list(snapshot(rec, m.values)), rec.alpha) in (
+            assert compare_alpha(it, list(snapshot(alpha, m.values)), alpha) in (
                 Comparison.EQ_ALPHA,
                 Comparison.SQSUBSET_ALPHA,
             )
             it = tp_step(g, it)
-        base = list(snapshot(rec, m.values))
+        base = list(snapshot(alpha, m.values))
 
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_later_stages_preserve_earlier_levels(name):
     _, m = model_of(name)
-    stages = m.stages
-    for i, early in enumerate(stages):
-        for late in stages[i:]:
+    for early in range(m.depth):
+        for late in range(early, m.depth):
             assert (
                 compare_alpha(
-                    list(snapshot(early, m.values)), list(snapshot(late, m.values)), early.alpha
+                    list(snapshot(early, m.values)), list(snapshot(late, m.values)), early
                 )
                 is Comparison.EQ_ALPHA
             )
         assert (
-            compare_alpha(list(snapshot(early, m.values)), list(m.values), early.alpha)
+            compare_alpha(list(snapshot(early, m.values)), list(m.values), early)
             is Comparison.EQ_ALPHA
         )
 
@@ -266,7 +265,7 @@ def test_check_model_ho_accepts_minimum_model(name):
 def test_check_model_ho_rejects_bottom():
     tp = load("subset")
     g = load_ground("subset", 3)
-    fake = InfModel(g, tuple([F0] * len(g.atoms)), 0, ())
+    fake = InfModel(g, tuple([F0] * len(g.atoms)), 0)
     ok, violations = check_model_ho(tp, fake, 3)
     assert not ok
     head, head_val, body_val = violations[0]

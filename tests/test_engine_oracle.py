@@ -1,9 +1,10 @@
 """The event-driven engine against the stage loop it replaced.
 
-Every stage record (alpha, newly true, newly false and the derived
-snapshot), the values and the depth must equal those of
-``tests/reference_engine.py``, and the three-valued collapse must equal
-the independently computed well-founded model of
+Every stage record (alpha, newly true, newly false and the snapshot),
+read off the engine's values, and the values and the depth must equal
+those of ``tests/reference_engine.py``, and so must the stages that
+``model --trace`` prints; the three-valued collapse must equal the
+independently computed well-founded model of
 ``tests/reference_wf.py``, on the corpus, on seeded random ground
 programs, on negation-heavy programs whose Undef components feed
 higher components, and on the benchmark's evaluation shapes (negation
@@ -12,34 +13,57 @@ scaling guards at the end bound the time and memory of the shapes on
 which the references grow quadratically.
 """
 
+import json
 import random
 import time
 import tracemalloc
 
 import pytest
 
-from hopes import cli
+from hopes import cli, ground_instantiate, parse_program, typecheck
 from hopes.classical import Tv3, collapse, wf_oracle
 from hopes.engine import minimum_model
 from hopes.herbrand import GroundProgram
 
-from conftest import CORPUS, load_ground, random_ground_program
+from conftest import CORPUS, load_ground, program_path, random_ground_program
 from reference_engine import minimum_model as reference_minimum_model
-from reference_paper import snapshot
+from reference_paper import snapshot, stages
 from reference_wf import wf_oracle as reference_wf_oracle
 
 
 def assert_same_as_reference(g: GroundProgram) -> list[Tv3]:
     """The checks above; returns the well-founded model."""
-    got, expected = minimum_model(g), reference_minimum_model(g)
+    got, (expected, records) = minimum_model(g), reference_minimum_model(g)
     assert got.values == expected.values, g.to_text()
     assert got.depth == expected.depth, g.to_text()
-    assert [
-        (r.alpha, r.newly_true, r.newly_false, snapshot(r, got.values)) for r in got.stages
-    ] == [(r.alpha, r.newly_true, r.newly_false, r.snapshot) for r in expected.stages]
+    assert [(alpha, t, f, snapshot(alpha, got.values)) for alpha, t, f in stages(got)] == [
+        (r.alpha, r.newly_true, r.newly_false, r.snapshot) for r in records
+    ]
     wf = collapse(got)
     assert wf == reference_wf_oracle(g), g.to_text()
     return wf
+
+
+def assert_trace_is_reference(capsys, path, k: int) -> None:
+    """``model --trace``, in JSON and in text, names the atoms of each
+    stage record of ``tests/reference_engine.py``, and no other stage."""
+    g = ground_instantiate(typecheck(parse_program(path.read_text())), k)
+
+    def names(atoms):
+        return sorted(g.atoms[a] for a in atoms)
+
+    _, records = reference_minimum_model(g)
+    expected = [(r.alpha, names(r.newly_true), names(r.newly_false)) for r in records]
+    argv = ["model", str(path), "--depth", str(k), "--trace"]
+    assert cli.main([*argv, "--format", "json"]) == 0
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    assert [(s["stage"], s["true"], s["false"]) for s in trace] == expected
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("stage ")] == [
+        f"stage {alpha}: true = {{{', '.join(ts)}}} false = {{{', '.join(fs)}}}"
+        for alpha, ts, fs in expected
+    ]
 
 
 def random_program(rng: random.Random, n: int, clauses: int, neg_rate: float, loops: int = 0):
@@ -100,9 +124,10 @@ def cyclic_program(rng: random.Random, n: int) -> GroundProgram:
 
 
 @pytest.mark.parametrize("name", CORPUS)
-def test_corpus_matches_reference(name):
+def test_corpus_matches_reference(capsys, name):
     for k in (1, 2, 3, 4):
         assert_same_as_reference(load_ground(name, k))
+        assert_trace_is_reference(capsys, program_path(name), k)
 
 
 def test_random_programs_match_reference():
@@ -177,8 +202,9 @@ def test_undef_components_feeding_higher_ones_match_reference():
     assert fed >= 300  # enough programs where an upper atom inherits Undef
 
 
-def test_shapes_match_reference():
+def test_shapes_match_reference(capsys, tmp_path):
     rng = random.Random(43)
+    path = tmp_path / "shape.hop"
     for g in (
         chain(1),
         chain(2),
@@ -189,11 +215,13 @@ def test_shapes_match_reference():
         cyclic_program(rng, 40),
     ):
         assert_same_as_reference(g)
+        path.write_text("".join(f"#pred {a} : o.\n" for a in g.atoms) + g.to_text())
+        assert_trace_is_reference(capsys, path, 1)
 
 
 def test_snapshot_is_derived_from_the_final_values():
     m = minimum_model(chain(5))
-    assert [str(v) for v in snapshot(m.stages[1], m.values)] == ["T0", "F1", "F2", "F2", "F2"]
+    assert [str(v) for v in snapshot(1, m.values)] == ["T0", "F1", "F2", "F2", "F2"]
 
 
 # The reference engine takes 1.4 s and an 84 MB traced peak on the

@@ -13,7 +13,6 @@ import pkgutil
 
 import hopes
 from hopes.ast import App, Clause, Eq, FunApp, IndConst, Name, Neg, PredConst, RawClause, Var
-from hopes.engine import StageRecord
 from hopes.herbrand import GroundClause
 from hopes.parser import parse_program
 from hopes.typecheck import typecheck
@@ -41,7 +40,6 @@ def built_twice():
             RawClause(App(Name("f"), Name("a")), (Neg(Name("q")),)),
             Clause("f", (x,), (Eq(x, a, O),)),
             GroundClause(0, ((True, 1),)),
-            StageRecord(1, frozenset({0}), frozenset()),
         ]
 
     return build(), build()
