@@ -17,9 +17,12 @@ arrow chain to equal atom values, so applying related predicates to
 related argument tuples needs no check of its own.  Pairs that end up
 related only because no comparable application was defined are
 reported with a vacuity flag rather than silently trusted.  Everything
-that does not depend on the valuation (slices, applications) is
-compiled once per ground program, so checking many valuations, such as
-every stable model, only compares values.
+that does not depend on the valuation is compiled once per ground
+program, when an ``ExtPlan`` is built: the slices, the applications
+of each compared arrow type, the atoms each compared type reads, and
+the order in which a check compares the types, each after the types it
+reads.  Checking many valuations, such as every stable model, then
+only compares values, in one pass over that order.
 
 Stratification is checked on two levels:
 
@@ -286,8 +289,8 @@ class ExtReport:
 class _Type:
     """A type of the closure in a compiled plan: its slice as term ids,
     with each id's position, the terms' text and the positions in text
-    order; at an arrow type, the applications of the slice to the
-    argument slice are filled in on first use, and so is the support.
+    order; for a type in the plan's ``order``, its support and, at an
+    arrow type, the applications of the slice to the argument slice.
     ``memo`` is what the last valuation compared here gave."""
 
     __slots__ = ("name", "kind", "left", "right", "ids", "positions", "names", "by_text",
@@ -302,7 +305,7 @@ class _Type:
         self.positions = {t: i for i, t in enumerate(ids)}
         self.names = tuple([text[t] for t in ids])
         self.by_text = sorted(range(len(ids)), key=self.names.__getitem__)
-        self.table: list[list[int]] | None = None
+        self.table: list[list[int]] = []
         self.support: tuple[int, ...] | None = None
         self.memo: _Memo | None = None
 
@@ -310,32 +313,40 @@ class _Type:
 class _Memo:
     """Extensional equality at one type under one valuation, kept with
     that valuation's values on the type's support: the relation and its
-    vacuous pairs, and, filled in on first use, the argument pairs and
-    the type's report entries (vacuous notes, violations)."""
+    vacuous pairs, the related pairs in the order an argument tries
+    them (slice order, or text order at an arrow type), and at an arrow
+    type its report entries (vacuous notes, violations)."""
 
     __slots__ = ("key", "related", "vacuous", "pairs", "notes", "violations")
 
-    def __init__(self, key: tuple, related: list[set[int]], vacuous: set[tuple[int, int]]):
+    def __init__(self, key: tuple, t: _Type, related: list[set[int]], vacuous: set[tuple[int, int]]):
         self.key = key
         self.related = related
         self.vacuous = vacuous
-        self.pairs: list[tuple[int, int]] | None = None
+        order = t.by_text if t.kind == "arrow" else range(len(t.ids))
+        self.pairs = [(d, d2) for d in order for d2 in order if d2 in related[d]]
         self.notes: list[tuple[str, str, str]] = []
-        self.violations: list[ExtViolation] | None = None
+        self.violations: list[ExtViolation] = []
 
 
 class ExtPlan:
     """The extensionality check of one ground program, compiled.
 
-    Slices and applications do not depend on the valuation, so they are
-    fixed once per ground program: the slice of every type in the
-    closure, as term ids from the grounder's store, and the
-    applications of a slice to the slice of its argument type, built on
-    first use.  An application counts as defined when its result lies
-    in its result slice or, at type o, in the atom table; the relation
-    and the explanation of a violation read the same tables, so they
-    share this one rule.  ``check`` then only compares values; text is
-    rendered only for what it reports.
+    Slices and applications do not depend on the valuation, so the
+    constructor fixes them once per ground program, from the term store
+    that ``ground_instantiate`` left on it (a ``ValueError`` without
+    one): the slice of every type in the closure, as term ids, and
+    ``order``, the types a check compares, each after the types its
+    relation reads.  These are the checked arrow types, their argument
+    types and their result types other than o, so the relation at o,
+    quadratic in its slice, is compared only when some arrow type takes
+    o as its argument.  A type of ``order`` keeps its support and, at
+    an arrow type, its table: the applications of its slice to the
+    argument slice.  An application counts as defined when its result
+    lies in its result slice or, at type o, in the atom table; the
+    relation and the explanation of a violation read the same tables,
+    so they share this one rule.  ``check`` then only compares values;
+    text is rendered only for what it reports.
 
     The relation at a type reads the values of its *support* only: no
     atom at i, the atoms of the slice at o, and at an arrow type the
@@ -350,9 +361,10 @@ class ExtPlan:
 
     def __init__(self, g: GroundProgram):
         store = g.terms
+        if store is None:
+            raise ValueError("no term store on this ground program")
         self.atoms = g.atoms
         self.k = g.depth_bound
-        self.ids = store.ids
         self.atom_of = store.atom_of
         self.types = {typ: _Type(typ, ids, store.text) for typ, ids in store.slices.items()}
         for typ, t in self.types.items():
@@ -364,101 +376,100 @@ class ExtPlan:
         )
         self.checked = [t for t in argument_types if t.ids]
         self.skipped_types = tuple(t.name for t in argument_types if not t.ids)
+        self.order: list[_Type] = []
+        for t in self.checked:
+            if t.kind == "arrow":
+                self._compile(t, store.ids)
 
-    def table(self, t: _Type) -> list[list[int]]:
-        """For an arrow type, one row per slice position d and one entry
-        per position e of the argument slice: the result of applying d
-        to e, as an atom id when the result type is o and as a position
-        in the result slice otherwise, or -1 when it is undefined."""
-        if t.table is None:
-            ids, args = self.ids, t.left.ids
-            where = self.atom_of if t.right.kind == "o" else t.right.positions
-            t.table = [[where.get(ids.get((d, e), -1), -1) for e in args] for d in t.ids]
-        return t.table
-
-    def support(self, t: _Type) -> tuple[int, ...]:
-        """The atom ids whose values extensional equality at t reads, in
-        id order."""
-        if t.support is None:
-            if t.kind == "iota":
-                atoms = set()
-            elif t.kind == "o":
-                atoms = {self.atom_of[x] for x in t.ids if x in self.atom_of}
+    def _compile(self, t: _Type, ids: dict) -> None:
+        """Append t to ``order`` after the types it reads, with its
+        support (the atom ids whose values its relation reads, in id
+        order) and, at an arrow type, its table: one row per slice
+        position d and one entry per position e of the argument slice,
+        the result of applying d to e, as an atom id when the result
+        type is o and as a position in the result slice otherwise, or
+        -1 when it is undefined."""
+        if t.support is not None:  # already in order
+            return
+        atoms = set()
+        if t.kind == "o":
+            atoms.update(self.atom_of[x] for x in t.ids if x in self.atom_of)
+        elif t.kind == "arrow":
+            self._compile(t.left, ids)
+            atoms.update(t.left.support)
+            at_o = t.right.kind == "o"
+            where = self.atom_of if at_o else t.right.positions
+            t.table = [[where.get(ids.get((d, e), -1), -1) for e in t.left.ids] for d in t.ids]
+            if at_o:
+                atoms.update(a for row in t.table for a in row if a >= 0)
             else:
-                atoms = set(self.support(t.left))
-                if t.right.kind == "o":
-                    atoms.update(a for row in self.table(t) for a in row if a >= 0)
-                else:
-                    atoms.update(self.support(t.right))
-            t.support = tuple(sorted(atoms))
-        return t.support
+                self._compile(t.right, ids)
+                atoms.update(t.right.support)
+        t.support = tuple(sorted(atoms))
+        self.order.append(t)
 
     def check(self, values: Sequence[TruthValue]) -> ExtReport:
-        return _Valuation(self, values).report()
+        """One pass over ``order``: a type whose support holds other
+        values than its memo's is compared again, after the types it
+        reads; then the report is read off the checked types' memos."""
+        values = [*values, None]  # index -1 is an undefined application
+        for t in self.order:
+            key = tuple(map(values.__getitem__, t.support))
+            if t.memo is not None and t.memo.key == key:
+                continue
+            memo = t.memo = _Memo(key, t, *self.compare(t, values))
+            if t.kind == "arrow":
+                if memo.vacuous:
+                    memo.notes = [
+                        (t.name, t.names[d], t.names[d2])
+                        for d in t.by_text
+                        for d2 in t.by_text
+                        if (d, d2) in memo.vacuous
+                    ]
+                memo.violations = [
+                    ExtViolation(t.name, t.names[d], *self.drill(d, d, t, values))
+                    for d, mates in enumerate(memo.related)
+                    if d not in mates
+                ]
 
+        violations: list[ExtViolation] = []
+        vacuous: list[tuple[str, str, str]] = []
+        for t in self.checked:
+            if t.kind == "arrow":  # i and o are reflexive: identity, equal values
+                vacuous += t.memo.notes
+                violations += t.memo.violations
+        return ExtReport(
+            extensional=not violations,
+            depth=self.k,
+            checked_types=tuple(t.name for t in self.checked),
+            violations=tuple(violations),
+            vacuous=tuple(vacuous),
+            skipped_types=self.skipped_types,
+        )
 
-def _agree(a: list, b: list, res: list[set[int]] | None) -> tuple[bool, bool]:
-    """Compare the results of two terms over the argument pairs: values
-    by equality when `res` is None, result positions by the relation
-    `res` otherwise; None is an undefined result and is skipped.
-    Returns (related, some pair was compared)."""
-    checked = False
-    for x, y in zip(a, b):
-        if x is None or y is None:
-            continue
-        checked = True
-        if not (x == y if res is None else y in res[x]):
-            return False, True
-    return True, checked
-
-
-class _Valuation:
-    """A compiled plan under one valuation: extensional equality at each
-    type, over slice positions, taken from the type's memo when the
-    valuation agrees with it on the support and computed otherwise."""
-
-    def __init__(self, plan: ExtPlan, values: Sequence[TruthValue]):
-        self.plan = plan
-        self.values = values
-        self.padded = [*values, None]  # index -1 is an undefined application
-        self.memos: dict[_Type, _Memo] = {}
-
-    def memo(self, t: _Type) -> _Memo:
-        """t's entry under this valuation, kept on t for the next one."""
-        memo = self.memos.get(t)
-        if memo is None:
-            key = tuple(map(self.values.__getitem__, self.plan.support(t)))
-            memo = t.memo
-            if memo is None or memo.key != key:
-                memo = t.memo = _Memo(key, *self.compare(t))
-            self.memos[t] = memo
-        return memo
-
-    def relation(self, t: _Type) -> list[set[int]]:
-        """For each slice position, the positions related to it."""
-        return self.memo(t).related
-
-    def compare(self, t: _Type) -> tuple[list[set[int]], set[tuple[int, int]]]:
-        """The relation at t and its vacuous pairs, from the values."""
+    def compare(self, t: _Type, values: list) -> tuple[list[set[int]], set[tuple[int, int]]]:
+        """The relation at t over slice positions, and its vacuous
+        pairs, under ``values`` with a trailing None; at an arrow type it
+        reads the memos of the argument and result types."""
         n = len(t.ids)
         vacuous: set[tuple[int, int]] = set()
         if t.kind == "iota":
             related = [{d} for d in range(n)]
         elif t.kind == "o":
-            atom_of, padded = self.plan.atom_of, self.padded
-            v = [padded[atom_of.get(x, -1)] for x in t.ids]
+            atom_of = self.atom_of
+            v = [values[atom_of.get(x, -1)] for x in t.ids]
             related = [{d2 for d2 in range(n) if v[d2] == v[d]} for d in range(n)]
         else:
-            pairs = self.argument_pairs(t.left)
+            pairs = t.left.memo.pairs
             lefts = [e for e, _ in pairs]
             rights = [e2 for _, e2 in pairs]
             # results as values (type o) or as result positions, None
             # where undefined: -1 indexes the trailing None
             if t.right.kind == "o":
-                res, lookup = None, self.padded
+                res, lookup = None, values
             else:
-                res, lookup = self.relation(t.right), [*range(len(t.right.ids)), None]
-            results = [list(map(lookup.__getitem__, row)) for row in self.plan.table(t)]
+                res, lookup = t.right.memo.related, [*range(len(t.right.ids)), None]
+            results = [list(map(lookup.__getitem__, row)) for row in t.table]
             left = [list(map(r.__getitem__, lefts)) for r in results]
             right = [list(map(r.__getitem__, rights)) for r in results]
             related = []
@@ -477,85 +488,40 @@ class _Valuation:
                 related.append(mates)
         return related, vacuous
 
-    def argument_pairs(self, t: _Type) -> list[tuple[int, int]]:
-        """The related pairs at an argument type: in slice order, or in
-        the order of their text at an arrow type."""
-        memo = self.memo(t)
-        if memo.pairs is None:
-            related = memo.related
-            order = t.by_text if t.kind == "arrow" else range(len(t.ids))
-            memo.pairs = [(d, d2) for d in order for d2 in order if d2 in related[d]]
-        return memo.pairs
-
-    def drill(self, d1: int, d2: int, t: _Type) -> tuple[str, str, tuple]:
+    def drill(self, d1: int, d2: int, t: _Type, values: list) -> tuple[str, str, tuple]:
         """Explain why d1 and d2 fail to be related at an arrow type:
         find the first related argument pair that separates them and the
         atoms where the values finally differ."""
-        table, values = self.plan.table(t), self.values
-        at_o = t.right.kind == "o"
-        for e, e2 in self.argument_pairs(t.left):
+        table, at_o = t.table, t.right.kind == "o"
+        for e, e2 in t.left.memo.pairs:
             r1, r2 = table[d1][e], table[d2][e2]
             if r1 < 0 or r2 < 0:
                 continue
             if at_o:
                 if values[r1] == values[r2]:
                     continue
-                atoms = self.plan.atoms
-                found = ((atoms[r1], str(values[r1])), (atoms[r2], str(values[r2])))
+                found = ((self.atoms[r1], str(values[r1])), (self.atoms[r2], str(values[r2])))
             else:
-                if r2 in self.relation(t.right)[r1]:
+                if r2 in t.right.memo.related[r1]:
                     continue
-                found = self.drill(r1, r2, t.right)[2]
+                found = self.drill(r1, r2, t.right, values)[2]
             return t.left.names[e], t.left.names[e2], found
         return "?", "?", ()
 
-    def findings(self, t: _Type) -> _Memo:
-        """t's entry with its report entries: the vacuous pairs in text
-        order, and each term not related to itself with its drill."""
-        memo = self.memo(t)
-        if memo.violations is None:
-            if memo.vacuous:
-                memo.notes = [
-                    (t.name, t.names[d], t.names[d2])
-                    for d in t.by_text
-                    for d2 in t.by_text
-                    if (d, d2) in memo.vacuous
-                ]
-            memo.violations = [
-                ExtViolation(t.name, t.names[d], *self.drill(d, d, t))
-                for d, mates in enumerate(memo.related)
-                if d not in mates
-            ]
-        return memo
 
-    def report(self) -> ExtReport:
-        plan = self.plan
-        violations: list[ExtViolation] = []
-        vacuous: list[tuple[str, str, str]] = []
-        for t in plan.checked:
-            if t.kind != "arrow":
-                continue  # reflexive by definition: identity, equal values
-            memo = self.findings(t)
-            vacuous += memo.notes
-            violations += memo.violations
-
-        return ExtReport(
-            extensional=not violations,
-            depth=plan.k,
-            checked_types=tuple(t.name for t in plan.checked),
-            violations=tuple(violations),
-            vacuous=tuple(vacuous),
-            skipped_types=plan.skipped_types,
-        )
-
-
-def compile_extensional(g: GroundProgram) -> ExtPlan:
-    """Compile the extensionality check of ``g`` as ``ground_instantiate``
-    built it, at its depth bound: its term store holds the slices of
-    every type in the closure."""
-    if g.terms is None:
-        raise ValueError("no term store on this ground program")
-    return ExtPlan(g)
+def _agree(a: list, b: list, res: list[set[int]] | None) -> tuple[bool, bool]:
+    """Compare the results of two terms over the argument pairs: values
+    by equality when `res` is None, result positions by the relation
+    `res` otherwise; None is an undefined result and is skipped.
+    Returns (related, some pair was compared)."""
+    checked = False
+    for x, y in zip(a, b):
+        if x is None or y is None:
+            continue
+        checked = True
+        if not (x == y if res is None else y in res[x]):
+            return False, True
+    return True, checked
 
 
 def check_extensional(g: GroundProgram, values: Sequence[TruthValue]) -> ExtReport:
@@ -563,4 +529,4 @@ def check_extensional(g: GroundProgram, values: Sequence[TruthValue]) -> ExtRepo
     declarations, with at most one violation per type and term.  It
     implies interchangeability: related predicates applied to related,
     defined argument tuples give equal atom values."""
-    return compile_extensional(g).check(values)
+    return ExtPlan(g).check(values)

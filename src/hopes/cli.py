@@ -13,11 +13,12 @@ Common flags: --depth K (default 3) bounds ground term size, --format
 text|json picks the output shape, --out writes to a file instead of
 stdout.  JSON output is byte-stable across runs.
 
-Exit codes: 0 success; 1 analysis verdict negative (stratification or
-extensionality violation); 2 unreadable file (missing, or not UTF-8),
-unwritable --out file, a stdout that cannot take the output (closed, a
-broken pipe, or an encoding that cannot hold it), parse or type error,
---depth below 1 or negative --max-atoms; 3 resource budget exceeded
+Exit codes: 0 success (`locstrat` too, whose verdict is informational);
+1 negative verdict from `stratify` or `ext`; 2 unreadable file
+(missing, or not UTF-8), unwritable --out file, a stdout that cannot
+take the output (closed, a broken pipe, a full device, or an encoding
+that cannot hold it), parse or type error, --depth below 1 or negative
+--max-atoms; 3 resource budget exceeded
 (grounding too large, a --depth above the grounding budget, or too many
 atoms left Undef by the well-founded model for stable-model
 enumeration).  Diagnostics go to stderr.
@@ -287,8 +288,8 @@ def cmd_stable(args) -> int:
     except classical.TooManyAtoms as exc:
         raise _Failure(EXIT_BUDGET, f"stable-model enumeration aborted: {exc}")
     reports = [None] * len(models)
-    if args.ext:
-        plan = analysis.compile_extensional(g)
+    if args.ext and models:
+        plan = analysis.ExtPlan(g)
         atoms = range(len(g.atoms))
         reports = [plan.check([truth.T0 if a in m else truth.F0 for a in atoms]) for m in models]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from hopes import truth
-from hopes.analysis import ExtPlan, _Valuation
+from hopes.analysis import ExtPlan
 from hopes.ast import App, Clause, Eq, Expression, FunApp, Neg, PredConst, Program, Var, _children
 from hopes.engine import InfModel
 from hopes.herbrand import EmptyUniverse, GroundProgram
@@ -246,7 +246,9 @@ class ExtRelation:
 def ext_relation(plan: ExtPlan, values: Sequence[TruthValue], typ: TypeExpr) -> ExtRelation:
     """Extensional equality at one type under ``values``, as pairs of
     term texts, read off the compiled plan's relation over slice
-    positions.
+    positions: after ``plan.check(values)``, the memo of a type the
+    check compares, and otherwise (o, say, when no arrow type takes it)
+    the type compared against the memos the check left.
 
     Raises EmptyUniverse when the slice of the type is empty.
     """
@@ -254,11 +256,16 @@ def ext_relation(plan: ExtPlan, values: Sequence[TruthValue], typ: TypeExpr) -> 
     t = plan.types.get(typ)
     if t is None or not t.ids:
         raise EmptyUniverse(typ, plan.k)
-    memo, names = _Valuation(plan, values).memo(t), t.names
+    plan.check(values)
+    if t in plan.order:
+        related, vacuous = t.memo.related, t.memo.vacuous
+    else:
+        related, vacuous = plan.compare(t, [*values, None])
+    names = t.names
     return ExtRelation(
         typ,
         plan.k,
         names,
-        frozenset((names[d], names[d2]) for d, mates in enumerate(memo.related) for d2 in mates),
-        frozenset((names[d], names[d2]) for d, d2 in memo.vacuous),
+        frozenset((names[d], names[d2]) for d, mates in enumerate(related) for d2 in mates),
+        frozenset((names[d], names[d2]) for d, d2 in vacuous),
     )

@@ -1,12 +1,12 @@
 import pytest
 
 from hopes.analysis import (
+    ExtPlan,
     StrataAssignment,
     StratViolation,
     check_extensional,
     check_locally_stratified_bounded,
     check_stratified,
-    compile_extensional,
     type_geq,
 )
 from hopes.classical import stable_models
@@ -120,7 +120,7 @@ def test_stratified_programs_decide_every_atom(name, k):
 def test_ext_relation_identity():
     g = load_ground("identity", 3)
     m = minimum_model(g)
-    rel = ext_relation(compile_extensional(g), list(m.values), arrow(IOTA, O))
+    rel = ext_relation(ExtPlan(g), list(m.values), arrow(IOTA, O))
     assert rel.terms == ("q", "id(q)", "id(id(q))")
     # every predicate reachable through id behaves like q, so the
     # relation is total on this slice
@@ -133,7 +133,7 @@ def test_ext_relation_identity():
 def test_ext_relation_individuals_are_diagonal():
     g = load_ground("identity", 3)
     m = minimum_model(g)
-    rel = ext_relation(compile_extensional(g), list(m.values), IOTA)
+    rel = ext_relation(ExtPlan(g), list(m.values), IOTA)
     assert rel.pairs == frozenset({("a", "a"), ("b", "b")})
 
 
@@ -141,7 +141,7 @@ def test_ext_relation_empty_universe():
     g = load_ground("identity", 3)
     m = minimum_model(g)
     with pytest.raises(EmptyUniverse):
-        ext_relation(compile_extensional(g), list(m.values), arrow(arrow(IOTA, IOTA), O))
+        ext_relation(ExtPlan(g), list(m.values), arrow(arrow(IOTA, IOTA), O))
 
 
 @pytest.mark.parametrize("name", CORPUS)

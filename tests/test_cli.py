@@ -301,16 +301,23 @@ def choice_program(m: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def count_compiles(monkeypatch) -> list:
+    """The arguments of every ExtPlan built from now on."""
+    compiled = []
+    init = analysis.ExtPlan.__init__
+
+    def count_init(self, *args):
+        compiled.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(analysis.ExtPlan, "__init__", count_init)
+    return compiled
+
+
 def test_stable_ext_compiles_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "choice.hop"
     path.write_text(choice_program(8))
-    compiled = []
-    compile_extensional = analysis.compile_extensional
-
-    def count_compile(*args):
-        compiled.append(args)
-        return compile_extensional(*args)
-
+    compiled = count_compiles(monkeypatch)
     ground_instantiate = cli.ground_instantiate
 
     def ground_then_forbid_enumeration(*args):
@@ -322,13 +329,24 @@ def test_stable_ext_compiles_once(capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(_Universe, "enumerate", enumerate)
         return g
 
-    monkeypatch.setattr(analysis, "compile_extensional", count_compile)
     monkeypatch.setattr(cli, "ground_instantiate", ground_then_forbid_enumeration)
     code, out, _ = run(capsys, "stable", path, "--depth", "2", "--ext")
     assert code == 0
     assert len(compiled) == 1
     assert out.count("extensional: yes") == 2
     assert out.count("extensional: no") == 254
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stable_ext_without_models_compiles_nothing(capsys, tmp_path, monkeypatch, fmt):
+    # p(q) :- ~p(q) has no stable model, so there is nothing to check
+    path = tmp_path / "none.hop"
+    path.write_text("#pred p : (i -> o) -> o.\n#pred q : i -> o.\np(Q) :- ~p(Q).\nq(a).\n")
+    compiled = count_compiles(monkeypatch)
+    code, out, _ = run(capsys, "stable", path, "--ext", "--format", fmt)
+    assert code == 0
+    assert out == "no stable models\n" if fmt == "text" else json.loads(out)["models"] == []
+    assert compiled == []
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -373,23 +391,32 @@ def test_stable_ext_checks_each_model_once(capsys, monkeypatch, fmt):
 
 
 def test_stable_ext_compares_shared_types_once(capsys, tmp_path, monkeypatch):
+    compared = []
+    compare = analysis.ExtPlan.compare
+
+    def count_compare(self, t, values):
+        compared.append(t.name)
+        return compare(self, t, values)
+
+    monkeypatch.setattr(analysis.ExtPlan, "compare", count_compare)
     # every stable model of choice(8) agrees on the facts qj(a), which
     # are all that the relation at i -> o reads; the relation at
-    # (i -> o) -> o reads r(qj) and s(qj), which differ between models
+    # (i -> o) -> o reads r(qj) and s(qj), which differ between models;
+    # no arrow type takes o, so the relation at o is never built
     path = tmp_path / "choice.hop"
     path.write_text(choice_program(8))
-    compared = []
-    compare = analysis._Valuation.compare
-
-    def count_compare(self, t):
-        compared.append(t.name)
-        return compare(self, t)
-
-    monkeypatch.setattr(analysis._Valuation, "compare", count_compare)
     code, out, _ = run(capsys, "stable", path, "--depth", "2", "--ext")
     assert code == 0 and out.count("extensional: ") == 256
     assert compared.count("i -> o") == 1
     assert compared.count("(i -> o) -> o") == 256
+    assert "o" not in compared
+    # t takes o, so its relation reads the relation at o, which reads
+    # the values of a, b and the t atoms: the two models differ there
+    compared.clear()
+    path.write_text("#pred t : o -> o.\n#pred a : o.\n#pred b : o.\na :- ~b.\nb :- ~a.\nt(X) :- X.\n")
+    code, out, _ = run(capsys, "stable", path, "--ext")
+    assert code == 0 and out.count("extensional: ") == 2
+    assert compared.count("o") == compared.count("o -> o") == 2
 
 
 def test_stable_atom_cap(capsys):

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from hopes import parse_program, typecheck
-from hopes.analysis import check_extensional, compile_extensional
+from hopes.analysis import ExtPlan, check_extensional
 from hopes.classical import TooManyAtoms, stable_models
 from hopes.engine import minimum_model
 from hopes.herbrand import BudgetExceeded, EmptyUniverse, GroundProgram, ground_instantiate
@@ -49,7 +49,7 @@ def valuations(g, rng, randoms):
 def assert_same_as_reference(tp, g, k, rng, randoms=3) -> list:
     """Compare every valuation under one compiled plan; return the
     reference's reports."""
-    return assert_plan_matches_reference(tp, g, k, compile_extensional(g), valuations(g, rng, randoms))
+    return assert_plan_matches_reference(tp, g, k, ExtPlan(g), valuations(g, rng, randoms))
 
 
 def assert_plan_matches_reference(tp, g, k, plan, sequence) -> list:
@@ -87,7 +87,7 @@ def test_entry_points_match_reference(name):
         g = ground_instantiate(tp, k)
         values = list(minimum_model(g).values)
         assert check_extensional(g, values) == reference_check_extensional(tp, g, values, k)
-        plan = compile_extensional(g)
+        plan = ExtPlan(g)
         for typ in sorted(TermEnumerator(tp).closure, key=str):
             assert relation_or_empty(ext_relation, plan, values, typ) == relation_or_empty(
                 reference_ext_relation, tp, g, values, typ, k
@@ -147,7 +147,7 @@ def test_one_definedness_rule():
         g = ground_instantiate(tp, k)
         report = assert_same_as_reference(tp, g, k, random.Random(k))[0]
         assert report.extensional and report.violations == (), k
-        relation = ext_relation(compile_extensional(g), list(minimum_model(g).values), typ)
+        relation = ext_relation(ExtPlan(g), list(minimum_model(g).values), typ)
         if k == 2:
             assert relation.related("p", "q") and relation.vacuous == frozenset()
         if k == 3:
@@ -157,7 +157,7 @@ def test_one_definedness_rule():
 def test_one_plan_serves_every_stable_model():
     tp = load("choice_pair")
     g = ground_instantiate(tp, 2)
-    plan = compile_extensional(g)
+    plan = ExtPlan(g)
     flags = []
     for m in stable_models(g):
         values = [T0 if a in m else F0 for a in range(len(g.atoms))]
@@ -193,19 +193,19 @@ def test_memo_follows_each_valuation():
     # one plan per ground program, never compiled again, so each check
     # may meet the relations that the previous valuation left on a type
     rng = random.Random(20011)
-    agree = differ = 0  # consecutive valuations, per type of the closure
+    agree = differ = 0  # consecutive valuations, per type a check compares
     programs = [load("choice_pair")] + [random_checked_program(rng)[1] for _ in range(60)]
     for tp, k in itertools.product(programs, (1, 2, 3)):
         try:
             g = ground_instantiate(tp, k, budget=2000)
         except BudgetExceeded:
             continue
-        plan = compile_extensional(g)
+        plan = ExtPlan(g)
         sequence = forwards_and_back(g, rng)
         assert_plan_matches_reference(tp, g, k, plan, sequence)
         for before, after in zip(sequence, sequence[1:]):
-            for t in plan.types.values():
-                if all(before[a] == after[a] for a in plan.support(t)):
+            for t in plan.order:
+                if all(before[a] == after[a] for a in t.support):
                     agree += 1
                 else:
                     differ += 1
@@ -215,7 +215,7 @@ def test_memo_follows_each_valuation():
 def test_compile_needs_a_term_store():
     g = GroundProgram.build(["p", "q"], [("p", [], ["q"])], depth_bound=2)
     with pytest.raises(ValueError):
-        compile_extensional(g)
+        ExtPlan(g)
 
 
 @pytest.mark.parametrize("name", CORPUS)
