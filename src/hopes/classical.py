@@ -50,9 +50,10 @@
   order.  That is the order of the models' sorted names (no stable
   model contains another; see ``stable_models``), and the order in
   which one search over the whole residual, deciding the Undef atoms
-  in name order and True first, would find them.  The well-founded
-  true atoms, which every model shares, are frozen and named once; a
-  model adds only its own true Undef atoms to both.
+  in name order and True first, would find them.  ``stable_models``
+  returns the masks as they are, beside the well-founded true atoms
+  that every model shares (``StableModels``): a model's frozenset and
+  its sorted names are built only when a caller reads them.
 
 The search builds the residual with ``_residual`` and takes its
 least models with one linear loop (``_least``, Dowling & Gallier 1984).
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from enum import Enum
+from typing import Iterator
 
 from .analysis import _sccs
 from .engine import InfModel, minimum_model
@@ -177,18 +179,81 @@ def _least(
                 stack.append(heads[k])
 
 
-class _Model(frozenset):
-    """A stable model's atom ids, with its atom names sorted in ``names``."""
+class StableModels:
+    """Stable models as int masks over ``undef``, the atoms that the
+    well-founded model leaves Undef, in name order, with ``undef[i]`` at
+    bit ``1 << (len(undef) - 1 - i)``; the masks are in descending
+    order, the order of the models' sorted names.  ``true`` holds the
+    well-founded true atoms, which every model shares.  ``len`` is the
+    model count; iterating gives each model as a frozenset of atom ids,
+    ``valuations`` as values over all atoms, and ``names`` as its
+    sorted atom names."""
 
-    __slots__ = ("names",)
+    __slots__ = ("atoms", "undef", "true", "masks")
+
+    def __init__(self, atoms: tuple[str, ...], undef: list[int], true: list[int], masks: list[int]):
+        self.atoms, self.undef, self.true, self.masks = atoms, undef, true, masks
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __iter__(self) -> Iterator[TwoValuedInterp]:
+        for values in self.valuations(True, False):
+            yield frozenset([a for a, v in enumerate(values) if v])
+
+    def valuations(self, true, false) -> Iterator[list]:
+        """Each model as one list of values over all atoms, ``true`` at
+        its atoms and ``false`` elsewhere: the same list every time,
+        with the well-founded true atoms set once and only the Undef
+        atoms set again for each model."""
+        values = [false] * len(self.atoms)
+        for a in self.true:
+            values[a] = true
+        undef = self.undef[::-1]  # undef[-1 - i] is bit i
+        for mask in self.masks:
+            for i, a in enumerate(undef):
+                values[a] = true if mask >> i & 1 else false
+            yield values
+
+    def names(self) -> Iterator[tuple[str, ...]]:
+        """Each model's sorted atom names, joined from pieces.  The Undef
+        atoms fall into groups of at most 8 consecutive ones with no true
+        name sorting between them.  A group's table maps its bits to the
+        true names since the last group and the group's names that the
+        bits select, filled as models meet its entries; a model's names
+        are its groups' entries, then the true names after every group."""
+        atoms, n = self.atoms, len(self.undef)
+        shared = sorted([atoms[a] for a in self.true])
+        groups: list[list] = []  # [shift, width mask, true names before, names, table]
+        done = 0  # the true names before the last group
+        for i, a in enumerate(self.undef):
+            place = bisect(shared, atoms[a])
+            if not groups or place > done or len(groups[-1][3]) == 8:
+                groups.append([0, 0, tuple(shared[done:place]), [], [None] * 256])
+                done = place
+            group = groups[-1]
+            group[0], group[1] = n - 1 - i, group[1] * 2 + 1
+            group[3].append(atoms[a])
+        tail = tuple(shared[done:])
+        for mask in self.masks:
+            out: list[str] = []
+            for shift, full, run, group, table in groups:
+                bits = mask >> shift & full
+                piece = table[bits]
+                if piece is None:
+                    top = len(group) - 1
+                    piece = table[bits] = run + tuple([x for j, x in enumerate(group) if bits >> (top - j) & 1])
+                out += piece
+            out += tail
+            yield tuple(out)
 
 
 def stable_models(
     g: GroundProgram, cap: int = DEFAULT_STABLE_CAP
-) -> list[TwoValuedInterp]:
-    """All stable models, ordered by their sorted atom names, which each
-    model carries as ``names``.  ``TooManyAtoms`` when the well-founded
-    model leaves more than ``cap`` atoms Undef.
+) -> StableModels:
+    """All stable models, ordered by their sorted atom names, as masks
+    in a ``StableModels``.  ``TooManyAtoms`` when the well-founded model
+    leaves more than ``cap`` atoms Undef.
 
     The residual program over the Undef atoms falls into components:
     the classes of the Undef atoms linked by sharing a residual clause,
@@ -209,9 +274,8 @@ def stable_models(
     residual's positive graph lies inside one component, so the
     components without one are tight.
 
-    Every model is the well-founded true atoms, frozen and named once,
-    plus its own true Undef atoms, whose names are inserted into the
-    shared sorted names.  Stable models are minimal models (Gelfond &
+    Every model is the well-founded true atoms plus its own true Undef
+    atoms.  Stable models are minimal models (Gelfond &
     Lifschitz 1988, Theorem 1), so none contains another, and of two
     models the one that holds the first name at which their own atoms
     differ sorts first by all its names (the other holds a later name
@@ -221,8 +285,8 @@ def stable_models(
     significant bit is the first of them, the models sorted by their
     names are the masks sorted in descending order: the order in which
     one search over all the Undef atoms, deciding them in name order
-    and trying True first, would find them.  The combined models are
-    kept as masks, one int each, until that sort."""
+    and trying True first, would find them.  The combined models stay
+    masks, one int each, and are returned as such."""
     atoms = g.atoms
     wf = wf_oracle(g)
     undef = sorted([a for a, v in enumerate(wf) if v is Tv3.UNDEF], key=atoms.__getitem__)
@@ -372,23 +436,8 @@ def stable_models(
             undo(trail)
             decisions.append((pos, True, []))
             consistent = assign(order[pos], False, decisions[-1][2])
-        if not found:
-            return []
         masks = [m + f for m in masks for f in found]
+        if not masks:
+            break
     masks.sort(reverse=True)
-
-    # An accepted model is the shared true atoms and their sorted names,
-    # each Undef atom true in it added at its place among them.
-    base = frozenset(wf_true)
-    shared = sorted([atoms[a] for a in wf_true])
-    place = {a: bisect(shared, atoms[a]) for a in undef}
-    models: list[_Model] = []
-    for mask in masks:
-        own = [a for a in undef if mask & bit[a]]
-        names = shared.copy()
-        for a in reversed(own):  # from the last place back
-            names.insert(place[a], atoms[a])
-        m = _Model(base.union(own))
-        m.names = tuple(names)
-        models.append(m)
-    return models
+    return StableModels(atoms, undef, wf_true, masks)

@@ -272,7 +272,7 @@ def cmd_wf(args) -> int:
     order = sorted(range(len(g.atoms)), key=lambda a: g.atoms[a])
     _emit(
         args,
-        lambda: "\n".join(f"{g.atoms[a]} = {wf[a]}" for a in order) + "\n",
+        lambda: "".join(f"{g.atoms[a]} = {wf[a]}\n" for a in order),
         lambda: {
             "depth_bound": args.depth,
             "atoms": [{"atom": g.atoms[a], "value": str(wf[a])} for a in order],
@@ -290,13 +290,12 @@ def cmd_stable(args) -> int:
     reports = [None] * len(models)
     if args.ext and models:
         plan = analysis.ExtPlan(g)
-        atoms = range(len(g.atoms))
-        reports = [plan.check([truth.T0 if a in m else truth.F0 for a in atoms]) for m in models]
+        reports = [plan.check(values) for values in models.valuations(truth.T0, truth.F0)]
 
     def text() -> str:
         lines = []
-        for m, report in zip(models, reports):
-            line = "{" + ", ".join(m.names) + "}"
+        for names, report in zip(models.names(), reports):
+            line = "{" + ", ".join(names) + "}"
             if report is not None:
                 line += f"  extensional: {'yes' if report.extensional else 'no'}"
                 for v in report.violations:
@@ -308,8 +307,8 @@ def cmd_stable(args) -> int:
 
     def record() -> dict:
         out_models = []
-        for m, report in zip(models, reports):
-            entry = {"atoms": m.names}
+        for names, report in zip(models.names(), reports):
+            entry = {"atoms": names}
             if report is not None:
                 entry["extensional"] = report.extensional
                 entry["violations"] = [str(v) for v in report.violations]
@@ -329,8 +328,8 @@ def cmd_stratify(args) -> int:
             by_level: dict[int, list[str]] = {}
             for p, lvl in sorted(result.strata.items()):
                 by_level.setdefault(lvl, []).append(p)
-            parts = [f"S{lvl} = {{{', '.join(by_level[lvl])}}}" for lvl in sorted(by_level)]
-            return "stratified: yes\n" + "\n".join(parts) + "\n"
+            parts = [f"S{lvl} = {{{', '.join(by_level[lvl])}}}\n" for lvl in sorted(by_level)]
+            return "stratified: yes\n" + "".join(parts)
 
         _emit(
             args,

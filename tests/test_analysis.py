@@ -202,7 +202,7 @@ def test_every_choice_pair_stable_model_is_classified():
 
 def test_asymmetric_choice_stable_model_is_intensional():
     g = load_ground("asymmetric_choice", 2)
-    models = stable_models(g)
+    models = list(stable_models(g))
     assert len(models) == 1
     report = check_extensional(g, stable_valuation(g, models[0]))
     assert not report.extensional

@@ -252,6 +252,17 @@ def test_wf_json(capsys):
     assert {"atom": "t", "value": "Undef"} in obj["atoms"]
 
 
+def test_nothing_to_list_ends_at_the_last_line(capsys, tmp_path):
+    """An empty program has no ground atoms and no predicates: ``wf``
+    prints nothing, as ``ground`` does, ``stratify`` only its verdict,
+    and ``stable`` its one model, the empty set."""
+    path = tmp_path / "empty.hop"
+    path.write_text("")
+    for command, expected in [("wf", ""), ("ground", ""), ("stratify", "stratified: yes\n"), ("stable", "{}\n")]:
+        code, out, _ = run(capsys, command, path)
+        assert (code, out) == (0, expected), command
+
+
 def test_stable_text(capsys):
     code, out, _ = run(capsys, "stable", program_path("even_loop"))
     assert code == 0

@@ -10,12 +10,14 @@ they agree on the atoms it reads, so the order of the valuations is
 part of what is tested.
 """
 
+import contextlib
+import io
 import itertools
 import random
 
 import pytest
 
-from hopes import parse_program, typecheck
+from hopes import cli, parse_program, typecheck
 from hopes.analysis import ExtPlan, check_extensional
 from hopes.classical import TooManyAtoms, stable_models
 from hopes.engine import minimum_model
@@ -23,7 +25,7 @@ from hopes.herbrand import BudgetExceeded, EmptyUniverse, GroundProgram, ground_
 from hopes.truth import F0, T0, ZERO, TruthValue
 from hopes.types import IOTA, O, arrow
 
-from conftest import CORPUS, load
+from conftest import CORPUS, load, program_path
 from reference_ext import _ExtChecker, reference_check_extensional, reference_ext_relation
 from reference_grounder import TermEnumerator
 from reference_paper import ext_relation
@@ -35,7 +37,7 @@ GRADES = [F0, T0, ZERO, TruthValue(1, 1), TruthValue(-1, 1)]
 def valuations(g, rng, randoms):
     yield list(minimum_model(g).values)
     try:
-        models = stable_models(g, cap=10)
+        models = list(stable_models(g, cap=10))
     except TooManyAtoms:
         models = []
     for m in models[:8]:
@@ -165,6 +167,68 @@ def test_one_plan_serves_every_stable_model():
         assert report == reference_check_extensional(tp, g, values, 2)
         flags.append(report.extensional)
     assert sorted(flags) == [False, False, True, True]
+
+
+# choice_pair over three predicates, eight stable models, beside facts
+# whose names sort before, between and after the Undef atoms r(qj), s(qj)
+CHOICE = """#pred r : (i -> o) -> o.
+#pred s : (i -> o) -> o.
+#pred q0 : i -> o.
+#pred q1 : i -> o.
+#pred q2 : i -> o.
+r(Q) :- ~s(Q).
+s(Q) :- ~r(Q).
+q0(a).
+q1(a).
+q2(a).
+{facts}"""
+FACTS = [[], ["a0", "ra", "t"], ["b", "rz", "sa", "z"]]
+
+
+def test_stable_ext_checks_each_model_in_place(tmp_path, monkeypatch):
+    """``hopes stable --ext`` keeps one value list under one plan: it
+    sets the well-founded true atoms once and, per model, only the
+    Undef atoms.  Each valuation it checks must be that model's own, and
+    each report the reference's on that model's full valuation, on every
+    stable model of the corpus at depths 1-4 (choice_pair among them),
+    of choice programs with facts among their Undef atoms, and of
+    seeded random typed programs."""
+    checked = []
+    check = ExtPlan.check
+
+    def check_and_keep(self, values):
+        report = check(self, values)
+        checked.append((list(values), report))
+        return report
+
+    monkeypatch.setattr(ExtPlan, "check", check_and_keep)
+    rng = random.Random(2017)
+    texts = [program_path(name).read_text() for name in CORPUS]
+    texts += [CHOICE.format(facts="".join(f"#pred {x} : o.\n{x}.\n" for x in facts)) for facts in FACTS]
+    texts += [random_checked_program(rng)[0] for _ in range(120)]
+    path = tmp_path / "p.hop"
+    kinds = dict.fromkeys(["models", "several models", "not extensional", "choice_pair"], 0)
+    for text, k in itertools.product(texts, (1, 2, 3, 4)):
+        tp = typecheck(parse_program(text))
+        try:
+            g = ground_instantiate(tp, k, budget=2000)
+            models = list(stable_models(g, cap=10))
+        except (BudgetExceeded, TooManyAtoms):
+            continue
+        path.write_text(text)
+        checked.clear()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["stable", str(path), "--depth", str(k), "--ext", "--max-atoms", "10"]) == 0
+        assert len(checked) == len(models), text
+        for m, (values, report) in zip(models, checked):
+            assert values == [T0 if a in m else F0 for a in range(len(g.atoms))], text
+            assert report == reference_check_extensional(tp, g, values, k), text
+            kinds["not extensional"] += not report.extensional
+        kinds["models"] += len(models)
+        kinds["several models"] += len(models) > 1
+        kinds["choice_pair"] += text == texts[CORPUS.index("choice_pair")] and k in (2, 3) and len(models) == 4
+    assert kinds["choice_pair"] == 2 and kinds["models"] >= 300, kinds
+    assert kinds["several models"] >= 15 and kinds["not extensional"] >= 20, kinds
 
 
 def forwards_and_back(g, rng) -> list:

@@ -45,9 +45,10 @@ def test_transcript_replays(block, capsys, monkeypatch):
 def test_library_example_runs(capsys, monkeypatch):
     section = README.split("## Library use", 1)[1]
     source = re.search(r"^```python\n(.*?)^```$", section, re.M | re.S).group(1)
-    assert "# T1 2" in source and "# True" in source
+    assert "# T1 2" in source and "# True" in source and "# []" in source
     monkeypatch.chdir(ROOT)
     exec(compile(source, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "T1 2"
     assert lines[2] == "True"
+    assert lines[3] == "[]"

@@ -14,6 +14,7 @@ in name order, must come out in the reference's order, and a component
 with no model must leave the program with none.
 """
 
+import bisect
 import random
 import time
 
@@ -40,7 +41,7 @@ def test_corpus_matches_reference(name):
             expected = reference_stable_models(g)
         except TooManyAtoms:
             continue
-        assert stable_models(g) == expected, (name, k)
+        assert list(stable_models(g)) == expected, (name, k)
 
 
 def negation_heavy_program(rng: random.Random) -> GroundProgram:
@@ -118,7 +119,7 @@ def test_random_programs_match_reference():
     shapes = {"total": 0, "tight": 0, "non-tight": 0}
     for g in programs:
         shapes[residual_shape(g)] += 1
-        assert stable_models(g) == reference_stable_models(g), g.to_text()
+        assert list(stable_models(g)) == reference_stable_models(g), g.to_text()
     assert shapes["tight"] >= 250 and shapes["non-tight"] >= 100, shapes
 
 
@@ -181,9 +182,10 @@ def test_multi_component_programs_match_reference():
     kinds = dict.fromkeys(["three or more", "non-tight beside tight", "shared true atoms", "no model"], 0)
     for _ in range(400):
         g = multi_component_program(rng)
-        got, expected = stable_models(g), reference_stable_models(g)
+        models, expected = stable_models(g), reference_stable_models(g)
+        got = list(models)
         assert got == expected, g.to_text()
-        assert [list(m.names) for m in got] == names(g, expected), g.to_text()
+        assert [list(n) for n in models.names()] == names(g, expected), g.to_text()
         parts = residual_components(g)
         shared = {g.atom_index["f"], g.atom_index["t"]}
         kinds["three or more"] += len(parts) >= 3
@@ -202,7 +204,7 @@ def test_unfounded_loop_behind_a_choice():
         [("a", [], ["b"]), ("b", [], ["a"]), ("c", ["d"], []), ("d", ["c"], []), ("c", ["a"], [])],
     )
     assert names(g, stable_models(g)) == [["a", "c", "d"], ["b"]]
-    assert stable_models(g) == reference_stable_models(g)
+    assert list(stable_models(g)) == reference_stable_models(g)
 
 
 def supported_not_stable() -> GroundProgram:
@@ -217,7 +219,7 @@ def supported_not_stable() -> GroundProgram:
 def test_supported_model_of_a_loop_is_refused():
     g = supported_not_stable()
     assert names(g, stable_models(g)) == [["p", "q", "y"], ["x"]]
-    assert stable_models(g) == reference_stable_models(g)
+    assert list(stable_models(g)) == reference_stable_models(g)
 
 
 def even_loops(n: int = 12) -> GroundProgram:
@@ -271,7 +273,7 @@ def test_each_component_is_searched_once(monkeypatch, n):
     models = stable_models(g, cap=4 * n)
     assert len(calls) == 3 * n
     assert len(models) == 2**n
-    assert models == reference_stable_models(g, cap=4 * n)
+    assert list(models) == reference_stable_models(g, cap=4 * n)
 
 
 def test_pure_unfounded_cycles():
@@ -280,7 +282,7 @@ def test_pure_unfounded_cycles():
     clauses += [(f"u{i}", [], [f"u{i + 1}"]) for i in range(0, 10, 2)]
     g = GroundProgram.build(atoms, clauses)
     assert all(v is not Tv3.UNDEF for v in wf_oracle(g))
-    assert stable_models(g) == reference_stable_models(g)
+    assert list(stable_models(g)) == reference_stable_models(g)
     assert len(stable_models(g)) == 1
 
 
@@ -290,11 +292,11 @@ def test_total_wellfounded_model():
     g = GroundProgram.build(atoms, [("a0", [], [])] + [(f"a{i}", [], [f"a{i - 1}"]) for i in range(1, 20)])
     wf = wf_oracle(g)
     assert Tv3.UNDEF not in wf
-    assert stable_models(g) == [frozenset(a for a, v in enumerate(wf) if v is Tv3.TRUE)]
-    assert stable_models(g) == reference_stable_models(g)
+    assert list(stable_models(g)) == [frozenset(a for a, v in enumerate(wf) if v is Tv3.TRUE)]
+    assert list(stable_models(g)) == reference_stable_models(g)
 
 
-def test_loops_and_unfounded_cycles_scale():
+def loops_beside_chain() -> GroundProgram:
     """12 even loops and 12 unfounded 2-cycles beside a negation chain
     of 2000 atoms: 2048 atoms, 24 of them Undef, 4096 models under the
     default cap.  The well-founded model decides the chain and the
@@ -307,37 +309,74 @@ def test_loops_and_unfounded_cycles_scale():
         clauses += [(f"u{i}", [f"v{i}"], []), (f"v{i}", [f"u{i}"], [])]
     atoms += [f"c{i}" for i in range(2000)]
     clauses += [("c0", [], [])] + [(f"c{i}", [], [f"c{i - 1}"]) for i in range(1, 2000)]
-    g = GroundProgram.build(atoms, clauses)
-    start = time.perf_counter()
-    models = stable_models(g)
-    elapsed = time.perf_counter() - start
-    assert len(models) == 4096
-    assert elapsed < 0.6, elapsed
-
-
-def loops_beside_chain() -> GroundProgram:
-    """The program of ``test_loops_and_unfounded_cycles_scale``."""
-    atoms, clauses = [], []
-    for i in range(12):
-        atoms += [f"p{i}", f"q{i}", f"u{i}", f"v{i}"]
-        clauses += [(f"p{i}", [], [f"q{i}"]), (f"q{i}", [], [f"p{i}"])]
-        clauses += [(f"u{i}", [f"v{i}"], []), (f"v{i}", [f"u{i}"], [])]
-    atoms += [f"c{i}" for i in range(2000)]
-    clauses += [("c0", [], [])] + [(f"c{i}", [], [f"c{i - 1}"]) for i in range(1, 2000)]
     return GroundProgram.build(atoms, clauses)
 
 
+def test_loops_and_unfounded_cycles_scale():
+    """The search and every model's names, which the CLI prints, on
+    ``loops_beside_chain``: the per-model work that the search leaves to
+    ``names`` is timed with it."""
+    g = loops_beside_chain()
+    start = time.perf_counter()
+    models = stable_models(g)
+    printed = sum(1 for _ in models.names())
+    elapsed = time.perf_counter() - start
+    assert len(models) == printed == 4096
+    assert elapsed < 0.6, elapsed
+
+
+def interleaved_program(rng: random.Random) -> GroundProgram:
+    """Even loops ``x :- ~y. y :- ~x.``, facts, atoms with no clause and
+    maybe a lone odd loop, named from one shuffled pool, so that the
+    facts, which the well-founded model makes true, sort before, between
+    and after the loops' Undef atoms, and long runs of Undef atoms hold
+    no fact."""
+    pool = [f"{c}{i}" for c in "abcde" for i in range(8)]
+    rng.shuffle(pool)
+    loops, facts = rng.randint(0, 8), rng.choice([0, 1, 3, 10, 20])
+    undef, facts, dead = pool[: 2 * loops], pool[2 * loops :][:facts], pool[-3:]
+    clauses = [(x, [], [y]) for x, y in zip(undef[::2], undef[1::2])]
+    clauses += [(y, [], [x]) for x, y in zip(undef[::2], undef[1::2])]
+    clauses += [(f, [], []) for f in facts]
+    if rng.random() < 0.1:
+        clauses.append(("odd", [], ["odd"]))
+    return GroundProgram.build([*undef, *facts, *dead, "odd"], clauses)
+
+
 def test_names_are_each_models_sorted_atom_names():
-    """``names``, which the CLI prints, is built from the shared names of
-    the well-founded true atoms and each model's own Undef atoms; it must
-    equal the model's own atoms' names, sorted."""
+    """``names``, which the CLI prints, is joined from pieces: per group
+    of at most 8 consecutive Undef atoms, the well-founded true names
+    before it and the group's names that the model holds, then the true
+    names after the last group.  Each model's frozenset and names must
+    equal the reference's model and its atoms' names, sorted, in the
+    reference's order, with true names before, between and after the
+    Undef atoms, groups cut at 8 atoms, no Undef atom, no atom and no
+    model among the programs."""
     rng = random.Random(6174)
     programs = [random_ground_program(rng, max_atoms=14, max_clauses=rng.choice([8, 16, 24])) for _ in range(300)]
     programs += [negation_heavy_program(rng) for _ in range(600)]
-    programs.append(loops_beside_chain())
+    programs += [interleaved_program(rng) for _ in range(150)]
+    programs += [loops_beside_chain(), GroundProgram.build([], [])]
+    kinds = dict.fromkeys(["true before", "true between", "true after", "over 8 in a run"], 0)
+    kinds.update(dict.fromkeys(["no Undef atom", "no atom", "no model"], 0))
     checked = 0
     for g in programs:
-        for m in stable_models(g):
-            assert m.names == tuple(sorted(g.atoms[a] for a in m)), g.to_text()
-            checked += 1
-    assert checked > 4096
+        models = stable_models(g)
+        got, names = list(models), list(models.names())
+        if len(g.atoms) < 100:  # the reference searches every atom: too slow for the chain
+            assert got == reference_stable_models(g, cap=len(g.atoms)), g.to_text()
+        assert names == [tuple(sorted(g.atoms[a] for a in m)) for m in got], g.to_text()
+        checked += len(names)
+        true = sorted(g.atoms[a] for a in models.true)
+        undef = [g.atoms[a] for a in models.undef]
+        places = [bisect.bisect(true, x) for x in undef]
+        kinds["true before"] += bool(undef) and places[0] > 0
+        kinds["true between"] += bool(undef) and places[-1] > places[0]
+        kinds["true after"] += bool(undef) and places[-1] < len(true)
+        kinds["over 8 in a run"] += any(places[i] == places[i + 8] for i in range(len(places) - 8))
+        kinds["no Undef atom"] += not undef and len(names) == 1
+        kinds["no atom"] += not g.atoms and names == [()]
+        kinds["no model"] += not names
+    assert checked > 12_000, checked
+    assert min(kinds.values()) >= 1 and kinds["over 8 in a run"] >= 50, kinds
+    assert kinds["true before"] >= 100 and kinds["true between"] >= 100 and kinds["true after"] >= 100, kinds
