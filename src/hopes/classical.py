@@ -55,8 +55,12 @@
   that every model shares (``StableModels``): a model's frozenset and
   its sorted names are built only when a caller reads them.
 
-The search builds the residual with ``_residual`` and takes its
-least models with one linear loop (``_least``, Dowling & Gallier 1984).
+The search numbers the Undef atoms by their positions in name order
+and works on those positions alone: the residual, its components and
+every per-atom array of the search are sized to the Undef atoms, not
+to the program.  A leaf of a non-tight component is checked with one
+linear least-model loop (``_least``, Dowling & Gallier 1984), which
+returns the verdict.
 """
 
 from __future__ import annotations
@@ -108,64 +112,23 @@ def wf_oracle(g: GroundProgram) -> list[Tv3]:
     return collapse(minimum_model(g))
 
 
-def _residual(atoms, by_head, value: list, waiting: list[list[int]]):
-    """The clauses of ``atoms`` over the atoms inside, those whose
-    ``value`` is None.  Each other atom is decided, True or False: a
-    clause with a literal false over one is dropped, a literal true over
-    one is removed.
-
-    Returns per clause its head and its count of positive literals
-    inside, and the negated atoms inside of each clause that has one.
-    Each atom inside gets, in ``waiting``, the clauses with it as a
-    positive literal."""
-    heads: list[int] = []
-    counts: list[int] = []
-    negated: list[tuple[int, list[int]]] = []
-    for a in atoms:
-        for c in by_head[a]:
-            pos: list[int] = []
-            neg: list[int] = []
-            for is_neg, b in c.literals:
-                v = value[b]
-                if v is None:  # inside
-                    (neg if is_neg else pos).append(b)
-                elif v == is_neg:
-                    break
-            else:
-                k = len(heads)
-                heads.append(a)
-                counts.append(len(pos))
-                for b in pos:
-                    waiting[b].append(k)
-                if neg:
-                    negated.append((k, neg))
-    return heads, counts, negated
-
-
-def _least(
-    atoms,
-    clauses: list[int],
-    heads: list[int],
-    counts: list[int],
-    negated: list[tuple[int, list[int]]],
-    waiting: list[list[int]],
-    guess: list,
-    out: list[bool],
-) -> None:
-    """Least model of a residual program (Dowling & Gallier 1984): the
+def _least(order, clauses, heads, pos, neg, waiting, guess) -> bool:
+    """Whether ``guess`` is, on the positions in ``order``, the least
+    model (Dowling & Gallier 1984) of the reduct of ``clauses``: the
     head of every clause whose positive literals are true is true, once
-    the clauses with a negated atom in the guess are dropped.  Reads
-    only ``clauses``, with ``negated`` among them, whose heads are
-    ``atoms`` and whose literals are inside them, and writes into
-    ``out`` for those ``atoms``."""
-    pending = {k: counts[k] for k in clauses}
-    for k, neg in negated:
-        for b in neg:
+    the clauses with a negated position true in the guess are dropped.
+    ``clauses`` are the clauses of the positions in ``order``, with
+    their literals among them: per clause, ``heads`` gives its head,
+    ``pos`` its count of positive literals and ``neg`` its negated
+    positions, and per position ``waiting`` gives the clauses with it
+    as a positive literal."""
+    pending = {k: pos[k] for k in clauses}
+    for k in clauses:
+        for b in neg[k]:
             if guess[b]:
-                pending[k] = -1  # dead: never counts down to zero
+                pending[k] = -1  # dropped: never counts down to zero
                 break
-    for a in atoms:
-        out[a] = False
+    out = [False] * len(guess)
     stack = []
     for k in clauses:
         if not pending[k] and not out[heads[k]]:
@@ -177,6 +140,10 @@ def _least(
             if not pending[k] and not out[heads[k]]:
                 out[heads[k]] = True
                 stack.append(heads[k])
+    for a in order:
+        if out[a] != guess[a]:
+            return False
+    return True
 
 
 class StableModels:
@@ -262,7 +229,9 @@ def stable_models(
     (Lifschitz & Turner, "Splitting a logic program", ICLP 1994) the
     stable models of the residual are exactly the unions of one stable
     model of each component.  Each component is searched once, and a
-    component with no model leaves the program with none.
+    component with no model leaves the program with none.  The search
+    names each Undef atom by its position in ``undef``, in name order,
+    which is also its place in the masks.
 
     A consistent leaf of a component's search is a supported model of
     the component.  If the component's positive graph has no cycle (it
@@ -293,31 +262,7 @@ def stable_models(
     if len(undef) > cap:
         raise TooManyAtoms(len(undef), cap)
     wf_true = [a for a, v in enumerate(wf) if v is Tv3.TRUE]
-
-    # The residual program over the Undef atoms, whose value None means
-    # unassigned.  Every other atom is decided, True or False, and no
-    # clause has every literal true, or its head would be true.  For the
-    # search, pending counts the literals of each clause not yet true and
-    # falsified those already false (it is dead while that is above
-    # zero); live counts the clauses of each atom that are not dead.
-    value: list = [None if v is Tv3.UNDEF else v is Tv3.TRUE for v in wf]
-    waiting: list[list[int]] = [[] for _ in wf]
-    heads, counts, negated = _residual(undef, g.by_head, value, waiting)
-    occurs = [[(k, False) for k in ks] for ks in waiting]
-    pending = counts.copy()
-    for k, neg in negated:
-        pending[k] += len(neg)
-        for a in neg:
-            occurs[a].append((k, True))
-    falsified = [0] * len(heads)
-    live = [0] * len(wf)
-    for a in heads:
-        live[a] += 1
-
-    # The components, by union-find over the positions in undef: each
-    # clause joins its head with every literal inside, positive (the
-    # clauses in waiting) and negated.
-    number = {a: i for i, a in enumerate(undef)}
+    at = {a: i for i, a in enumerate(undef)}
     root = list(range(len(undef)))
 
     def find(i: int) -> int:
@@ -326,50 +271,76 @@ def stable_models(
             i = root[i]
         return i
 
-    def join(a: int, b: int) -> None:
-        root[find(number[a])] = find(number[b])
+    # The residual program over the positions in undef: each clause of
+    # an Undef atom with no literal false under the well-founded model,
+    # over its literals inside (every other literal is true), so that no
+    # clause has every literal true.  Per clause: its head, its count of
+    # positive literals, its negated positions, and for the search,
+    # pending counts its literals not yet true and falsified those
+    # already false (it is dead while that is above zero).  Per
+    # position: the clauses with it as a positive literal (waiting) and
+    # as a literal of either sign (occurs), and live counts its clauses
+    # that are not dead.  The union-find joins each clause's head with
+    # every literal inside, so that its classes are the components.
+    heads: list[int] = []
+    pos: list[int] = []
+    neg: list[list[int]] = []
+    pending: list[int] = []
+    waiting: list[list[int]] = [[] for _ in undef]
+    occurs: list[list[tuple[int, bool]]] = [[] for _ in undef]
+    live = [0] * len(undef)
+    for i, a in enumerate(undef):
+        for c in g.by_head[a]:
+            inside = []
+            for is_neg, b in c.literals:
+                if b in at:
+                    inside.append((is_neg, at[b]))
+                elif (wf[b] is Tv3.TRUE) == is_neg:
+                    break
+            else:
+                k = len(heads)
+                heads.append(i)
+                neg.append([j for is_neg, j in inside if is_neg])
+                pos.append(len(inside) - len(neg[k]))
+                pending.append(len(inside))
+                live[i] += 1
+                for is_neg, j in inside:
+                    occurs[j].append((k, is_neg))
+                    if not is_neg:
+                        waiting[j].append(k)
+                    root[find(j)] = find(i)
+    falsified = [0] * len(heads)
+    value: list = [None] * len(undef)  # None: unassigned
 
-    for a in undef:
-        for k in waiting[a]:
-            join(a, heads[k])
-    for k, neg in negated:
-        for b in neg:
-            join(b, heads[k])
-    part = {a: find(i) for i, a in enumerate(undef)}
-    orders: dict[int, list[int]] = {}  # each component's atoms, in name order
-    for a in undef:
-        orders.setdefault(part[a], []).append(a)
+    orders: dict[int, list[int]] = {}  # each component's positions, in order
+    for i in range(len(undef)):
+        orders.setdefault(find(i), []).append(i)
     clauses: dict[int, list[int]] = {p: [] for p in orders}
-    for k, a in enumerate(heads):
-        clauses[part[a]].append(k)
-    negated_in: dict[int, list[tuple[int, list[int]]]] = {p: [] for p in orders}
-    for k, neg in negated:
-        negated_in[part[heads[k]]].append((k, neg))
+    for k, i in enumerate(heads):
+        clauses[find(i)].append(k)
     # A component is tight when its positive graph, an edge from each
     # positive literal to its clause's head, has no cycle, not even a
     # self-loop.  The graph of the whole residual, given to _sccs
     # reversed, as lists of heads, has the same cycles, and each lies
     # inside one component.
-    heads_of = [[(False, number[heads[k]]) for k in waiting[a]] for a in undef]
-    cyclic = {
-        part[undef[c[0]]] for c in _sccs(heads_of) if len(c) > 1 or (False, c[0]) in heads_of[c[0]]
-    }
+    after = [[(False, heads[k]) for k in ks] for ks in waiting]
+    cyclic = {find(c[0]) for c in _sccs(after) if len(c) > 1 or (False, c[0]) in after[c[0]]}
 
-    def assign(atom: int, v: bool, trail: list[int]) -> bool:
-        """Set atom to v and every atom that forces: the head of a clause
-        whose literals are all true is true, an atom whose clauses are
-        all dead is false.  Record each atom set on trail; False on a
-        contradiction."""
-        todo = [(atom, v)]
+    def assign(i: int, v: bool, trail: list[int]) -> bool:
+        """Set position i to v and every position that forces: the head
+        of a clause whose literals are all true is true, a position whose
+        clauses are all dead is false.  Record each position set on
+        trail; False on a contradiction."""
+        todo = [(i, v)]
         while todo:
-            atom, v = todo.pop()
-            if value[atom] is not None:
-                if value[atom] != v:
+            i, v = todo.pop()
+            if value[i] is not None:
+                if value[i] != v:
                     return False
                 continue
-            value[atom] = v
-            trail.append(atom)
-            for k, is_neg in occurs[atom]:
+            value[i] = v
+            trail.append(i)
+            for k, is_neg in occurs[i]:
                 if v != is_neg:
                     pending[k] -= 1
                     if not pending[k]:
@@ -383,26 +354,25 @@ def stable_models(
         return True
 
     def undo(trail: list[int]) -> None:
-        for atom in trail:
-            for k, is_neg in occurs[atom]:
-                if value[atom] != is_neg:
+        for i in trail:
+            for k, is_neg in occurs[i]:
+                if value[i] != is_neg:
                     pending[k] += 1
                 else:
                     falsified[k] -= 1
                     if not falsified[k]:
                         live[heads[k]] += 1
-            value[atom] = None
+            value[i] = None
 
-    # Depth-first over each component's atoms, True before False, with
-    # an explicit stack of decisions: (position in the component's
-    # order, on its second branch, atoms it set).  Every atom before a
-    # decision's position is set, so the scan for the next free atom
-    # resumes after it.  Propagation never leaves the component, and the
-    # search ends with every atom of it unset again.  A model of the
-    # component is the mask of its true atoms, with bit
-    # len(undef) - 1 - i for undef[i].
-    bit = {a: 1 << (len(undef) - 1 - i) for i, a in enumerate(undef)}
-    out = [False] * len(wf)
+    # Depth-first over each component's positions, True before False,
+    # with an explicit stack of decisions: (index in the component's
+    # order, on its second branch, positions it set).  Every position
+    # before a decision's index is set, so the scan for the next free
+    # one resumes after it.  Propagation never leaves the component, and
+    # the search ends with every position of it unset again.  A model of
+    # the component is the mask of its true positions, with bit
+    # len(undef) - 1 - i for position i.
+    top = len(undef) - 1
     masks = [0]
     for p, order in orders.items():
         found: list[int] = []
@@ -422,20 +392,18 @@ def stable_models(
                 # component, stable when the component is tight;
                 # otherwise stable when it is the least model of its own
                 # reduct, which agrees with the well-founded model on
-                # every decided atom, so only the component's atoms, its
-                # least model, are compared
-                if not tight:
-                    _least(order, clauses[p], heads, counts, negated_in[p], waiting, value, out)
-                if tight or all(out[a] == value[a] for a in order):
-                    found.append(sum(bit[a] for a in order if value[a]))
+                # every decided atom, so only the component's positions
+                # are compared
+                if tight or _least(order, clauses[p], heads, pos, neg, waiting, value):
+                    found.append(sum([1 << (top - i) for i in order if value[i]]))
             while decisions and decisions[-1][1]:
                 undo(decisions.pop()[2])
             if not decisions:
                 break
-            pos, _, trail = decisions.pop()
+            index, _, trail = decisions.pop()
             undo(trail)
-            decisions.append((pos, True, []))
-            consistent = assign(order[pos], False, decisions[-1][2])
+            decisions.append((index, True, []))
+            consistent = assign(order[index], False, decisions[-1][2])
         masks = [m + f for m in masks for f in found]
         if not masks:
             break

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from hopes import ground_instantiate, parse_program, typecheck
-from hopes.herbrand import GroundProgram
+from hopes.herbrand import GroundClause, GroundProgram
 from hopes.typecheck import TypeCheckError
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -55,6 +55,43 @@ def random_ground_program(rng: random.Random, max_atoms: int = 10, max_clauses: 
             (neg if rng.random() < 0.4 else pos).append(rng.choice(atoms))
         clauses.append((head, pos, neg))
     return GroundProgram.build(atoms, clauses)
+
+
+def shrink(g: GroundProgram, fails) -> GroundProgram:
+    """A smaller program over the same atoms on which ``fails`` still
+    holds, for a failure message: whole clauses are dropped, then single
+    literals, one at a time, each drop kept when ``fails`` holds after
+    it, until no single drop keeps it (one-minimal, after Zeller &
+    Hildebrandt, "Simplifying and isolating failure-inducing input",
+    TSE 2002).  ``fails(g)`` must hold."""
+    clauses = list(g.clauses)
+
+    def kept(trial: list[GroundClause]) -> bool:
+        nonlocal clauses
+        if fails(GroundProgram(g.atoms, tuple(trial))):
+            clauses = trial
+            return True
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(clauses):
+            if kept(clauses[:i] + clauses[i + 1 :]):
+                changed = True
+            else:
+                i += 1
+        for i in range(len(clauses)):
+            j = 0
+            while j < len(clauses[i].literals):
+                c = clauses[i]
+                smaller = GroundClause(c.head, c.literals[:j] + c.literals[j + 1 :])
+                if kept(clauses[:i] + [smaller] + clauses[i + 1 :]):
+                    changed = True
+                else:
+                    j += 1
+    return GroundProgram(g.atoms, tuple(clauses))
 
 
 # argument types of the predicates a random program may declare

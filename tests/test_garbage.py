@@ -9,7 +9,10 @@ state alive until the next full collection, and raise peak memory.
 with `stable --ext` and `model --trace`, which do work per model and
 per stage, and on every exit-2 and exit-3 path; it builds its argument
 parser, which is full of cycles, once per process, so a warm-up call
-outside the check builds it first.
+outside the check builds it first.  No corpus program leaves a
+non-tight residual, so `stable`, `stable --ext` and `wf` are also
+checked on generated copies of a non-tight gadget, whose stable-model
+search runs a least-model check at every consistent leaf.
 
 Two standard-library paths leave cycles on every call, so there the
 check is that the count does not grow with the input: `--format json`
@@ -95,6 +98,28 @@ def test_cli_main_leaves_no_cyclic_garbage(name):
         call(cli.main, ["stable", path, "--depth", str(k), "--ext"])
         call(cli.main, ["model", path, "--depth", str(k), "--trace"])
     call(cli.main, ["ground", path, "--format", "json"])  # written without json.dumps
+
+
+def gadgets(n: int, joined: bool) -> str:
+    """n copies of ``p :- q. q :- p. p :- ~x. x :- ~y. y :- ~x.``, each
+    a non-tight component of the residual, or one component when the
+    clause ``z :- p0, ..., p(n-1).`` joins them."""
+    lines = [f"#pred {a}{i} : o." for i in range(n) for a in "pqxy"] + ["#pred z : o."] * joined
+    for i in range(n):
+        lines += [f"p{i} :- q{i}.", f"q{i} :- p{i}.", f"p{i} :- ~x{i}.", f"x{i} :- ~y{i}.", f"y{i} :- ~x{i}."]
+    if joined:
+        lines.append("z :- " + ", ".join(f"p{i}" for i in range(n)) + ".")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
+def test_non_tight_search_leaves_no_cyclic_garbage(joined, tmp_path):
+    path = tmp_path / "gadgets.hop"
+    path.write_text(gadgets(3, joined))
+    call(stable_models, ground_instantiate(typecheck(parse_program(path.read_text())), 1))
+    cli.main(["check", str(path)])  # builds the parser
+    for argv in (["stable"], ["stable", "--ext"], ["wf"]):
+        assert call(cli.main, [argv[0], str(path), *argv[1:]]) == 0
 
 
 FAILURES = {

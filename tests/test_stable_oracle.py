@@ -21,16 +21,33 @@ import time
 import pytest
 
 from hopes import classical
-from hopes.classical import TooManyAtoms, Tv3, stable_models, wf_oracle
+from hopes.classical import DEFAULT_STABLE_CAP, TooManyAtoms, Tv3, stable_models, wf_oracle
 from hopes.herbrand import GroundProgram
 
-from conftest import CORPUS, load_ground, random_ground_program
+from conftest import CORPUS, load_ground, random_ground_program, shrink
 from reference_stable import reference_stable_models
 from reference_wf import wf_oracle as reference_wf
 
 
 def names(g, models):
     return [sorted(g.atoms[a] for a in m) for m in models]
+
+
+def disagrees(g: GroundProgram, cap: int = DEFAULT_STABLE_CAP) -> bool:
+    """Whether the search and the reference differ on g, in the models
+    or in their names; a crash counts as a difference."""
+    try:
+        models, expected = stable_models(g, cap), reference_stable_models(g, cap)
+        return list(models) != expected or [list(n) for n in models.names()] != names(g, expected)
+    except Exception:
+        return True
+
+
+def report(g: GroundProgram, cap: int = DEFAULT_STABLE_CAP) -> str:
+    """A failure message for a comparison with the reference: g's ground
+    text, then the program that ``shrink`` cuts it down to while the
+    search still differs."""
+    return f"{g.to_text()}shrunk to:\n{shrink(g, lambda h: disagrees(h, cap)).to_text()}"
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -119,7 +136,7 @@ def test_random_programs_match_reference():
     shapes = {"total": 0, "tight": 0, "non-tight": 0}
     for g in programs:
         shapes[residual_shape(g)] += 1
-        assert list(stable_models(g)) == reference_stable_models(g), g.to_text()
+        assert list(stable_models(g)) == reference_stable_models(g), report(g)
     assert shapes["tight"] >= 250 and shapes["non-tight"] >= 100, shapes
 
 
@@ -184,8 +201,8 @@ def test_multi_component_programs_match_reference():
         g = multi_component_program(rng)
         models, expected = stable_models(g), reference_stable_models(g)
         got = list(models)
-        assert got == expected, g.to_text()
-        assert [list(n) for n in models.names()] == names(g, expected), g.to_text()
+        assert got == expected, report(g)
+        assert [list(n) for n in models.names()] == names(g, expected), report(g)
         parts = residual_components(g)
         shared = {g.atom_index["f"], g.atom_index["t"]}
         kinds["three or more"] += len(parts) >= 3
@@ -247,15 +264,20 @@ def test_tight_residual_needs_no_least_model_pass(monkeypatch):
     assert count(stable_models, supported_not_stable()) > 0
 
 
-def gadgets(n: int) -> GroundProgram:
+def gadgets(n: int, joined: bool = False) -> GroundProgram:
     """n copies of ``supported_not_stable``'s program, which the
     well-founded model leaves wholly Undef: a residual of n non-tight
-    components of four atoms each."""
+    components of four atoms each.  Joined, the copies share one more
+    clause, ``z :- p0, ..., p(n-1).``, and the residual is one
+    component."""
     atoms, clauses = [], []
     for i in range(n):
         p, q, x, y = (f"{a}{i}" for a in "pqxy")
         atoms += [p, q, x, y]
         clauses += [(p, [q], []), (q, [p], []), (p, [], [x]), (x, [], [y]), (y, [], [x])]
+    if joined:
+        atoms.append("z")
+        clauses.append(("z", [f"p{i}" for i in range(n)], []))
     return GroundProgram.build(atoms, clauses)
 
 
@@ -274,6 +296,38 @@ def test_each_component_is_searched_once(monkeypatch, n):
     assert len(calls) == 3 * n
     assert len(models) == 2**n
     assert list(models) == reference_stable_models(g, cap=4 * n)
+
+
+def test_joined_component_checks_every_leaf(monkeypatch):
+    """Counted: four gadget copies joined by ``z :- p0, p1, p2, p3.``
+    form one non-tight component, which does not split.  Each copy has
+    three consistent leaves and the search takes every combination, so
+    it runs 3^4 = 81 least-model passes for its 2^4 = 16 models."""
+    calls = []
+    least = classical._least
+    monkeypatch.setattr(classical, "_least", lambda *args: calls.append(1) or least(*args))
+    g = gadgets(4, joined=True)
+    models = stable_models(g)
+    assert len(calls) == 81
+    assert len(models) == 16
+    assert list(models) == reference_stable_models(g)
+
+
+def test_shrink_keeps_one_failing_clause():
+    """``shrink`` on a planted failure, some clause with two negated
+    literals: of each random program that has one, what is left is a
+    single clause of two negated literals, over the same atoms."""
+
+    def fails(h: GroundProgram) -> bool:
+        return any(sum(n for n, _ in c.literals) >= 2 for c in h.clauses)
+
+    rng = random.Random(2002)
+    planted = [g for g in (negation_heavy_program(rng) for _ in range(60)) if fails(g)]
+    assert len(planted) >= 20 and max(len(g.clauses) for g in planted) >= 10
+    for g in planted:
+        small = shrink(g, fails)
+        assert [[n for n, _ in c.literals] for c in small.clauses] == [[True, True]], small.to_text()
+        assert small.atoms == g.atoms
 
 
 def test_pure_unfounded_cycles():
@@ -364,7 +418,7 @@ def test_names_are_each_models_sorted_atom_names():
         models = stable_models(g)
         got, names = list(models), list(models.names())
         if len(g.atoms) < 100:  # the reference searches every atom: too slow for the chain
-            assert got == reference_stable_models(g, cap=len(g.atoms)), g.to_text()
+            assert got == reference_stable_models(g, cap=len(g.atoms)), report(g, len(g.atoms))
         assert names == [tuple(sorted(g.atoms[a] for a in m)) for m in got], g.to_text()
         checked += len(names)
         true = sorted(g.atoms[a] for a in models.true)
