@@ -208,22 +208,15 @@ def cmd_ground(args) -> int:
     return EXIT_OK
 
 
-def _model_sort_key(g: GroundProgram, values):
-    def key(a: int):
-        v = values[a]
-        return (
-            truth.order(v),
-            0 if v.is_true else 1 if v.is_false else 2,
-            g.atoms[a],
-        )
-
-    return key
-
-
 def cmd_model(args) -> int:
     g = _load_ground(args)
     m = engine.minimum_model(g)
-    order = sorted(range(len(g.atoms)), key=_model_sort_key(g, m.values))
+
+    def key(a: int):
+        v = m.values[a]
+        return (truth.order(v), 0 if v.is_true else 1 if v.is_false else 2, g.atoms[a])
+
+    order = sorted(range(len(g.atoms)), key=key)
 
     def stages() -> list[tuple[list[str], list[str]]]:
         """Per stage alpha, the atoms of value T_alpha and F_alpha, by name."""
@@ -319,59 +312,42 @@ def cmd_stable(args) -> int:
     return EXIT_OK
 
 
-def cmd_stratify(args) -> int:
-    tp = _load(args.file)
-    result = analysis.check_stratified(tp)
+def _strata_verdict(args, result, heading: str, extra: dict, levels) -> bool:
+    """Render a stratification verdict of either level: "{heading}: yes"
+    and then ``levels(strata)``, or "{heading}: no" and the cycle
+    through negation.  The JSON record carries ``extra``'s fields too.
+    True when the program is stratified."""
     if isinstance(result, analysis.StrataAssignment):
-
-        def text() -> str:
-            by_level: dict[int, list[str]] = {}
-            for p, lvl in sorted(result.strata.items()):
-                by_level.setdefault(lvl, []).append(p)
-            parts = [f"S{lvl} = {{{', '.join(by_level[lvl])}}}\n" for lvl in sorted(by_level)]
-            return "stratified: yes\n" + "".join(parts)
-
         _emit(
             args,
-            text,
-            lambda: {"verdict": "stratified", "strata": result.strata, "count": result.count},
+            lambda: f"{heading}: yes\n{levels(result.strata)}",
+            lambda: {"verdict": "stratified", "strata": result.strata, "count": result.count, **extra},
         )
-        return EXIT_OK
+        return True
     _emit(
         args,
-        lambda: "stratified: no\n" + str(result) + "\n",
-        lambda: {"verdict": "violation", "cycle": [list(step) for step in result.cycle]},
+        lambda: f"{heading}: no\n{result}\n",
+        lambda: {"verdict": "violation", "cycle": [list(step) for step in result.cycle], **extra},
     )
-    return EXIT_VERDICT
+    return False
+
+
+def cmd_stratify(args) -> int:
+    result = analysis.check_stratified(_load(args.file))
+
+    def levels(strata: dict[str, int]) -> str:
+        by_level: dict[int, list[str]] = {}
+        for p, lvl in sorted(strata.items()):
+            by_level.setdefault(lvl, []).append(p)
+        return "".join(f"S{lvl} = {{{', '.join(by_level[lvl])}}}\n" for lvl in sorted(by_level))
+
+    return EXIT_OK if _strata_verdict(args, result, "stratified", {}, levels) else EXIT_VERDICT
 
 
 def cmd_locstrat(args) -> int:
-    g = _load_ground(args)
-    result = analysis.check_locally_stratified_bounded(g)
-    if isinstance(result, analysis.StrataAssignment):
-        _emit(
-            args,
-            lambda: f"locally stratified up to depth {args.depth}: yes\n",
-            lambda: {
-                "verdict": "stratified",
-                "depth_bound": args.depth,
-                "strata": result.strata,
-                "count": result.count,
-            },
-        )
-    else:
-        _emit(
-            args,
-            lambda: (
-                f"locally stratified up to depth {args.depth}: no\n"
-                f"{result}\n"
-            ),
-            lambda: {
-                "verdict": "violation",
-                "depth_bound": args.depth,
-                "cycle": [list(step) for step in result.cycle],
-            },
-        )
+    result = analysis.check_locally_stratified_bounded(_load_ground(args))
+    heading = f"locally stratified up to depth {args.depth}"
+    _strata_verdict(args, result, heading, {"depth_bound": args.depth}, lambda strata: "")
     return EXIT_OK
 
 

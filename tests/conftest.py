@@ -94,6 +94,13 @@ def shrink(g: GroundProgram, fails) -> GroundProgram:
     return GroundProgram(g.atoms, tuple(clauses))
 
 
+def shrink_report(g: GroundProgram, fails) -> str:
+    """A failure message for a comparison with a reference: g's ground
+    text, then the program that ``shrink`` cuts it down to while
+    ``fails`` still holds."""
+    return f"{g.to_text()}shrunk to:\n{shrink(g, fails).to_text()}"
+
+
 # argument types of the predicates a random program may declare
 PRED_TYPES = {
     "o": [],

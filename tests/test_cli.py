@@ -555,6 +555,69 @@ def test_stratify_and_locstrat_report_one_cycle(capsys):
     assert source["verdict"] == local["verdict"] == "violation"
 
 
+# The whole JSON record of either level, byte for byte: locstrat's adds
+# depth_bound to stratify's, on a yes and on a no.
+STRATIFY_SUBSET_JSON = """\
+{
+  "count": 3,
+  "strata": {
+    "nonsubset": 2,
+    "p1": 1,
+    "p2": 1,
+    "subset": 3
+  },
+  "verdict": "stratified"
+}
+"""
+LOCSTRAT_SUBSET_JSON = """\
+{
+  "count": 3,
+  "depth_bound": 3,
+  "strata": {
+    "nonsubset(p1)(p1)": 2,
+    "nonsubset(p1)(p2)": 2,
+    "nonsubset(p2)(p1)": 2,
+    "nonsubset(p2)(p2)": 2,
+    "p1(a)": 1,
+    "p1(b)": 1,
+    "p2(a)": 1,
+    "p2(b)": 1,
+    "subset(p1)(p1)": 3,
+    "subset(p1)(p2)": 3,
+    "subset(p2)(p1)": 3,
+    "subset(p2)(p2)": 3
+  },
+  "verdict": "stratified"
+}
+"""
+LOCSTRAT_EVEN_LOOP_JSON = """\
+{
+  "cycle": [
+    [
+      "p",
+      "<",
+      "q"
+    ],
+    [
+      "q",
+      "<",
+      "p"
+    ]
+  ],
+  "depth_bound": 3,
+  "verdict": "violation"
+}
+"""
+
+
+def test_stratify_and_locstrat_records(capsys):
+    subset, even_loop = program_path("subset"), program_path("even_loop")
+    assert run(capsys, "stratify", subset, "--format", "json") == (0, STRATIFY_SUBSET_JSON, "")
+    assert run(capsys, "locstrat", subset, "--format", "json") == (0, LOCSTRAT_SUBSET_JSON, "")
+    assert run(capsys, "locstrat", even_loop, "--format", "json")[:2] == (0, LOCSTRAT_EVEN_LOOP_JSON)
+    assert run(capsys, "locstrat", subset) == (0, "locally stratified up to depth 3: yes\n", "")
+
+
 def test_ext_command(capsys):
     code, out, _ = run(capsys, "ext", program_path("choice_pair"), "--depth", "2")
     assert code == 0

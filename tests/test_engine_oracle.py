@@ -25,22 +25,40 @@ from hopes.classical import Tv3, collapse, wf_oracle
 from hopes.engine import minimum_model
 from hopes.herbrand import GroundProgram
 
-from conftest import CORPUS, load_ground, program_path, random_ground_program
+from conftest import CORPUS, load_ground, program_path, random_ground_program, shrink_report
 from reference_engine import minimum_model as reference_minimum_model
 from reference_paper import snapshot, stages
 from reference_wf import wf_oracle as reference_wf_oracle
 
 
+def differs(g: GroundProgram) -> bool:
+    """Whether the engine and the references differ on g, in the values,
+    the depth, the stages or the collapse; a crash counts as a
+    difference."""
+    try:
+        got, (expected, records) = minimum_model(g), reference_minimum_model(g)
+        return (
+            got.values != expected.values
+            or got.depth != expected.depth
+            or [(alpha, t, f, snapshot(alpha, got.values)) for alpha, t, f in stages(got)]
+            != [(r.alpha, r.newly_true, r.newly_false, r.snapshot) for r in records]
+            or collapse(got) != reference_wf_oracle(g)
+        )
+    except Exception:
+        return True
+
+
 def assert_same_as_reference(g: GroundProgram) -> list[Tv3]:
-    """The checks above; returns the well-founded model."""
+    """The checks above; returns the well-founded model.  A failure
+    prints g and the program ``shrink`` cuts it down to."""
     got, (expected, records) = minimum_model(g), reference_minimum_model(g)
-    assert got.values == expected.values, g.to_text()
-    assert got.depth == expected.depth, g.to_text()
+    assert got.values == expected.values, shrink_report(g, differs)
+    assert got.depth == expected.depth, shrink_report(g, differs)
     assert [(alpha, t, f, snapshot(alpha, got.values)) for alpha, t, f in stages(got)] == [
         (r.alpha, r.newly_true, r.newly_false, r.snapshot) for r in records
-    ]
+    ], shrink_report(g, differs)
     wf = collapse(got)
-    assert wf == reference_wf_oracle(g), g.to_text()
+    assert wf == reference_wf_oracle(g), shrink_report(g, differs)
     return wf
 
 

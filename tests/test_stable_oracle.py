@@ -24,7 +24,7 @@ from hopes import classical
 from hopes.classical import DEFAULT_STABLE_CAP, TooManyAtoms, Tv3, stable_models, wf_oracle
 from hopes.herbrand import GroundProgram
 
-from conftest import CORPUS, load_ground, random_ground_program, shrink
+from conftest import CORPUS, load_ground, random_ground_program, shrink, shrink_report
 from reference_stable import reference_stable_models
 from reference_wf import wf_oracle as reference_wf
 
@@ -44,10 +44,8 @@ def disagrees(g: GroundProgram, cap: int = DEFAULT_STABLE_CAP) -> bool:
 
 
 def report(g: GroundProgram, cap: int = DEFAULT_STABLE_CAP) -> str:
-    """A failure message for a comparison with the reference: g's ground
-    text, then the program that ``shrink`` cuts it down to while the
-    search still differs."""
-    return f"{g.to_text()}shrunk to:\n{shrink(g, lambda h: disagrees(h, cap)).to_text()}"
+    """``shrink_report`` while the search still differs."""
+    return shrink_report(g, lambda h: disagrees(h, cap))
 
 
 @pytest.mark.parametrize("name", CORPUS)
