@@ -14,13 +14,8 @@ from .analysis import (
 from .ast import Clause, Program, RawClause, TypedProgram, expr_to_str
 from .classical import TooManyAtoms, Tv3, collapse, stable_models, wf_oracle
 from .engine import InfModel, UnknownAtom, minimum_model
-from .herbrand import (
-    BudgetExceeded,
-    EmptyUniverse,
-    GroundProgram,
-    ground_instantiate,
-)
-from .parser import ParseError, parse_program, parse_term
+from .herbrand import BudgetExceeded, GroundProgram, ground_instantiate
+from .parser import ParseError, parse_program
 from .truth import ZERO, TruthValue, false_at, true_at
 from .typecheck import TypeCheckError, typecheck
 from .types import IOTA, O, TypeExpr, arrow

@@ -291,10 +291,15 @@ class _Type:
     with each id's position, the terms' text and the positions in text
     order; for a type in the plan's ``order``, its support and, at an
     arrow type, the applications of the slice to the argument slice.
-    ``memo`` is what the last valuation compared here gave."""
+
+    The rest is what the last valuation compared here gave, kept with
+    that valuation's values on the support (``key``): the relation and
+    its vacuous pairs, the related pairs in the order an argument tries
+    them (slice order, or text order at an arrow type), and at an arrow
+    type its report entries (vacuous notes, violations)."""
 
     __slots__ = ("name", "kind", "left", "right", "ids", "positions", "names", "by_text",
-                 "table", "support", "memo")
+                 "table", "support", "key", "related", "vacuous", "pairs", "notes", "violations")
 
     def __init__(self, typ: TypeExpr, ids: tuple[int, ...], text: list[str]):
         self.name = str(typ)
@@ -307,24 +312,10 @@ class _Type:
         self.by_text = sorted(range(len(ids)), key=self.names.__getitem__)
         self.table: list[list[int]] = []
         self.support: tuple[int, ...] | None = None
-        self.memo: _Memo | None = None
-
-
-class _Memo:
-    """Extensional equality at one type under one valuation, kept with
-    that valuation's values on the type's support: the relation and its
-    vacuous pairs, the related pairs in the order an argument tries
-    them (slice order, or text order at an arrow type), and at an arrow
-    type its report entries (vacuous notes, violations)."""
-
-    __slots__ = ("key", "related", "vacuous", "pairs", "notes", "violations")
-
-    def __init__(self, key: tuple, t: _Type, related: list[set[int]], vacuous: set[tuple[int, int]]):
-        self.key = key
-        self.related = related
-        self.vacuous = vacuous
-        order = t.by_text if t.kind == "arrow" else range(len(t.ids))
-        self.pairs = [(d, d2) for d in order for d2 in order if d2 in related[d]]
+        self.key: tuple | None = None  # None until a valuation is compared
+        self.related: list[set[int]] = []
+        self.vacuous: set[tuple[int, int]] = set()
+        self.pairs: list[tuple[int, int]] = []
         self.notes: list[tuple[str, str, str]] = []
         self.violations: list[ExtViolation] = []
 
@@ -410,25 +401,29 @@ class ExtPlan:
 
     def check(self, values: Sequence[TruthValue]) -> ExtReport:
         """One pass over ``order``: a type whose support holds other
-        values than its memo's is compared again, after the types it
-        reads; then the report is read off the checked types' memos."""
+        values than its ``key`` is compared again, after the types it
+        reads; then the report is read off the checked types."""
         values = [*values, None]  # index -1 is an undefined application
         for t in self.order:
             key = tuple(map(values.__getitem__, t.support))
-            if t.memo is not None and t.memo.key == key:
+            if t.key == key:
                 continue
-            memo = t.memo = _Memo(key, t, *self.compare(t, values))
+            t.key = key
+            t.related, t.vacuous = related, vacuous = self.compare(t, values)
+            order = t.by_text if t.kind == "arrow" else range(len(t.ids))
+            t.pairs = [(d, d2) for d in order for d2 in order if d2 in related[d]]
             if t.kind == "arrow":
-                if memo.vacuous:
-                    memo.notes = [
+                t.notes = []
+                if vacuous:
+                    t.notes = [
                         (t.name, t.names[d], t.names[d2])
                         for d in t.by_text
                         for d2 in t.by_text
-                        if (d, d2) in memo.vacuous
+                        if (d, d2) in vacuous
                     ]
-                memo.violations = [
+                t.violations = [
                     ExtViolation(t.name, t.names[d], *self.drill(d, d, t, values))
-                    for d, mates in enumerate(memo.related)
+                    for d, mates in enumerate(related)
                     if d not in mates
                 ]
 
@@ -436,8 +431,8 @@ class ExtPlan:
         vacuous: list[tuple[str, str, str]] = []
         for t in self.checked:
             if t.kind == "arrow":  # i and o are reflexive: identity, equal values
-                vacuous += t.memo.notes
-                violations += t.memo.violations
+                vacuous += t.notes
+                violations += t.violations
         return ExtReport(
             extensional=not violations,
             depth=self.k,
@@ -450,7 +445,7 @@ class ExtPlan:
     def compare(self, t: _Type, values: list) -> tuple[list[set[int]], set[tuple[int, int]]]:
         """The relation at t over slice positions, and its vacuous
         pairs, under ``values`` with a trailing None; at an arrow type it
-        reads the memos of the argument and result types."""
+        reads the last relations of the argument and result types."""
         n = len(t.ids)
         vacuous: set[tuple[int, int]] = set()
         if t.kind == "iota":
@@ -460,7 +455,7 @@ class ExtPlan:
             v = [values[atom_of.get(x, -1)] for x in t.ids]
             related = [{d2 for d2 in range(n) if v[d2] == v[d]} for d in range(n)]
         else:
-            pairs = t.left.memo.pairs
+            pairs = t.left.pairs
             lefts = [e for e, _ in pairs]
             rights = [e2 for _, e2 in pairs]
             # results as values (type o) or as result positions, None
@@ -468,7 +463,7 @@ class ExtPlan:
             if t.right.kind == "o":
                 res, lookup = None, values
             else:
-                res, lookup = t.right.memo.related, [*range(len(t.right.ids)), None]
+                res, lookup = t.right.related, [*range(len(t.right.ids)), None]
             results = [list(map(lookup.__getitem__, row)) for row in t.table]
             left = [list(map(r.__getitem__, lefts)) for r in results]
             right = [list(map(r.__getitem__, rights)) for r in results]
@@ -493,7 +488,7 @@ class ExtPlan:
         find the first related argument pair that separates them and the
         atoms where the values finally differ."""
         table, at_o = t.table, t.right.kind == "o"
-        for e, e2 in t.left.memo.pairs:
+        for e, e2 in t.left.pairs:
             r1, r2 = table[d1][e], table[d2][e2]
             if r1 < 0 or r2 < 0:
                 continue
@@ -502,7 +497,7 @@ class ExtPlan:
                     continue
                 found = ((self.atoms[r1], str(values[r1])), (self.atoms[r2], str(values[r2])))
             else:
-                if r2 in t.right.memo.related[r1]:
+                if r2 in t.right.related[r1]:
                     continue
                 found = self.drill(r1, r2, t.right, values)[2]
             return t.left.names[e], t.left.names[e2], found

@@ -63,13 +63,6 @@ from .types import IOTA, O, TypeExpr, arity
 DEFAULT_BUDGET = 1_000_000
 
 
-class EmptyUniverse(Exception):
-    def __init__(self, typ: TypeExpr, depth_bound: int):
-        self.typ = typ
-        self.depth_bound = depth_bound
-        super().__init__(f"no ground terms of type {typ} within depth {depth_bound}")
-
-
 class BudgetExceeded(Exception):
     """A clause needs more substitutions than the budget, or, when
     ``clause`` is None, the universe slices at ``depth`` hold more terms."""
@@ -254,24 +247,6 @@ class GroundProgram:
     def to_text(self) -> str:
         return "\n".join(self.clause_str(c) for c in self.clauses) + ("\n" if self.clauses else "")
 
-    @classmethod
-    def build(
-        cls,
-        atom_names: list[str],
-        clause_specs: list[tuple[str, list[str], list[str]]],
-        depth_bound: int | None = None,
-    ) -> "GroundProgram":
-        """Assemble a propositional program directly (tests, random programs)."""
-        index = {name: i for i, name in enumerate(atom_names)}
-        clauses = [
-            GroundClause(
-                index[head],
-                tuple([(False, index[a]) for a in pos] + [(True, index[a]) for a in neg]),
-            )
-            for head, pos, neg in clause_specs
-        ]
-        return cls(tuple(atom_names), tuple(clauses), depth_bound)
-
 
 def _clause_variables(clause: Clause) -> dict[str, TypeExpr]:
     """Every variable of a clause with its type: the head formals first,
@@ -285,7 +260,8 @@ def _clause_variables(clause: Clause) -> dict[str, TypeExpr]:
 def _skip_note(idx: int, name: str, typ: TypeExpr, k: int) -> str:
     return (
         f"clause {idx + 1} has no instances at depth {k}: "
-        f"variable {name} ranges over an empty universe ({EmptyUniverse(typ, k)})"
+        f"variable {name} ranges over an empty universe "
+        f"(no ground terms of type {typ} within depth {k})"
     )
 
 

@@ -382,11 +382,3 @@ def _nesting(e: Expression) -> int:
 def parse_program(text: str) -> Program:
     """Parse a whole program; raises ParseError with line and column."""
     return _Parser(text).parse_program()
-
-
-def parse_term(text: str) -> Expression:
-    """Parse a single term (used for queries and tests)."""
-    p = _Parser(text)
-    e = p._term(single=False)
-    p.expect("EOF", "end of input")
-    return e

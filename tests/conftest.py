@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
 
-from hopes import ground_instantiate, parse_program, typecheck
+from hopes import ground_instantiate, parse_program, parser, typecheck
+from hopes.ast import Expression
 from hopes.herbrand import GroundClause, GroundProgram
 from hopes.typecheck import TypeCheckError
 
@@ -42,6 +44,32 @@ def corpus_grounds():
     return {name: load_ground(name) for name in CORPUS}
 
 
+def build_ground(
+    atom_names: list[str],
+    clause_specs: list[tuple[str, list[str], list[str]]],
+    depth_bound: int | None = None,
+) -> GroundProgram:
+    """A propositional program assembled from atom names, one
+    (head, positive body atoms, negated body atoms) per clause."""
+    index = {name: i for i, name in enumerate(atom_names)}
+    clauses = [
+        GroundClause(
+            index[head],
+            tuple([(False, index[a]) for a in pos] + [(True, index[a]) for a in neg]),
+        )
+        for head, pos, neg in clause_specs
+    ]
+    return GroundProgram(tuple(atom_names), tuple(clauses), depth_bound)
+
+
+def parse_term(text: str) -> Expression:
+    """A single term, read by the package's own term parser."""
+    p = parser._Parser(text)
+    e = p._term(single=False)
+    p.expect("EOF", "end of input")
+    return e
+
+
 def random_ground_program(rng: random.Random, max_atoms: int = 10, max_clauses: int = 15) -> GroundProgram:
     """A random propositional program over atoms a0..a{n-1}."""
     n = rng.randint(1, max_atoms)
@@ -54,7 +82,7 @@ def random_ground_program(rng: random.Random, max_atoms: int = 10, max_clauses: 
         for _ in range(body_len):
             (neg if rng.random() < 0.4 else pos).append(rng.choice(atoms))
         clauses.append((head, pos, neg))
-    return GroundProgram.build(atoms, clauses)
+    return build_ground(atoms, clauses)
 
 
 def shrink(g: GroundProgram, fails) -> GroundProgram:
@@ -63,12 +91,14 @@ def shrink(g: GroundProgram, fails) -> GroundProgram:
     literals, one at a time, each drop kept when ``fails`` holds after
     it, until no single drop keeps it (one-minimal, after Zeller &
     Hildebrandt, "Simplifying and isolating failure-inducing input",
-    TSE 2002).  ``fails(g)`` must hold."""
+    TSE 2002).  Every trial keeps g's depth bound and term store, so a
+    grounded program's trials still compile an ``ExtPlan``.
+    ``fails(g)`` must hold."""
     clauses = list(g.clauses)
 
     def kept(trial: list[GroundClause]) -> bool:
         nonlocal clauses
-        if fails(GroundProgram(g.atoms, tuple(trial))):
+        if fails(dataclasses.replace(g, clauses=tuple(trial))):
             clauses = trial
             return True
         return False
@@ -91,7 +121,7 @@ def shrink(g: GroundProgram, fails) -> GroundProgram:
                     changed = True
                 else:
                     j += 1
-    return GroundProgram(g.atoms, tuple(clauses))
+    return dataclasses.replace(g, clauses=tuple(clauses))
 
 
 def shrink_report(g: GroundProgram, fails) -> str:

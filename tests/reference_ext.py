@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from hopes.analysis import ExtReport, ExtViolation
 from hopes.ast import TypedProgram, expr_to_str
-from hopes.herbrand import EmptyUniverse, GroundProgram
+from hopes.herbrand import GroundProgram
 from hopes.truth import TruthValue
 from hopes.types import IOTA, O, TypeExpr, is_predicate
 
-from reference_grounder import TermEnumerator
+from reference_grounder import EmptyUniverse, TermEnumerator
 from reference_paper import ExtRelation
 
 

@@ -33,7 +33,6 @@ from hopes.ast import (
 from hopes.herbrand import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    EmptyUniverse,
     GroundClause,
     GroundProgram,
     _clause_variables,
@@ -42,6 +41,15 @@ from hopes.herbrand import (
 from hopes.types import IOTA, O, TypeExpr, arity
 
 from reference_paper import head_expr, substitute
+
+
+class EmptyUniverse(Exception):
+    """No ground term of the type within the depth bound."""
+
+    def __init__(self, typ: TypeExpr, depth_bound: int):
+        self.typ = typ
+        self.depth_bound = depth_bound
+        super().__init__(f"no ground terms of type {typ} within depth {depth_bound}")
 
 
 def normalize_equality(lhs: Expression, rhs: Expression) -> bool:

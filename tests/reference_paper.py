@@ -21,7 +21,7 @@ from hopes import truth
 from hopes.analysis import ExtPlan
 from hopes.ast import App, Clause, Eq, Expression, FunApp, Neg, PredConst, Program, Var, _children
 from hopes.engine import InfModel
-from hopes.herbrand import EmptyUniverse, GroundProgram
+from hopes.herbrand import GroundProgram
 from hopes.truth import F0, T0, TruthValue, ZERO
 from hopes.types import TypeExpr, is_argument, is_functional, is_predicate
 
@@ -246,19 +246,21 @@ class ExtRelation:
 def ext_relation(plan: ExtPlan, values: Sequence[TruthValue], typ: TypeExpr) -> ExtRelation:
     """Extensional equality at one type under ``values``, as pairs of
     term texts, read off the compiled plan's relation over slice
-    positions: after ``plan.check(values)``, the memo of a type the
-    check compares, and otherwise (o, say, when no arrow type takes it)
-    the type compared against the memos the check left.
+    positions: after ``plan.check(values)``, the relation the check left
+    on a type it compares, and otherwise (o, say, when no arrow type
+    takes it) the type compared against the relations the check left.
 
     Raises EmptyUniverse when the slice of the type is empty.
     """
     # no type outside the closure has a ground term
     t = plan.types.get(typ)
     if t is None or not t.ids:
+        from reference_grounder import EmptyUniverse  # which imports this module
+
         raise EmptyUniverse(typ, plan.k)
     plan.check(values)
     if t in plan.order:
-        related, vacuous = t.memo.related, t.memo.vacuous
+        related, vacuous = t.related, t.vacuous
     else:
         related, vacuous = plan.compare(t, [*values, None])
     names = t.names

@@ -18,10 +18,9 @@ from hopes.analysis import (
 from hopes.classical import collapse, stable_models
 from hopes.cli import main
 from hopes.engine import minimum_model
-from hopes.herbrand import GroundProgram
 from hopes.truth import F0, T0, ZERO, neg, order
 
-from conftest import CORPUS, load, load_ground, program_path, random_ground_program
+from conftest import CORPUS, build_ground, load, load_ground, program_path, random_ground_program
 from reference_paper import (
     Comparison,
     aleq,
@@ -232,7 +231,7 @@ def test_property_suites():
             for _ in range(rng.randint(0, 2)):
                 (neg_ if rng.random() < 0.5 else pos).append(rng.choice(atoms))
             specs.append((head, pos, neg_))
-        g = GroundProgram.build(atoms, specs)
+        g = build_ground(atoms, specs)
         m = minimum_model(g)
         for interp in itertools.product(palette, repeat=n_atoms):
             if is_model(g, list(interp))[0]:

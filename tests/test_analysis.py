@@ -11,11 +11,11 @@ from hopes.analysis import (
 )
 from hopes.classical import stable_models
 from hopes.engine import minimum_model
-from hopes.herbrand import EmptyUniverse
 from hopes.truth import F0, T0, ZERO
 from hopes.types import IOTA, O, arrow, arrow_chain
 
 from conftest import CORPUS, load, load_ground
+from reference_grounder import EmptyUniverse
 from reference_paper import ext_relation
 
 STRATIFIED = ["identity", "subset", "stratified_ho", "self_support"]

@@ -5,9 +5,8 @@ import pytest
 
 from hopes.classical import TooManyAtoms, Tv3, collapse, stable_models, wf_oracle
 from hopes.engine import minimum_model
-from hopes.herbrand import GroundProgram
 
-from conftest import CORPUS, load_ground, random_ground_program
+from conftest import CORPUS, build_ground, load_ground, random_ground_program
 from reference_stable import reduct, reference_is_stable, reference_least_model
 from reference_wf import wf_oracle as reference_wf_oracle
 
@@ -43,13 +42,13 @@ def test_wf_oracle_defaults():
 
 
 def test_wf_oracle_small_programs():
-    g = GroundProgram.build(["p", "q"], [("p", [], ["q"]), ("q", [], [])])
+    g = build_ground(["p", "q"], [("p", [], ["q"]), ("q", [], [])])
     assert tv_map(g, wf_oracle(g)) == {"p": "False", "q": "True"}
 
-    g = GroundProgram.build(["t"], [("t", [], ["t"])])
+    g = build_ground(["t"], [("t", [], ["t"])])
     assert wf_oracle(g) == [Tv3.UNDEF]
 
-    g = GroundProgram.build(["p", "q"], [("p", ["q"], []), ("q", ["p"], [])])
+    g = build_ground(["p", "q"], [("p", ["q"], []), ("q", ["p"], [])])
     assert wf_oracle(g) == [Tv3.FALSE, Tv3.FALSE]
 
 
@@ -76,7 +75,7 @@ def test_reduct_keeps_negation_free_programs():
 
 
 def test_reduct_of_self_negation():
-    g = GroundProgram.build(["p"], [("p", [], ["p"])])
+    g = build_ground(["p"], [("p", [], ["p"])])
     assert reduct(g, frozenset({0})).clauses == ()
     survived = reduct(g, frozenset())
     assert [survived.clause_str(c) for c in survived.clauses] == ["p."]
@@ -94,7 +93,7 @@ def test_least_model_positive():
     g = load_ground("identity", 3)
     assert reference_least_model(g) == frozenset(range(len(g.atoms)))
 
-    g = GroundProgram.build(
+    g = build_ground(
         ["p", "q", "r"], [("p", [], []), ("q", ["p"], []), ("r", ["r"], [])]
     )
     assert names(g, reference_least_model(g)) == ["p", "q"]
@@ -130,7 +129,7 @@ def test_stable_self_support():
 
 
 def test_stable_self_negation_has_none():
-    g = GroundProgram.build(["p"], [("p", [], ["p"])])
+    g = build_ground(["p"], [("p", [], ["p"])])
     assert list(stable_models(g)) == []
 
 
@@ -165,11 +164,11 @@ def test_stable_cap():
     # the cap counts the atoms the well-founded model leaves Undef: 30
     # facts have none, 13 even loops have 26
     atoms = [f"b{i}" for i in range(30)]
-    g = GroundProgram.build(atoms, [(a, [], []) for a in atoms])
+    g = build_ground(atoms, [(a, [], []) for a in atoms])
     assert list(stable_models(g)) == [frozenset(range(30))]
 
     atoms = [f"{x}{i}" for i in range(13) for x in "pq"]
-    g = GroundProgram.build(
+    g = build_ground(
         atoms,
         [(f"p{i}", [], [f"q{i}"]) for i in range(13)] + [(f"q{i}", [], [f"p{i}"]) for i in range(13)],
     )

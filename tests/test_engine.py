@@ -5,11 +5,9 @@ import pytest
 from hopes import ground_instantiate, parse_program, typecheck
 from hopes.ast import Eq, Neg, expr_to_str
 from hopes.engine import InfModel, UnknownAtom, minimum_model
-from hopes.herbrand import GroundProgram
-from hopes.parser import parse_term
 from hopes.truth import F0, T0, ZERO, false_at, true_at
 
-from conftest import CORPUS, load, load_ground, random_checked_program
+from conftest import CORPUS, build_ground, load, load_ground, parse_term, random_checked_program
 from reference_engine import check_model_ho, stage_fixpoint, valuate_expression
 from reference_grounder import (
     normalize_equality,
@@ -145,7 +143,7 @@ def test_is_model_reports_violations():
 
 
 def test_self_negation_admits_zero():
-    g = GroundProgram.build(["p"], [("p", [], ["p"])])
+    g = build_ground(["p"], [("p", [], ["p"])])
     assert is_model(g, [ZERO])[0]
     # any false value is beaten by its own negation
     assert not is_model(g, [F0])[0]
@@ -334,7 +332,7 @@ def test_minimum_model_is_least():
             for _ in range(rng.randint(0, 2)):
                 (neg if rng.random() < 0.5 else pos).append(rng.choice(atoms))
             specs.append((head, pos, neg))
-        g = GroundProgram.build(atoms, specs)
+        g = build_ground(atoms, specs)
         m = minimum_model(g)
         for vx in palette:
             for vy in palette:

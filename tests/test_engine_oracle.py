@@ -25,7 +25,7 @@ from hopes.classical import Tv3, collapse, wf_oracle
 from hopes.engine import minimum_model
 from hopes.herbrand import GroundProgram
 
-from conftest import CORPUS, load_ground, program_path, random_ground_program, shrink_report
+from conftest import CORPUS, build_ground, load_ground, program_path, random_ground_program, shrink_report
 from reference_engine import minimum_model as reference_minimum_model
 from reference_paper import snapshot, stages
 from reference_wf import wf_oracle as reference_wf_oracle
@@ -100,14 +100,14 @@ def random_program(rng: random.Random, n: int, clauses: int, neg_rate: float, lo
         for i, a in enumerate(cycle):
             specs.append((a, [cycle[i - 1]], []))
         specs.append((rng.choice(cycle), [], [rng.choice(atoms)]))
-    return GroundProgram.build(atoms, specs)
+    return build_ground(atoms, specs)
 
 
 def chain(n: int) -> GroundProgram:
     """a0 is a fact and a_i :- ~a_(i-1): the model needs n stages."""
     atoms = [f"a{i:04d}" for i in range(n)]
     specs = [(atoms[0], [], [])] + [(atoms[i], [], [atoms[i - 1]]) for i in range(1, n)]
-    return GroundProgram.build(atoms, specs)
+    return build_ground(atoms, specs)
 
 
 def layered_dag(rng: random.Random, layers: int, width: int) -> GroundProgram:
@@ -120,7 +120,7 @@ def layered_dag(rng: random.Random, layers: int, width: int) -> GroundProgram:
         for b in rng.sample(atoms[: i - i % width], 2):
             (neg if rng.random() < 0.5 else pos).append(b)
         specs.append((atoms[i], pos, neg))
-    return GroundProgram.build(atoms, specs)
+    return build_ground(atoms, specs)
 
 
 def cyclic_program(rng: random.Random, n: int) -> GroundProgram:
@@ -138,7 +138,7 @@ def cyclic_program(rng: random.Random, n: int) -> GroundProgram:
     odd, even = rng.sample(atoms, 3), rng.sample(atoms, 2)
     specs += [(odd[i], [], [odd[(i + 1) % 3]]) for i in range(3)]
     specs += [(even[0], [], [even[1]]), (even[1], [], [even[0]])]
-    return GroundProgram.build(atoms, specs)
+    return build_ground(atoms, specs)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -205,7 +205,7 @@ def undef_fed_program(rng: random.Random) -> GroundProgram:
     specs += [("t", [], []), (links[0], [links[-1]], ["t"])]
     specs.append((rng.choice(upper), [rng.choice(links)], [rng.choice(base)]))
     atoms = sorted({a for head, pos, neg in specs for a in [head, *pos, *neg]} | set(base))
-    return GroundProgram.build(atoms, specs)
+    return build_ground(atoms, specs)
 
 
 def test_undef_components_feeding_higher_ones_match_reference():

@@ -21,13 +21,13 @@ from hopes import cli, parse_program, typecheck
 from hopes.analysis import ExtPlan, check_extensional
 from hopes.classical import TooManyAtoms, stable_models
 from hopes.engine import minimum_model
-from hopes.herbrand import BudgetExceeded, EmptyUniverse, GroundProgram, ground_instantiate
+from hopes.herbrand import BudgetExceeded, ground_instantiate
 from hopes.truth import F0, T0, ZERO, TruthValue
 from hopes.types import IOTA, O, arrow
 
-from conftest import CORPUS, load, program_path
+from conftest import CORPUS, build_ground, load, load_ground, program_path, shrink, shrink_report
 from reference_ext import _ExtChecker, reference_check_extensional, reference_ext_relation
-from reference_grounder import TermEnumerator
+from reference_grounder import EmptyUniverse, TermEnumerator
 from reference_paper import ext_relation
 from test_grounder_oracle import random_checked_program
 
@@ -48,6 +48,21 @@ def valuations(g, rng, randoms):
         yield [rng.choice(grades) for _ in g.atoms]
 
 
+def report(tp, g, k) -> str:
+    """g's text; when a new plan and the reference also differ on g's
+    minimum model, ``shrink_report`` while they still do, each trial
+    program under its own minimum model (the reference reads tp)."""
+
+    def differs(h) -> bool:
+        values = list(minimum_model(h).values)
+        try:
+            return ExtPlan(h).check(values) != reference_check_extensional(tp, h, values, k)
+        except Exception:
+            return True
+
+    return shrink_report(g, differs) if differs(g) else g.to_text()
+
+
 def assert_same_as_reference(tp, g, k, rng, randoms=3) -> list:
     """Compare every valuation under one compiled plan; return the
     reference's reports."""
@@ -61,7 +76,7 @@ def assert_plan_matches_reference(tp, g, k, plan, sequence) -> list:
     reports = []
     for values in sequence:
         expected = reference_check_extensional(tp, g, values, k)
-        assert plan.check(values) == expected
+        assert plan.check(values) == expected, report(tp, g, k)
         # every relation, from one reference checker per valuation
         reference = _ExtChecker(tp, g, values, k)
         for typ in types:
@@ -88,7 +103,7 @@ def test_entry_points_match_reference(name):
     for k in (1, 2, 3, 4):
         g = ground_instantiate(tp, k)
         values = list(minimum_model(g).values)
-        assert check_extensional(g, values) == reference_check_extensional(tp, g, values, k)
+        assert check_extensional(g, values) == reference_check_extensional(tp, g, values, k), report(tp, g, k)
         plan = ExtPlan(g)
         for typ in sorted(TermEnumerator(tp).closure, key=str):
             assert relation_or_empty(ext_relation, plan, values, typ) == relation_or_empty(
@@ -276,8 +291,20 @@ def test_memo_follows_each_valuation():
     assert agree >= 1000 and differ >= 500
 
 
+def test_shrink_keeps_the_term_store():
+    # every trial of a grounded program keeps its depth bound and term
+    # store, so that the oracle's failing input still compiles a plan
+    g = load_ground("choice_pair", 2)
+    trials = []
+    small = shrink(g, lambda h: trials.append(h) or True)
+    assert small.clauses == () and len(trials) == len(g.clauses)
+    for h in trials + [small]:
+        assert h.atoms == g.atoms and h.depth_bound == 2 and h.terms is g.terms
+        assert ExtPlan(h).check([F0] * len(h.atoms)).depth == 2
+
+
 def test_compile_needs_a_term_store():
-    g = GroundProgram.build(["p", "q"], [("p", [], ["q"])], depth_bound=2)
+    g = build_ground(["p", "q"], [("p", [], ["q"])], depth_bound=2)
     with pytest.raises(ValueError):
         ExtPlan(g)
 

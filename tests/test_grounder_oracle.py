@@ -14,10 +14,11 @@ import pytest
 
 from hopes import ground_instantiate, minimum_model, parse_program, typecheck
 from hopes.ast import Program, expr_to_str
-from hopes.herbrand import BudgetExceeded, EmptyUniverse
+from hopes.herbrand import BudgetExceeded
 
 from conftest import CORPUS, load, random_checked_program
 from reference_grounder import (
+    EmptyUniverse,
     TermEnumerator,
     reference_count,
     reference_ground_instantiate,

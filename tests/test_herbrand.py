@@ -4,12 +4,12 @@ import time
 import pytest
 
 from hopes.ast import expr_to_str
-from hopes.herbrand import BudgetExceeded, GroundProgram, ground_instantiate
-from hopes.parser import parse_program, parse_term
+from hopes.herbrand import BudgetExceeded, ground_instantiate
+from hopes.parser import parse_program
 from hopes.typecheck import typecheck
 from hopes.types import IOTA, O, arrow
 
-from conftest import CORPUS, load, load_ground
+from conftest import CORPUS, build_ground, load, load_ground, parse_term
 from reference_grounder import normalize_equality
 from reference_paper import head_expr, substitute
 
@@ -198,7 +198,7 @@ def test_no_ground_atoms_note_only_without_atoms():
 
 
 def test_build_helper_round_trip():
-    g = GroundProgram.build(["x", "y"], [("x", [], ["y"]), ("y", ["x"], [])])
+    g = build_ground(["x", "y"], [("x", [], ["y"]), ("y", ["x"], [])])
     assert g.atoms == ("x", "y")
     assert g.clauses[0].literals == ((True, 1),)
     assert g.clauses[1].literals == ((False, 0),)

@@ -3,10 +3,10 @@ import time
 import pytest
 
 from hopes.ast import App, Eq, Name, Neg, Var, expr_to_str
-from hopes.parser import ParseError, parse_program, parse_term
+from hopes.parser import ParseError, parse_program
 from hopes.types import IOTA, O, arrow
 
-from conftest import CORPUS, program_path
+from conftest import CORPUS, parse_term, program_path
 from reference_paper import program_to_str
 from test_tokenizer_oracle import scan
 

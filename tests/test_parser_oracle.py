@@ -11,9 +11,9 @@ insertions in every corpus file.
 
 import random
 
-from hopes.parser import ParseError, parse_program, parse_term
+from hopes.parser import ParseError, parse_program
 
-from conftest import PROGRAMS, random_typed_program
+from conftest import PROGRAMS, parse_term, random_typed_program
 from reference_parser import reference_parse_program, reference_parse_term
 from test_fuzz_cli import token_stream
 from test_tokenizer_oracle import ALPHABET

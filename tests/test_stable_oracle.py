@@ -24,7 +24,7 @@ from hopes import classical
 from hopes.classical import DEFAULT_STABLE_CAP, TooManyAtoms, Tv3, stable_models, wf_oracle
 from hopes.herbrand import GroundProgram
 
-from conftest import CORPUS, load_ground, random_ground_program, shrink, shrink_report
+from conftest import CORPUS, build_ground, load_ground, random_ground_program, shrink, shrink_report
 from reference_stable import reference_stable_models
 from reference_wf import wf_oracle as reference_wf
 
@@ -71,7 +71,7 @@ def negation_heavy_program(rng: random.Random) -> GroundProgram:
         for _ in range(rng.choice([1, 1, 2, 3])):
             (neg if rng.random() < 0.7 else pos).append(rng.choice(atoms))
         clauses.append((rng.choice(atoms), pos, neg))
-    return GroundProgram.build(atoms, clauses)
+    return build_ground(atoms, clauses)
 
 
 def residual_components(g: GroundProgram) -> list[tuple[set[int], bool]]:
@@ -186,7 +186,7 @@ def multi_component_program(rng: random.Random) -> GroundProgram:
                 sign, a = rng.choice([(pos, "n"), (neg, "f"), (neg, "t")])
                 sign.append(a)
             specs.append((f"{head}{b}", pos, neg))
-    return GroundProgram.build(atoms, specs)
+    return build_ground(atoms, specs)
 
 
 def test_multi_component_programs_match_reference():
@@ -214,7 +214,7 @@ def test_multi_component_programs_match_reference():
 def test_unfounded_loop_behind_a_choice():
     # choosing a supports c and d through each other and through a; in
     # the model {b} the loop c, d is supported by nothing but itself
-    g = GroundProgram.build(
+    g = build_ground(
         ["a", "b", "c", "d"],
         [("a", [], ["b"]), ("b", [], ["a"]), ("c", ["d"], []), ("d", ["c"], []), ("c", ["a"], [])],
     )
@@ -225,7 +225,7 @@ def test_unfounded_loop_behind_a_choice():
 def supported_not_stable() -> GroundProgram:
     # p and q support each other; {p, q, x} is a supported model, but
     # with x true nothing founds the loop, so it is not stable
-    return GroundProgram.build(
+    return build_ground(
         ["p", "q", "x", "y"],
         [("p", ["q"], []), ("q", ["p"], []), ("p", [], ["x"]), ("x", [], ["y"]), ("y", [], ["x"])],
     )
@@ -240,7 +240,7 @@ def test_supported_model_of_a_loop_is_refused():
 def even_loops(n: int = 12) -> GroundProgram:
     atoms = [f"{x}{i}" for i in range(n) for x in "pq"]
     clauses = [(f"p{i}", [], [f"q{i}"]) for i in range(n)] + [(f"q{i}", [], [f"p{i}"]) for i in range(n)]
-    return GroundProgram.build(atoms, clauses)
+    return build_ground(atoms, clauses)
 
 
 def test_tight_residual_needs_no_least_model_pass(monkeypatch):
@@ -276,7 +276,7 @@ def gadgets(n: int, joined: bool = False) -> GroundProgram:
     if joined:
         atoms.append("z")
         clauses.append(("z", [f"p{i}" for i in range(n)], []))
-    return GroundProgram.build(atoms, clauses)
+    return build_ground(atoms, clauses)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -332,7 +332,7 @@ def test_pure_unfounded_cycles():
     atoms = [f"{x}{i}" for i in range(10) for x in "uv"]
     clauses = [(f"u{i}", [f"v{i}"], []) for i in range(10)] + [(f"v{i}", [f"u{i}"], []) for i in range(10)]
     clauses += [(f"u{i}", [], [f"u{i + 1}"]) for i in range(0, 10, 2)]
-    g = GroundProgram.build(atoms, clauses)
+    g = build_ground(atoms, clauses)
     assert all(v is not Tv3.UNDEF for v in wf_oracle(g))
     assert list(stable_models(g)) == reference_stable_models(g)
     assert len(stable_models(g)) == 1
@@ -341,7 +341,7 @@ def test_pure_unfounded_cycles():
 def test_total_wellfounded_model():
     # a negation chain: the well-founded model decides every atom
     atoms = [f"a{i}" for i in range(20)]
-    g = GroundProgram.build(atoms, [("a0", [], [])] + [(f"a{i}", [], [f"a{i - 1}"]) for i in range(1, 20)])
+    g = build_ground(atoms, [("a0", [], [])] + [(f"a{i}", [], [f"a{i - 1}"]) for i in range(1, 20)])
     wf = wf_oracle(g)
     assert Tv3.UNDEF not in wf
     assert list(stable_models(g)) == [frozenset(a for a, v in enumerate(wf) if v is Tv3.TRUE)]
@@ -361,7 +361,7 @@ def loops_beside_chain() -> GroundProgram:
         clauses += [(f"u{i}", [f"v{i}"], []), (f"v{i}", [f"u{i}"], [])]
     atoms += [f"c{i}" for i in range(2000)]
     clauses += [("c0", [], [])] + [(f"c{i}", [], [f"c{i - 1}"]) for i in range(1, 2000)]
-    return GroundProgram.build(atoms, clauses)
+    return build_ground(atoms, clauses)
 
 
 def test_loops_and_unfounded_cycles_scale():
@@ -392,7 +392,7 @@ def interleaved_program(rng: random.Random) -> GroundProgram:
     clauses += [(f, [], []) for f in facts]
     if rng.random() < 0.1:
         clauses.append(("odd", [], ["odd"]))
-    return GroundProgram.build([*undef, *facts, *dead, "odd"], clauses)
+    return build_ground([*undef, *facts, *dead, "odd"], clauses)
 
 
 def test_names_are_each_models_sorted_atom_names():
@@ -408,7 +408,7 @@ def test_names_are_each_models_sorted_atom_names():
     programs = [random_ground_program(rng, max_atoms=14, max_clauses=rng.choice([8, 16, 24])) for _ in range(300)]
     programs += [negation_heavy_program(rng) for _ in range(600)]
     programs += [interleaved_program(rng) for _ in range(150)]
-    programs += [loops_beside_chain(), GroundProgram.build([], [])]
+    programs += [loops_beside_chain(), build_ground([], [])]
     kinds = dict.fromkeys(["true before", "true between", "true after", "over 8 in a run"], 0)
     kinds.update(dict.fromkeys(["no Undef atom", "no atom", "no model"], 0))
     checked = 0

@@ -15,7 +15,7 @@ import pytest
 from hopes import analysis, ground_instantiate, parse_program, typecheck
 from hopes.herbrand import GroundProgram
 
-from conftest import CORPUS, load, load_ground
+from conftest import CORPUS, build_ground, load, load_ground
 from reference_stratify import reference_stratify_graph
 from test_grounder_oracle import random_checked_program
 
@@ -65,7 +65,7 @@ def random_graph(rng: random.Random, shape: str, shuffle: bool = False) -> Groun
                 continue
             (neg if strict else pos).append(atoms[b])
         clauses.append((atoms[h], pos, neg))
-    return GroundProgram.build(atoms, clauses)
+    return build_ground(atoms, clauses)
 
 
 def test_random_graphs_match_reference(monkeypatch):
@@ -133,7 +133,7 @@ def test_stratifiers_scale_linearly(monkeypatch):
     atoms, clauses = layered_dag(40, 200)
     p, q = atoms[-2:]
     for extra in ([], [(p, [], [q]), (q, [], [p])]):
-        g = GroundProgram.build(atoms, clauses + extra)
+        g = build_ground(atoms, clauses + extra)
         start = time.perf_counter()
         local = analysis.check_locally_stratified_bounded(g)
         assert time.perf_counter() - start < 0.5
